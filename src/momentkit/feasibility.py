@@ -1,7 +1,8 @@
 """First-order convex feasibility over moment sets.
 
 Both operations here minimize a convex quadratic over products of
-density-matrix sets by Frank-Wolfe (conditional gradient):
+density-matrix sets by fully-corrective Frank-Wolfe (simplicial
+decomposition; Holloway 1974, Lacoste-Julien & Jaggi 2015):
 
 * ``project_onto_moment`` - distance from a real vector to the moment set,
 * ``moments_intersect``  - feasibility of m_V and m_W sharing a point.
@@ -9,12 +10,14 @@ density-matrix sets by Frank-Wolfe (conditional gradient):
 A density matrix M over the coefficient space C^r maps linearly to the moment
 coordinates y = diag(Q M Q*) in R^n, and the linear minimization oracle over
 the density set is an extreme eigenvector of the r x r gradient compression,
-so every step costs one small eigensolve.  Iterates are kept as explicit
-convex combinations of rank-one atoms |Q u|^2, which enables pairwise (swap)
-steps and a periodic exact reweighting over the collected atoms; both remove
-the classic zig-zag stall near low-dimensional faces.  The duality gap of the
-linear oracle certifies accuracy, and disjointness is only ever declared
-through an exact support-function separation with a strict margin.
+so every step costs one small eigensolve.  Iterates are explicit convex
+combinations of rank-one atoms |Q u|^2.  Each iteration adds the oracle atom
+of every side and re-solves all weights exactly by nonnegative least squares;
+a step is kept only when it strictly lowers the objective, and atoms left at
+zero weight are dropped, so at most n + (number of sides) stay active.  The
+duality gap of the oracle bounds the suboptimality, and disjointness is only
+ever declared through an exact support-function separation with a strict
+margin.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .linalg import hermitian_eig
+from .moment import support_moment
 from .subspace import Subspace
 
 #: Diagonal-difference norm below which the sets are declared intersecting.
@@ -34,11 +38,9 @@ DEFAULT_MAX_ITER = 50_000
 #: Strict support-function margin required to certify disjointness.
 SEPARATION_MARGIN = 1e-9
 
-_WEIGHT_FLOOR = 1e-15
-_CORRECT_EVERY = 32
-_SEPARATE_EVERY = 256
-_MAX_ATOMS = 160
 _NNLS_PENALTY = 1e3
+#: Iterations between separation probes of the intersection problem.
+_PROBE_EVERY = 16
 
 
 def _compression(q: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -50,42 +52,25 @@ def _compression(q: np.ndarray, d: np.ndarray) -> np.ndarray:
 class _Side:
     """One moment-set factor of the product feasible set.
 
-    Atoms are unit coefficient vectors u in C^r; atom i contributes the
-    moment point |Q u_i|^2 with weight ``weights[i]``.
+    Atoms are unit coefficient vectors u in C^r, stored as the columns of
+    ``atoms``; atom i contributes the moment point ``points[i] = |Q u_i|^2``
+    with weight ``weights[i]``.
     """
 
     def __init__(self, subspace: Subspace, sign: float):
-        self.subspace = subspace
         self.q = subspace.basis
         self.sign = float(sign)
         r = subspace.r
-        eye = np.eye(r, dtype=np.complex128)
-        self.atoms: list[np.ndarray] = [eye[:, i].copy() for i in range(r)]
-        self.weights = np.full(r, 1.0 / r)
-        self.points = np.array([self._point(u) for u in self.atoms])
         # Principal-vertex probes: coefficient vectors of the principal
         # standard vectors, available to the reweighting step at zero weight.
-        for i in range(subspace.n):
-            coeff = self.q.conj().T[:, i]
-            norm = float(np.linalg.norm(coeff))
-            if norm > 1e-12:
-                self._append_atom(coeff / norm, 0.0)
-        # The initial basis and the probes are never dropped.
-        self.protected = len(self.atoms)
-
-    def _point(self, u: np.ndarray) -> np.ndarray:
-        return np.abs(self.q @ u) ** 2
-
-    def _append_atom(self, u: np.ndarray, weight: float) -> int:
-        for i, existing in enumerate(self.atoms):
-            if abs(np.vdot(existing, u)) > 1.0 - 1e-12:
-                self.weights[i] += weight
-                return i
-        self.atoms.append(u)
-        self.weights = np.append(self.weights, weight)
-        if hasattr(self, "points"):
-            self.points = np.vstack([self.points, self._point(u)])
-        return len(self.atoms) - 1
+        coeffs = self.q.conj().T
+        norms = np.linalg.norm(coeffs, axis=0)
+        keep = norms > 1e-12
+        self.atoms = np.hstack(
+            [np.eye(r, dtype=np.complex128), coeffs[:, keep] / norms[keep]]
+        )
+        self.weights = np.concatenate([np.full(r, 1.0 / r), np.zeros(int(keep.sum()))])
+        self.points = np.abs(self.q @ self.atoms).T ** 2
 
     def y(self) -> np.ndarray:
         return self.weights @ self.points
@@ -94,52 +79,22 @@ class _Side:
         """Atom minimizing <sign * d, z> over the moment set."""
         dec = hermitian_eig(self.sign * _compression(self.q, d), atol=1e-8)
         u = dec.eigenvectors[:, 0]
-        return u, self._point(u)
-
-    def away_index(self, d: np.ndarray) -> int | None:
-        """Active atom maximizing <sign * d, z> (the pairwise donor)."""
-        active = np.flatnonzero(self.weights > _WEIGHT_FLOOR)
-        if active.size == 0:
-            return None
-        scores = self.points[active] @ (self.sign * d)
-        return int(active[np.argmax(scores)])
+        return u, np.abs(self.q @ u) ** 2
 
     def density(self) -> np.ndarray:
         """The r x r density matrix of the current convex combination."""
-        w = self.weights / self.weights.sum()
-        m = np.zeros((self.q.shape[1], self.q.shape[1]), dtype=np.complex128)
-        for weight, u in zip(w, self.atoms):
-            if weight > 0.0:
-                m += weight * np.outer(u, u.conj())
+        m = (self.atoms * self.weights) @ self.atoms.conj().T
         return 0.5 * (m + m.conj().T)
-
-    def drop_idle_atoms(self) -> None:
-        """Remove unprotected atoms that carry no weight."""
-        keep = self.weights > _WEIGHT_FLOOR
-        keep[: self.protected] = True
-        if not keep.all():
-            self.atoms = [u for u, k in zip(self.atoms, keep) if k]
-            self.points = self.points[keep]
-            self.weights = self.weights[keep]
-
-    def prune(self) -> bool:
-        if len(self.atoms) <= _MAX_ATOMS:
-            return False
-        extra = np.arange(self.protected, len(self.atoms))
-        budget = _MAX_ATOMS - self.protected
-        top = extra[np.argsort(self.weights[extra])[::-1][:budget]]
-        keep_idx = np.concatenate([np.arange(self.protected), np.sort(top)])
-        self.atoms = [self.atoms[i] for i in keep_idx]
-        self.points = self.points[keep_idx]
-        w = self.weights[keep_idx]
-        total = w.sum()
-        self.weights = w / total if total > 0 else np.full(len(w), 1.0 / len(w))
-        return True
 
 
 class _FeasibilityEngine:
-    """Frank-Wolfe with pairwise steps and exact atom reweighting for
-    min || sum_s sign_s y_s - target ||^2 over a product of moment sets."""
+    """Fully-corrective Frank-Wolfe (simplicial decomposition) for
+    min || sum_s sign_s y_s - target ||^2 over a product of moment sets.
+
+    Each iteration adds one oracle atom per side and re-solves the weights of
+    all collected atoms exactly (augmented NNLS), so the objective decreases
+    strictly until the step no longer improves it.
+    """
 
     def __init__(
         self,
@@ -166,150 +121,79 @@ class _FeasibilityEngine:
             d += side.sign * side.y()
         return d
 
-    def _reweight(self, f_current: float) -> float:
-        """Exact weight optimization over all collected atoms (augmented NNLS);
-        kept only when it improves the objective."""
+    def _reweight(self) -> bool:
+        """Optimal weights over all atoms of all sides (augmented NNLS, a
+        penalty row per side for unit total weight), normalized per side.
+        False, with the weights untouched, when the solve fails or leaves a
+        side without weight."""
         n = self.target.size
-        cols = []
+        blocks = []
         for s_idx, side in enumerate(self.sides):
-            block = np.zeros((n + len(self.sides), len(side.atoms)))
+            block = np.zeros((n + len(self.sides), len(side.weights)))
             block[:n] = side.sign * side.points.T
             block[n + s_idx] = _NNLS_PENALTY
-            cols.append(block)
-        a = np.hstack(cols)
+            blocks.append(block)
         b = np.concatenate([self.target, np.full(len(self.sides), _NNLS_PENALTY)])
         try:
-            x, _ = nnls(a, b)
+            x, _ = nnls(np.hstack(blocks), b)
         except RuntimeError:
-            return f_current
-        offset = 0
-        new_weights = []
-        for side in self.sides:
-            w = x[offset : offset + len(side.atoms)]
-            offset += len(side.atoms)
-            total = w.sum()
-            if total <= 0.0:
-                return f_current
-            new_weights.append(w / total)
-        old = [side.weights for side in self.sides]
-        for side, w in zip(self.sides, new_weights):
-            side.weights = w
-        d = self._residual()
-        f_new = float(d @ d)
-        if f_new <= f_current:
-            for side in self.sides:
-                side.drop_idle_atoms()
-            return f_new
-        for side, w in zip(self.sides, old):
-            side.weights = w
-        return f_current
+            return False
+        weights = np.split(x, np.cumsum([len(side.weights) for side in self.sides])[:-1])
+        if any(w.sum() <= 0.0 for w in weights):
+            return False
+        for side, w in zip(self.sides, weights):
+            side.weights = w / w.sum()
+        return True
+
+    def _probe(self, d: np.ndarray) -> bool:
+        if self.separation_probe is None:
+            return False
+        self.separation_result = self.separation_probe(d)
+        return self.separation_result is not None
 
     def run(self) -> float:
         tol_sq = self.tol * self.tol
         d = self._residual()
         f = float(d @ d)
-        best_f = f
-        best_d = d.copy()
         for it in range(self.max_iter):
             self.iterations = it
             if self.history is not None:
                 self.history.append(f)
             if f <= tol_sq:
-                break
+                return f
+            if it and it % _PROBE_EVERY == 0 and self._probe(d):
+                return f
 
-            # Linear minimization oracle on every side.
             fw = [side.lmo(d) for side in self.sides]
-            delta_fw = -sum(side.sign * side.y() for side in self.sides)
-            for side, (_, z) in zip(self.sides, fw):
-                delta_fw += side.sign * z
-            self.gap = float(-2.0 * (d @ delta_fw))
+            step = sum(side.sign * (z - side.y()) for side, (_, z) in zip(self.sides, fw))
+            self.gap = float(-2.0 * (d @ step))
             if self.gap <= tol_sq:
                 break
 
-            # Candidate 1: joint Frank-Wolfe step toward the oracle atoms.
-            best_step = None
-            dd = float(delta_fw @ delta_fw)
-            if dd > 0.0:
-                gamma = min(max(-float(d @ delta_fw) / dd, 0.0), 1.0)
-                f_new = f + 2.0 * gamma * float(d @ delta_fw) + gamma * gamma * dd
-                best_step = ("fw", None, gamma, f_new)
-
-            # Candidate 2: best pairwise swap on a single side.
-            for s_idx, (side, (u, z)) in enumerate(zip(self.sides, fw)):
-                away = side.away_index(d)
-                if away is None:
-                    continue
-                direction = side.sign * (z - side.points[away])
-                dd_p = float(direction @ direction)
-                if dd_p <= 0.0:
-                    continue
-                gamma_max = float(side.weights[away])
-                gamma = min(max(-float(d @ direction) / dd_p, 0.0), gamma_max)
-                f_new = f + 2.0 * gamma * float(d @ direction) + gamma * gamma * dd_p
-                if best_step is None or f_new < best_step[3]:
-                    best_step = ("pairwise", (s_idx, away), gamma, f_new)
-
-            if best_step is None:
-                break
-            snapshot = [(len(side.atoms), side.weights.copy()) for side in self.sides]
-            kind, detail, gamma, _ = best_step
-            if kind == "fw":
-                for side, (u, _) in zip(self.sides, fw):
-                    side.weights *= 1.0 - gamma
-                    side._append_atom(u, gamma)
+            saved = [(side.atoms, side.points, side.weights) for side in self.sides]
+            for side, (u, z) in zip(self.sides, fw):
+                side.atoms = np.column_stack([side.atoms, u])
+                side.points = np.vstack([side.points, z])
+                side.weights = np.append(side.weights, 0.0)
+            if self._reweight():
+                d_new = self._residual()
+                f_new = float(d_new @ d_new)
             else:
-                s_idx, away = detail
-                side = self.sides[s_idx]
-                u, _ = fw[s_idx]
-                side.weights[away] = max(side.weights[away] - gamma, 0.0)
-                side._append_atom(u, gamma)
+                f_new = math.inf
+            if not f_new < f:
+                # The corrective step no longer improves: keep the last iterate.
+                for side, (atoms, points, weights) in zip(self.sides, saved):
+                    side.atoms, side.points, side.weights = atoms, points, weights
+                break
+            d, f = d_new, f_new
             for side in self.sides:
-                total = side.weights.sum()
-                if total > 0.0:
-                    side.weights = side.weights / total
-            d = self._residual()
-            f_new = float(d @ d)
-            if f_new > f:
-                # Roundoff blocked the descent: revert and let the exact
-                # reweighting try; stop when that stalls too.
-                for side, (count, weights) in zip(self.sides, snapshot):
-                    del side.atoms[count:]
-                    side.points = side.points[:count]
-                    side.weights = weights
-                f_new = self._reweight(f)
-                d = self._residual()
-                if not f_new < f:
-                    break
-            f = f_new
-            if any([side.prune() for side in self.sides]):
-                d = self._residual()
-                f = float(d @ d)
+                keep = side.weights > 0.0
+                side.atoms = side.atoms[:, keep]
+                side.points = side.points[keep]
+                side.weights = side.weights[keep]
 
-            if (it + 1) % _CORRECT_EVERY == 0:
-                f = self._reweight(f)
-                d = self._residual()
-            if f < best_f:
-                best_f = f
-                best_d = d.copy()
-
-            if (
-                self.separation_probe is not None
-                and f > tol_sq
-                and (it + 1) % _SEPARATE_EVERY == 0
-            ):
-                self.separation_result = self.separation_probe(best_d)
-                if self.separation_result is not None:
-                    return f
-
-        d = self._residual()
-        f = self._reweight(float(d @ d))
-        if self.history is not None:
-            self.history.append(f)
-        d = self._residual()
-        if f < best_f:
-            best_d = d.copy()
-        if self.separation_probe is not None and f > tol_sq:
-            self.separation_result = self.separation_probe(best_d)
+        if f > tol_sq:
+            self._probe(d)
         return f
 
 
@@ -323,7 +207,10 @@ class ProjectionResult:
     ``witness`` is the n x n density matrix supported on the subspace whose
     moment coordinates realize the distance; ``gap`` is the final duality gap
     of the squared objective (an upper bound on how far the squared distance
-    is from optimal).
+    is from optimal).  ``converged`` holds when the point is a member within
+    ``tol``, or when ``distance`` is within ``tol`` of the exact lower bound
+    <u, p> - h(u), with u the unit direction from the witness to p and h the
+    support function of the moment set.
     """
 
     distance: float
@@ -349,9 +236,15 @@ def project_onto_moment(
     engine = _FeasibilityEngine([side], p, tol=tol, max_iter=max_iter)
     f = engine.run()
     distance = math.sqrt(max(f, 0.0))
+    converged = f <= tol * tol
+    if not converged:
+        # Exact lower bound: every z in the set has |p - z| >= <u, p - z>
+        # >= <u, p> - h(u) for the unit direction u from the witness to p.
+        u = (p - side.y()) / distance
+        lower = max(0.0, float(u @ p) - support_moment(s, u).value)
+        converged = distance - lower <= tol
     m = side.density()
     witness = side.q @ m @ side.q.conj().T
-    converged = f <= tol * tol or engine.gap <= tol * tol
     return ProjectionResult(
         distance=distance,
         witness=0.5 * (witness + witness.conj().T),

@@ -220,6 +220,24 @@ class TestDeterminism:
             tmp_path / "b.csv.ellipse.json"
         ).read_bytes()
 
+    @pytest.mark.parametrize("case, code", [("intersect", 0), ("disjoint", 1), ("minimal", 0)])
+    def test_verdict_outputs_byte_identical(self, tmp_path, v_file, w_file, case, code):
+        if case == "minimal":
+            # Nested pair: V = span{x} and W = span{conj(x), f2}, so m_V lies in m_W.
+            frame, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+            x = (frame[:, 0] + 1j * frame[:, 1]) / np.sqrt(2.0)
+            m = (np.outer(x, x.conj()) - np.outer(x.conj(), x)
+                 - np.outer(frame[:, 2], frame[:, 2]) + 0.5 * np.outer(frame[:, 3], frame[:, 3]))
+            argv = ["minimal-check", "--matrix", write_matrix(tmp_path / "m.json", m)]
+        else:
+            if case == "disjoint":
+                w_file = write_subspace(tmp_path / "axis.json", [(1, 0, 0)], 3)
+            argv = ["intersect", "--subspace-v", v_file, "--subspace-w", w_file]
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        for out in (out1, out2):
+            assert main([*argv, "--out", str(out)]) == code
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_console_script_entry(self, tmp_path, v_file):
         out = tmp_path / "pts.csv"
         proc = subprocess.run(

@@ -58,6 +58,19 @@ class TestProjection:
             res = project_onto_moment(s, x / x.sum())
             assert res.distance <= 1e-6
 
+    def test_exterior_points_converge_within_bound(self):
+        s = random_subspace(np.random.default_rng(0), 6, 2)
+        for k in range(6):
+            p = np.eye(6)[k]
+            res = project_onto_moment(s, p)
+            assert res.converged
+            # Independent lower bound from the direction witness -> p.
+            y = np.real(np.diagonal(res.witness))
+            u = (p - y) / np.linalg.norm(p - y)
+            top = np.linalg.eigvalsh(s.basis.conj().T @ (u[:, None] * s.basis))[-1]
+            lower = max(0.0, float(u @ p) - top)
+            assert lower - 1e-12 <= res.distance <= lower + 1e-7
+
     def test_rejects_bad_input(self, example_v):
         with pytest.raises(ValueError):
             project_onto_moment(example_v, [1.0, 2.0])
@@ -117,6 +130,25 @@ class TestIntersection:
                 assert fresh == pytest.approx(cert.margin, abs=1e-10)
                 assert fresh >= 1e-9
         assert found >= 5
+
+    def test_disjoint_multi_atom_margin_replays(self):
+        # V mostly on the first half of the coordinates, W on the second
+        # half, each with a small leak into the other half.
+        rng = np.random.default_rng(8)
+        for n, r in ((6, 2), (8, 3), (10, 2), (12, 4)):
+            half = n // 2
+            v = np.zeros((r, n), dtype=np.complex128)
+            w = np.zeros((r, n), dtype=np.complex128)
+            v[:, :half] = random_subspace(rng, half, r).basis.T
+            w[:, half:] = random_subspace(rng, n - half, r).basis.T
+            v[:, half:] = 0.1 / np.sqrt(n - half) * rng.standard_normal((r, n - half))
+            w[:, :half] = 0.1 / np.sqrt(half) * rng.standard_normal((r, half))
+            sv, sw = subspace_from_spanning(v), subspace_from_spanning(w)
+            cert = moments_intersect(sv, sw)
+            assert cert.status is IntersectionStatus.DISJOINT
+            fresh = separation_margin(sv, sw, cert.direction)
+            assert fresh == pytest.approx(cert.margin, abs=1e-10)
+            assert fresh >= 1e-9
 
     def test_tangent_case_indeterminate(self):
         angle = np.pi / 4 + 1e-10

@@ -73,6 +73,28 @@ class TestCheckMinimal:
         with pytest.raises(ValueError, match="zero matrix"):
             check_minimal(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("n, r", [(5, 2), (8, 2), (8, 3), (12, 4)])
+    def test_nested_moment_sets_minimal(self, n, r):
+        # V spanned by (a_k + i b_k)/sqrt2 and W = conj(V) + span{e} with e
+        # real and orthogonal to both, so m_V lies inside m_W.  A diagonal
+        # unitary conjugation keeps both facts.  Seed 147 at (8, 2) is slow:
+        # Frank-Wolfe without full correction stalls above tol there.
+        for seed in (*range(6), 147):
+            rng = np.random.default_rng(seed)
+            frame, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            x = (frame[:, :r] + 1j * frame[:, r : 2 * r]) / np.sqrt(2.0)
+            v = subspace_from_spanning(x.T)
+            w = subspace_from_spanning(np.vstack([np.conj(x).T, frame[:, 2 * r]]))
+            rest = frame[:, 2 * r + 1 :]
+            h = random_hermitian(rng, n - 2 * r - 1)
+            if h.size:
+                h *= 0.5 / spectral_norm(h)
+            m = 1.5 * (v.projector - w.projector) + rest @ h @ rest.T
+            d = np.exp(2j * np.pi * rng.random(n))
+            report = check_minimal(d[:, None] * m * np.conj(d)[None, :])
+            assert report.verdict is Verdict.MINIMAL
+            assert (report.space_pos.r, report.space_neg.r) == (r, r + 1)
+
     def test_agrees_with_oracle_on_battery(self):
         rng = np.random.default_rng(17)
         matrices = [PAULI_Y, np.diag([1.0, -1.0]), np.array([[0, 1], [1, 0]], dtype=complex)]
