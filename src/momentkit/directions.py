@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 
 def _kronecker_sequence(dim: int, count: int) -> np.ndarray:
@@ -42,6 +41,8 @@ def fibonacci_directions(n: int, count: int) -> np.ndarray:
         rad = np.sqrt(np.maximum(1.0 - z * z, 0.0))
         theta = golden_angle * i
         return np.column_stack([rad * np.cos(theta), rad * np.sin(theta), z])
+    from scipy.special import ndtri  # imported here: only this branch needs scipy
+
     u = _kronecker_sequence(n, count)
     # Keep quantiles strictly inside (0, 1) before inverting the normal CDF.
     g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))

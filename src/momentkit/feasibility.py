@@ -9,8 +9,9 @@ decomposition; Holloway 1974, Lacoste-Julien & Jaggi 2015):
 
 A density matrix M over the coefficient space C^r maps linearly to the moment
 coordinates y = diag(Q M Q*) in R^n, and the linear minimization oracle over
-the density set is an extreme eigenvector of the r x r gradient compression,
-so every step costs one small eigensolve.  Iterates are explicit convex
+the density set is an extreme eigenvector of the r x r gradient compression
+(``linalg.compressed_eigh``, which also gives every support value), so every
+step costs one small eigensolve.  Iterates are explicit convex
 combinations of rank-one atoms |Q u|^2.  Each iteration adds the oracle atom
 of every side and re-solves all weights exactly by nonnegative least squares;
 a step is kept only when it strictly lowers the objective, and atoms left at
@@ -26,9 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
-from .linalg import hermitian_eig
+from .linalg import compressed_eigh
 from .moment import support_moment
 from .subspace import Subspace
 
@@ -41,12 +41,6 @@ SEPARATION_MARGIN = 1e-9
 _NNLS_PENALTY = 1e3
 #: Iterations between separation probes of the intersection problem.
 _PROBE_EVERY = 16
-
-
-def _compression(q: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Hermitized r x r compression Q* diag(d) Q."""
-    m = q.conj().T @ (d[:, None] * q)
-    return 0.5 * (m + m.conj().T)
 
 
 class _Side:
@@ -77,8 +71,7 @@ class _Side:
 
     def lmo(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Atom minimizing <sign * d, z> over the moment set."""
-        dec = hermitian_eig(self.sign * _compression(self.q, d), atol=1e-8)
-        u = dec.eigenvectors[:, 0]
+        u = compressed_eigh(self.q, self.sign * d[None]).eigenvectors[0, :, 0]
         return u, np.abs(self.q @ u) ** 2
 
     def density(self) -> np.ndarray:
@@ -126,6 +119,8 @@ class _FeasibilityEngine:
         penalty row per side for unit total weight), normalized per side.
         False, with the weights untouched, when the solve fails or leaves a
         side without weight."""
+        from scipy.optimize import nnls  # only solver calls pay for scipy
+
         n = self.target.size
         blocks = []
         for s_idx, side in enumerate(self.sides):
@@ -289,9 +284,9 @@ def separation_margin(v: Subspace, w: Subspace, u) -> float:
     Positive exactly when the hyperplane normal to u strictly separates the
     moment sets with m_V on the lower side.
     """
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    top_v = float(hermitian_eig(_compression(v.basis, u), atol=1e-8).eigenvalues[-1])
-    bottom_w = float(hermitian_eig(_compression(w.basis, u), atol=1e-8).eigenvalues[0])
+    u = np.reshape(u, (1, -1))
+    top_v = float(compressed_eigh(v.basis, u).eigenvalues[0, -1])
+    bottom_w = float(compressed_eigh(w.basis, u).eigenvalues[0, 0])
     return bottom_w - top_v
 
 

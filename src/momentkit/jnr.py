@@ -7,7 +7,9 @@ slice at coordinate sum one is exactly the moment set, and both generate the
 same positive cone, which makes W a practical computational handle on m_S.
 
 W is never stored as a geometric object; it exists through its exact support
-oracle (an extreme eigenvalue) and through sampled boundary points.
+oracle and through boundary points.  The support at c is the top eigenvalue of
+the same r x r compression Q* diag(c) Q that gives the support of m_S,
+floored at zero for a proper subspace; no n x n eigensolve is needed.
 """
 from __future__ import annotations
 
@@ -16,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feasibility import project_onto_moment
-from .linalg import hermitian_eig, require_hermitian
+from .linalg import compressed_eigh, require_hermitian
 from .subspace import NotGenericSubspace, Subspace, is_generic, principal_vector
+from .subspace import orthogonal_complement
 
 #: PSD slack and trace tolerance for density-matrix validation.
 PSD_TOL = 1e-10
@@ -69,50 +72,40 @@ class JNRSupport:
     witness: np.ndarray
 
 
+def _supporting_vectors(s: Subspace, directions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Support values of W along each row, unit vectors of C^n attaining them
+    (Q u, u a top eigenvector of Q* diag(c) Q), and the rows where the value
+    is floored at zero and attained by a complement vector instead."""
+    dec = compressed_eigh(s.basis, directions)
+    top = dec.eigenvalues[:, -1]
+    vectors = dec.eigenvectors[:, :, -1] @ s.basis.T
+    floored = (top < 0.0) & (not s.is_whole_space)
+    if floored.any():
+        vectors[floored] = orthogonal_complement(s).basis[:, 0]
+    return np.where(floored, 0.0, top), vectors, floored
+
+
 def jnr_support(s: Subspace, c) -> JNRSupport:
     """Exact support function of W at a real direction.
 
-    The maximum of tr(A(c) rho) over density matrices is the top eigenvalue of
-    A(c) = P diag(c) P; the witness is the rank-one state of a top
-    eigenvector.  For a proper subspace A(c) annihilates the orthogonal
-    complement, so the value is never negative (zero belongs to W).
+    The maximum of tr(A(c) rho) over density matrices, A(c) = P diag(c) P, is
+    the top eigenvalue of the compression Q* diag(c) Q, floored at zero for a
+    proper subspace (A(c) annihilates the orthogonal complement, so zero
+    belongs to W); the witness is the rank-one state attaining it.
     """
-    c = np.asarray(c, dtype=np.float64).reshape(-1)
-    if c.size != s.n or not np.all(np.isfinite(c)):
-        raise ValueError(f"direction must be a finite real vector of dimension {s.n}")
-    a = s.projector @ (c[:, None] * s.projector)
-    dec = hermitian_eig(a, atol=1e-9)
-    top = dec.eigenvectors[:, -1]
-    return JNRSupport(value=float(dec.eigenvalues[-1]), witness=np.outer(top, top.conj()))
-
-
-def jnr_support_reduced(s: Subspace, c) -> float:
-    """Support of W through the r x r reduction (cross-check path).
-
-    Unitarily moving the subspace onto the first r coordinates turns the
-    matrix tuple into rank-one blocks built from the first r coordinates of
-    the rotated axis vectors; the support becomes the top eigenvalue of
-    Q* diag(c) Q, floored at zero when the subspace is proper.
-    """
-    c = np.asarray(c, dtype=np.float64).reshape(-1)
-    compression = s.basis.conj().T @ (c[:, None] * s.basis)
-    top = float(hermitian_eig(compression, atol=1e-9).eigenvalues[-1])
-    if s.is_whole_space:
-        return top
-    return max(top, 0.0)
+    values, vectors, _ = _supporting_vectors(s, np.reshape(c, (1, -1)))
+    return JNRSupport(value=float(values[0]), witness=np.outer(vectors[0], vectors[0].conj()))
 
 
 def jnr_boundary(s: Subspace, directions) -> list[JNRPoint]:
-    """Supporting points of W for each direction (boundary sweep)."""
+    """Supporting points |P x|^2 of W for each direction (boundary sweep)."""
     directions = np.asarray(directions, dtype=np.float64)
-    if directions.ndim != 2 or directions.shape[1] != s.n:
-        raise ValueError(f"directions must be rows of dimension {s.n}")
-    points = []
-    for u in directions:
-        if not np.any(u):
-            raise ValueError("directions must be nonzero")
-        points.append(delta_map(s, jnr_support(s, u).witness))
-    return points
+    _, vectors, floored = _supporting_vectors(s, directions)
+    if not np.all(np.any(directions, axis=1)):
+        raise ValueError("directions must be nonzero")
+    points = np.where(floored[:, None], 0.0, np.abs(vectors) ** 2)
+    witnesses = vectors[:, :, None] * vectors.conj()[:, None, :]
+    return [JNRPoint(x=x, witness=w) for x, w in zip(points, witnesses)]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Dense complex matrix primitives: hermitian eigensolves, orthonormalization,
+"""Dense complex matrix primitives: hermitian eigensolves, the batched
+compressed eigensolve behind every support value, orthonormalization,
 projectors and spectral norms.
 
 Every routine is a pure function on small dense arrays (the intended regime is
@@ -63,21 +64,17 @@ def require_hermitian(a, atol: float = HERMITIAN_ATOL) -> np.ndarray:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first component above _PHASE_TOL is real > 0."""
-    out = vectors.copy()
-    for i in range(out.shape[1]):
-        col = out[:, i]
-        idx = np.flatnonzero(np.abs(col) > _PHASE_TOL)
-        if idx.size == 0:
-            continue
-        pivot = col[idx[0]]
-        out[:, i] = col * (np.conj(pivot) / np.abs(pivot))
-    return out
+    """Rotate each (unit) column of a matrix or stack so its first component
+    above _PHASE_TOL is real > 0."""
+    first = np.argmax(np.abs(vectors) > _PHASE_TOL, axis=-2)[..., None, :]
+    pivot = np.take_along_axis(vectors, first, axis=-2)
+    return vectors * (np.conj(pivot) / np.abs(pivot))
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Spectral decomposition A = V diag(w) V* of a hermitian matrix.
+    """Spectral decomposition A = V diag(w) V* of a hermitian matrix, or of
+    each matrix of a stack (leading axes).
 
     ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the matching
     orthonormal, phase-fixed eigenvectors as columns.
@@ -94,6 +91,23 @@ def hermitian_eig(a, atol: float = HERMITIAN_ATOL) -> EigenDecomposition:
     """
     a = require_hermitian(a, atol=atol)
     w, v = np.linalg.eigh(a)
+    return EigenDecomposition(eigenvalues=w, eigenvectors=_fix_phases(v))
+
+
+def compressed_eigh(q: np.ndarray, directions) -> EigenDecomposition:
+    """Eigendecompositions, as in ``hermitian_eig``, of Q* diag(c) Q for each
+    row c of a (k, n) stack of real directions: (k, r) values, (k, r, r)
+    vectors.  The compressions are hermitian by construction and only
+    symmetrized: their roundoff grows with the scale of c and is no input
+    error."""
+    d = np.asarray(directions, dtype=np.float64)
+    if d.ndim != 2 or d.shape[1] != q.shape[0] or not np.all(np.isfinite(d)):
+        raise ValueError(f"directions must be finite real rows of dimension {q.shape[0]}")
+    m = q.conj().T @ (d[:, :, None] * q)
+    m = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    if not np.all(np.isfinite(m)):
+        raise ValueError("directions are too large: the compression overflows")
+    w, v = np.linalg.eigh(m)
     return EigenDecomposition(eigenvalues=w, eigenvectors=_fix_phases(v))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eig
+from .linalg import compressed_eigh
 from .subspace import PrincipalVector, Subspace, centroid, principal_vector
 
 #: Linear-independence margin for a pair of principal vectors: independence of
@@ -78,15 +78,9 @@ def support_moment(s: Subspace, c) -> MomentSupport:
     max over unit x in S of sum_i c_i |x_i|^2 is the top eigenvalue of the
     compression Q* diag(c) Q; the maximizer is Q times its top eigenvector.
     """
-    c = np.asarray(c, dtype=np.float64).reshape(-1)
-    if c.size != s.n:
-        raise ValueError(f"direction has dimension {c.size}, expected {s.n}")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("direction has non-finite entries")
-    compression = s.basis.conj().T @ (c[:, None] * s.basis)
-    dec = hermitian_eig(compression, atol=1e-10)
-    value = float(dec.eigenvalues[-1])
-    maximizer = s.basis @ dec.eigenvectors[:, -1]
+    dec = compressed_eigh(s.basis, np.reshape(c, (1, -1)))
+    value = float(dec.eigenvalues[0, -1])
+    maximizer = s.basis @ dec.eigenvectors[0, :, -1]
     return MomentSupport(value=value, maximizer=maximizer)
 
 

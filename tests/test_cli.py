@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,8 +252,6 @@ class TestDeterminism:
         assert out.exists()
 
     def test_thread_cap_env(self, tmp_path, v_file):
-        import os
-
         out = tmp_path / "pts.csv"
         env = dict(os.environ, MOMENTKIT_THREADS="1")
         proc = subprocess.run(
@@ -265,3 +265,20 @@ class TestDeterminism:
         baseline = tmp_path / "base.csv"
         main(["moment-sample", "--subspace", v_file, "--count", "4", "--seed", "2", "--out", str(baseline)])
         assert out.read_bytes() == baseline.read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only by the calls that need it (NNLS, the normal
+    # quantile for n >= 4 direction schedules).
+    import momentkit
+
+    src = str(Path(momentkit.__file__).resolve().parents[1])
+    code = "import sys, momentkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -15,7 +15,7 @@ from momentkit import (
     whole_space,
 )
 from momentkit.directions import fibonacci_directions
-from momentkit.jnr import jnr_support_reduced, random_density, validate_density
+from momentkit.jnr import random_density, validate_density
 from momentkit.linalg import hermitian_eig, spectral_norm
 from momentkit.moment import sample_unit_vectors
 from momentkit.subspace import orthogonal_complement
@@ -25,6 +25,13 @@ from conftest import V1_REFERENCE, random_subspace, random_unitary
 
 def outer(x):
     return np.outer(x, np.conj(x))
+
+
+def full_space_support(s, c):
+    """Independent oracle: the top eigenvalue of the n x n matrix P diag(c) P,
+    with no reduction to the subspace and no floor."""
+    a = s.projector @ (np.asarray(c, dtype=float)[:, None] * s.projector)
+    return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[-1])
 
 
 class TestDeltaMap:
@@ -85,7 +92,16 @@ class TestSupport:
             s = random_subspace(rng, n, int(rng.integers(1, n + 1)))
             c = rng.standard_normal(n)
             assert jnr_support(s, c).value == pytest.approx(
-                jnr_support_reduced(s, c), abs=1e-10
+                full_space_support(s, c), abs=1e-10
+            )
+
+    @pytest.mark.parametrize("n, r", [(8, 3), (16, 5), (32, 4)])
+    def test_large_direction_scales_value(self, n, r):
+        rng = np.random.default_rng(n)
+        s = random_subspace(rng, n, r)
+        for c in rng.standard_normal((5, n)):
+            assert jnr_support(s, 1e8 * c).value == pytest.approx(
+                1e8 * jnr_support(s, c).value, rel=1e-12
             )
 
     def test_zero_in_range(self, example_v):
@@ -126,6 +142,35 @@ class TestBoundary:
     def test_all_ones_direction_lands_on_slice(self, example_v):
         point = jnr_boundary(example_v, np.ones((1, 3)))[0]
         assert point.x.sum() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("n, r", [(8, 3), (16, 5), (32, 4)])
+    def test_large_directions_keep_points(self, n, r):
+        rng = np.random.default_rng(n)
+        s = random_subspace(rng, n, r)
+        dirs = rng.standard_normal((20, n))
+        for scaled, plain in zip(jnr_boundary(s, 1e8 * dirs), jnr_boundary(s, dirs)):
+            assert np.allclose(scaled.x, plain.x, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [1.0, np.nan, 0.0], [np.inf, 0.0, 1.0]])
+    def test_rejects_zero_or_non_finite_direction(self, example_v, row):
+        dirs = fibonacci_directions(3, 8)
+        dirs[3] = row
+        with pytest.raises(ValueError):
+            jnr_boundary(example_v, dirs)
+
+    def test_points_are_delta_map_of_witness(self, example_v):
+        rng = np.random.default_rng(14)
+        cases = [
+            (example_v, np.vstack([-np.ones(3), fibonacci_directions(3, 40)])),
+            (random_subspace(rng, 6, 2), rng.standard_normal((60, 6))),
+            (whole_space(4), rng.standard_normal((20, 4))),
+        ]
+        floored = 0  # points where the zero floor is active
+        for s, dirs in cases:
+            for point in jnr_boundary(s, dirs):
+                assert np.allclose(point.x, delta_map(s, point.witness).x, rtol=0.0, atol=1e-12)
+                floored += not np.any(point.x)
+        assert floored >= 2
 
     def test_on_slice_points_are_moment_points(self, example_v):
         dirs = fibonacci_directions(3, 60)

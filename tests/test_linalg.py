@@ -4,13 +4,15 @@ import pytest
 from momentkit.linalg import (
     EigenDecomposition,
     NonHermitianError,
+    _fix_phases,
+    compressed_eigh,
     hermitian_eig,
     orthonormalize,
     projector,
     spectral_norm,
 )
 
-from conftest import P_V_REFERENCE, SPAN_V, random_hermitian
+from conftest import P_V_REFERENCE, SPAN_V, random_hermitian, random_subspace
 
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
 
@@ -70,6 +72,70 @@ class TestHermitianEig:
 
     def test_returns_dataclass(self):
         assert isinstance(hermitian_eig(np.eye(2)), EigenDecomposition)
+
+
+def loop_fix_phases(vectors):
+    """Column-by-column reference for the phase convention."""
+    out = vectors.copy()
+    for i in range(out.shape[1]):
+        col = out[:, i]
+        idx = np.flatnonzero(np.abs(col) > 1e-9)
+        pivot = col[idx[0]]
+        out[:, i] = col * (np.conj(pivot) / np.abs(pivot))
+    return out
+
+
+class TestCompressedEigh:
+    def test_fix_phases_matches_loop(self):
+        rng = np.random.default_rng(11)
+        stack = [random_hermitian(rng, 5) for _ in range(20)]
+        # Leading zero components move the pivot off the first row.
+        stack += [np.diag(rng.standard_normal(5)).astype(complex) for _ in range(5)]
+        # Components below the 1e-9 threshold do not qualify as the pivot.
+        stack += [np.diag([0.0, 1, 2, 3, 4]) + 1e-12 * random_hermitian(rng, 5) for _ in range(5)]
+        _, vectors = np.linalg.eigh(np.array(stack))
+        expected = np.array([loop_fix_phases(v) for v in vectors])
+        assert np.array_equal(_fix_phases(vectors), expected)
+        for v, e in zip(vectors, expected):
+            assert np.array_equal(_fix_phases(v), e)
+
+    def test_stack_matches_rows_bitwise(self):
+        rng = np.random.default_rng(12)
+        for n, r in [(4, 2), (8, 3), (16, 5), (5, 5), (3, 1)]:
+            q = random_subspace(rng, n, r).basis
+            dirs = rng.standard_normal((40, n))
+            stacked = compressed_eigh(q, dirs)
+            assert stacked.eigenvalues.shape == (40, r)
+            assert stacked.eigenvectors.shape == (40, r, r)
+            for i, c in enumerate(dirs):
+                row = compressed_eigh(q, c[None])
+                assert np.array_equal(stacked.eigenvalues[i], row.eigenvalues[0])
+                assert np.array_equal(stacked.eigenvectors[i], row.eigenvectors[0])
+
+    def test_matches_hermitian_eig_of_explicit_compression(self):
+        rng = np.random.default_rng(13)
+        q = random_subspace(rng, 7, 3).basis
+        for c in rng.standard_normal((10, 7)):
+            dec = hermitian_eig(q.conj().T @ (c[:, None] * q), atol=1e-9)
+            batched = compressed_eigh(q, c[None])
+            assert np.array_equal(batched.eigenvalues[0], dec.eigenvalues)
+            assert np.array_equal(batched.eigenvectors[0], dec.eigenvectors)
+
+    @pytest.mark.parametrize(
+        "dirs", [np.ones(3), np.ones((2, 4)), [[1.0, np.nan, 0.0]], [[np.inf, 0.0, 0.0]]]
+    )
+    def test_rejects_bad_directions(self, dirs):
+        q = random_subspace(np.random.default_rng(0), 3, 2).basis
+        with pytest.raises(ValueError, match="finite real rows"):
+            compressed_eigh(q, dirs)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_rejects_overflowing_compression(self):
+        # Finite directions near the float limit overflow Q* diag(c) Q; the
+        # result would be NaN, so the primitive raises instead.
+        q = orthonormalize(SPAN_V)
+        with pytest.raises(ValueError, match="overflows"):
+            compressed_eigh(q, [[1e308, 1e308, 0.0]])
 
 
 class TestOrthonormalize:

@@ -230,6 +230,13 @@ class TestHausdorff:
         assert res.estimate <= 1e-12
         assert res.spectral_distance > 0.5
 
+    @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [1.0, np.nan, 0.0], [np.inf, 0.0, 1.0]])
+    def test_rejects_zero_or_non_finite_direction(self, example_v, example_w, row):
+        dirs = fibonacci_directions(3, 8)
+        dirs[3] = row
+        with pytest.raises(ValueError):
+            hausdorff_moments(example_v, example_w, dirs)
+
     def test_conjugate_lines_non_reciprocal(self):
         v = subspace_from_spanning([CONJUGATE_X])
         w = subspace_from_spanning([CONJUGATE_XBAR])

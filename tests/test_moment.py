@@ -95,6 +95,17 @@ class TestSupport:
             assert attained == pytest.approx(sup.value, abs=1e-10)
             assert s.membership_residual(sup.maximizer) < 1e-10
 
+    @pytest.mark.parametrize("n, r", [(8, 3), (16, 5), (32, 4)])
+    def test_large_direction_scales_value(self, n, r):
+        # The roundoff asymmetry of the compression grows with the scale of
+        # the direction; it is no input error.
+        rng = np.random.default_rng(n)
+        s = random_subspace(rng, n, r)
+        for c in rng.standard_normal((5, n)):
+            assert support_moment(s, 1e8 * c).value == pytest.approx(
+                1e8 * support_moment(s, c).value, rel=1e-12
+            )
+
     def test_exposed_principal_point(self):
         rng = np.random.default_rng(10)
         s = random_generic_subspace(rng, 5, 3)
