@@ -2,14 +2,15 @@
 
 Subcommands wrap the library operations one-to-one, read subspaces and
 hermitian matrices from JSON files (complex entries are always [re, im]
-pairs), and emit plot-ready CSV/JSON plus a RunReport sidecar describing the
-invocation.  Data outputs are byte-identical across repeated invocations with
-the same inputs, seed and tolerances; the sidecar additionally records wall
-time.
+pairs), and emit plot-ready CSV/JSON.  Each command returns its exit code and
+the files it wrote; ``main`` times the command and, when it wrote files, adds
+a RunReport sidecar describing the invocation.  Data outputs are
+byte-identical across repeated invocations with the same inputs, seed and
+tolerances; the sidecar additionally records wall time.
 
 Exit codes: 0 success; for ``minimal-check`` and ``intersect`` the code maps
 the verdict (0 MINIMAL/INTERSECT, 1 NOT_MINIMAL/DISJOINT, 2 INDETERMINATE);
-3 signals invalid input.
+3 signals invalid input, an out-of-range ``--steps`` or ``--eig-tol`` included.
 """
 from __future__ import annotations
 
@@ -24,10 +25,10 @@ import numpy as np
 
 from . import __version__
 from .directions import fibonacci_directions
-from .feasibility import IntersectionStatus, moments_intersect
+from .feasibility import DEFAULT_MAX_ITER, DEFAULT_TOL, moments_intersect
 from .jnr import jnr_boundary, jnr_support
 from .linalg import NonHermitianError, require_hermitian
-from .minimality import Verdict, check_minimal, hausdorff_moments
+from .minimality import DEFAULT_EIG_TOL, check_minimal, hausdorff_moments
 from .moment import (
     DegenerateCurve,
     curve_frame,
@@ -40,6 +41,11 @@ from .subspace import NotGenericAtCoordinate, Subspace, centroid, subspace_from_
 
 EXIT_OK = 0
 EXIT_INPUT = 3
+#: Exit code of each ``minimal-check`` verdict and ``intersect`` status.
+_VERDICT_EXIT = {"MINIMAL": 0, "INTERSECT": 0, "NOT_MINIMAL": 1, "DISJOINT": 1, "INDETERMINATE": 2}
+#: Flags naming input files, and the tolerances recorded in the RunReport.
+_INPUT_FLAGS = ("subspace", "subspace_v", "subspace_w", "matrix")
+_TOLERANCE_FLAGS = ("eig_tol", "tol", "max_iter")
 
 
 class InputError(Exception):
@@ -76,48 +82,42 @@ def _pair(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def load_subspace(path: str) -> Subspace:
+def _complex_rows(path: str, key: str, square: bool) -> np.ndarray:
+    """The rows of complex n-vectors under ``key`` of a JSON object with an
+    ``n``: a non-empty list of them, or exactly n when ``square``."""
     data = _load_json(path)
-    if not isinstance(data, dict) or "n" not in data or "vectors" not in data:
-        raise InputError(f"{path}: expected an object with keys 'n' and 'vectors'")
+    if not isinstance(data, dict) or "n" not in data or key not in data:
+        raise InputError(f"{path}: expected an object with keys 'n' and '{key}'")
     n = data["n"]
     if not isinstance(n, int) or n < 1:
         raise InputError(f"{path}: 'n' must be a positive integer")
-    vectors = data["vectors"]
-    if not isinstance(vectors, list) or not vectors:
-        raise InputError(f"{path}: 'vectors' must be a non-empty list")
-    rows = []
-    for i, vec in enumerate(vectors):
-        if not isinstance(vec, list) or len(vec) != n:
-            raise InputError(f"{path}: vectors[{i}] must have {n} entries")
-        rows.append(
-            [_complex_entry(z, f"{path}: vectors[{i}][{j}]") for j, z in enumerate(vec)]
+    rows = data[key]
+    if square and (not isinstance(rows, list) or len(rows) != n):
+        raise InputError(f"{path}: '{key}' must be an {n} x {n} nested list")
+    if not square and (not isinstance(rows, list) or not rows):
+        raise InputError(f"{path}: '{key}' must be a non-empty list")
+    parsed = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            raise InputError(f"{path}: {key}[{i}] must have {n} entries")
+        parsed.append(
+            [_complex_entry(z, f"{path}: {key}[{i}][{j}]") for j, z in enumerate(row)]
         )
+    return np.array(parsed, dtype=np.complex128)
+
+
+def load_subspace(path: str) -> Subspace:
+    rows = _complex_rows(path, "vectors", square=False)
     try:
-        return subspace_from_spanning(np.array(rows, dtype=np.complex128))
+        return subspace_from_spanning(rows)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
 def load_hermitian(path: str) -> np.ndarray:
-    data = _load_json(path)
-    if not isinstance(data, dict) or "n" not in data or "entries" not in data:
-        raise InputError(f"{path}: expected an object with keys 'n' and 'entries'")
-    n = data["n"]
-    entries = data["entries"]
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"{path}: 'n' must be a positive integer")
-    if not isinstance(entries, list) or len(entries) != n:
-        raise InputError(f"{path}: 'entries' must be an {n} x {n} nested list")
-    rows = []
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != n:
-            raise InputError(f"{path}: entries[{i}] must have {n} entries")
-        rows.append(
-            [_complex_entry(z, f"{path}: entries[{i}][{j}]") for j, z in enumerate(row)]
-        )
+    rows = _complex_rows(path, "entries", square=True)
     try:
-        return require_hermitian(np.array(rows, dtype=np.complex128))
+        return require_hermitian(rows)
     except NonHermitianError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -159,75 +159,64 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], rows) -> list[str]:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    out = Path(path)
+    out.write_text("\n".join(lines) + "\n")
+    return [str(out)]
+
+
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _emit_json(payload: dict, out: str | None) -> list[str]:
+    text = _dumps(payload)
+    sys.stdout.write(text)
+    if not out:
+        return []
+    Path(out).write_text(text)
+    return [out]
 
 
 def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(text)
-    if out:
-        Path(out).write_text(text)
-
-
-def _write_report(
-    command: str,
-    args: argparse.Namespace,
-    inputs: list[str],
-    outputs: list[str],
-    started: float,
-    seed: int | None = None,
-    tolerances: dict | None = None,
-) -> None:
-    if not outputs:
-        return
+def _write_report(args: argparse.Namespace, outputs: list[str], started: float) -> None:
+    """Write the RunReport ``<outputs[0]>.report.json`` of one invocation."""
+    options = vars(args)
+    inputs = [options[key] for key in _INPUT_FLAGS if key in options]
+    directions = options.get("directions")
+    if directions is not None and not directions.startswith("fibonacci:"):
+        inputs.append(directions)
     report = {
-        "command": command,
-        "invocation": _namespace_argv(args),
+        "command": args.command,
+        "invocation": [f"{key}={value}" for key, value in sorted(options.items()) if key != "func"],
         "inputs": {path: _digest(path) for path in inputs},
-        "seed": seed,
-        "tolerances": tolerances or {},
+        "seed": options.get("seed"),
+        "tolerances": {key: options[key] for key in _TOLERANCE_FLAGS if key in options},
         "outputs": outputs,
         "version": __version__,
         "wall_time_s": time.perf_counter() - started,
     }
-    path = Path(outputs[0] + ".report.json")
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-
-def _namespace_argv(args: argparse.Namespace) -> list[str]:
-    return [f"{key}={value}" for key, value in sorted(vars(args).items()) if key != "func"]
+    Path(outputs[0] + ".report.json").write_text(_dumps(report))
 
 
 # ---------------------------------------------------------------------------
-# Commands.
+# Commands.  Each returns its exit code and the files it wrote.
 
-def _cmd_moment_sample(args) -> int:
-    started = time.perf_counter()
+def _cmd_moment_sample(args) -> tuple[int, list[str]]:
     s = load_subspace(args.subspace)
     points = sample_moment(s, args.count, args.seed)
-    out = Path(args.out)
-    _write_csv(out, [f"x{i + 1}" for i in range(s.n)], points)
-    _write_report(
-        "moment-sample",
-        args,
-        [args.subspace],
-        [str(out)],
-        started,
-        seed=args.seed,
-    )
-    return EXIT_OK
+    return EXIT_OK, _write_csv(args.out, [f"x{i + 1}" for i in range(s.n)], points)
 
 
-def _cmd_curve(args) -> int:
-    started = time.perf_counter()
+def _cmd_curve(args) -> tuple[int, list[str]]:
+    if args.steps < 1:
+        raise InputError(f"--steps must be at least 1 (got {args.steps})")
     s = load_subspace(args.subspace)
     j, k = _indices(args, s.n)
     frame = curve_frame(s, j, k)
@@ -237,12 +226,11 @@ def _cmd_curve(args) -> int:
     for t in ts:
         sample = curve_point(s, j, k, float(t), frame=frame)
         rows.append([t, *sample.m, abs(sample.v[j]), abs(sample.v[k])])
-    out = Path(args.out)
     header = ["t", *[f"m{i + 1}" for i in range(s.n)], f"mod_{j + 1}", f"mod_{k + 1}"]
-    _write_csv(out, header, rows)
+    outputs = _write_csv(args.out, header, rows)
     sidecar = Path(args.out + ".ellipse.json")
     sidecar.write_text(
-        json.dumps(
+        _dumps(
             {
                 "j": j + 1,
                 "k": k + 1,
@@ -250,20 +238,10 @@ def _cmd_curve(args) -> int:
                 "b": [float(x) for x in ell.b],
                 "t_end": float(ell.t_end),
                 "segment": ell.segment,
-            },
-            indent=2,
-            sort_keys=True,
+            }
         )
-        + "\n"
     )
-    _write_report(
-        "curve",
-        args,
-        [args.subspace],
-        [str(out), str(sidecar)],
-        started,
-    )
-    return EXIT_OK
+    return EXIT_OK, [*outputs, str(sidecar)]
 
 
 def _indices(args, n: int) -> tuple[int, int]:
@@ -292,8 +270,7 @@ def _certificate_payload(cert) -> dict:
     return payload
 
 
-def _cmd_minimal_check(args) -> int:
-    started = time.perf_counter()
+def _cmd_minimal_check(args) -> tuple[int, list[str]]:
     m = load_hermitian(args.matrix)
     report = check_minimal(m, eig_tol=args.eig_tol, feas_tol=args.tol, max_iter=args.max_iter)
     payload = {
@@ -307,47 +284,17 @@ def _cmd_minimal_check(args) -> int:
         if report.certificate is not None
         else None,
     }
-    _emit_json(payload, args.out)
-    if args.out:
-        _write_report(
-            "minimal-check",
-            args,
-            [args.matrix],
-            [args.out],
-            started,
-            tolerances={"eig_tol": args.eig_tol, "tol": args.tol, "max_iter": args.max_iter},
-        )
-    return {
-        Verdict.MINIMAL: 0,
-        Verdict.NOT_MINIMAL: 1,
-        Verdict.INDETERMINATE: 2,
-    }[report.verdict]
+    return _VERDICT_EXIT[report.verdict.value], _emit_json(payload, args.out)
 
 
-def _cmd_intersect(args) -> int:
-    started = time.perf_counter()
+def _cmd_intersect(args) -> tuple[int, list[str]]:
     v = load_subspace(args.subspace_v)
     w = load_subspace(args.subspace_w)
     cert = moments_intersect(v, w, tol=args.tol, max_iter=args.max_iter)
-    _emit_json(_certificate_payload(cert), args.out)
-    if args.out:
-        _write_report(
-            "intersect",
-            args,
-            [args.subspace_v, args.subspace_w],
-            [args.out],
-            started,
-            tolerances={"tol": args.tol, "max_iter": args.max_iter},
-        )
-    return {
-        IntersectionStatus.INTERSECT: 0,
-        IntersectionStatus.DISJOINT: 1,
-        IntersectionStatus.INDETERMINATE: 2,
-    }[cert.status]
+    return _VERDICT_EXIT[cert.status.value], _emit_json(_certificate_payload(cert), args.out)
 
 
-def _cmd_support(args) -> int:
-    started = time.perf_counter()
+def _cmd_support(args) -> tuple[int, list[str]]:
     s = load_subspace(args.subspace)
     c = _parse_direction(args.direction, s.n)
     moment_side = support_moment(s, c)
@@ -358,46 +305,29 @@ def _cmd_support(args) -> int:
         "moment_maximizer": [_pair(z) for z in moment_side.maximizer],
         "jnr_support": jnr_side.value,
     }
-    _emit_json(payload, args.out)
-    if args.out:
-        _write_report("support", args, [args.subspace], [args.out], started)
-    return EXIT_OK
+    return EXIT_OK, _emit_json(payload, args.out)
 
 
-def _cmd_jnr_boundary(args) -> int:
-    started = time.perf_counter()
+def _cmd_jnr_boundary(args) -> tuple[int, list[str]]:
     s = load_subspace(args.subspace)
     directions = _parse_directions(args.directions, s.n)
     points = jnr_boundary(s, directions)
-    rows = [
-        [*direction, *point.x] for direction, point in zip(directions, points)
-    ]
-    out = Path(args.out)
+    rows = [[*direction, *point.x] for direction, point in zip(directions, points)]
     header = [f"u{i + 1}" for i in range(s.n)] + [f"x{i + 1}" for i in range(s.n)]
-    _write_csv(out, header, rows)
-    inputs = [args.subspace]
-    if not args.directions.startswith("fibonacci:"):
-        inputs.append(args.directions)
-    _write_report("jnr-boundary", args, inputs, [str(out)], started)
-    return EXIT_OK
+    return EXIT_OK, _write_csv(args.out, header, rows)
 
 
-def _cmd_centroid(args) -> int:
-    started = time.perf_counter()
+def _cmd_centroid(args) -> tuple[int, list[str]]:
     s = load_subspace(args.subspace)
     payload = {
         "n": s.n,
         "r": s.r,
         "centroid": [float(x) for x in centroid(s)],
     }
-    _emit_json(payload, args.out)
-    if args.out:
-        _write_report("centroid", args, [args.subspace], [args.out], started)
-    return EXIT_OK
+    return EXIT_OK, _emit_json(payload, args.out)
 
 
-def _cmd_hausdorff(args) -> int:
-    started = time.perf_counter()
+def _cmd_hausdorff(args) -> tuple[int, list[str]]:
     v = load_subspace(args.subspace_v)
     w = load_subspace(args.subspace_w)
     directions = _parse_directions(args.directions, v.n)
@@ -411,13 +341,7 @@ def _cmd_hausdorff(args) -> int:
         "bound_ok": result.bound_ok,
         "direction_count": int(directions.shape[0]),
     }
-    _emit_json(payload, args.out)
-    if args.out:
-        inputs = [args.subspace_v, args.subspace_w]
-        if not args.directions.startswith("fibonacci:"):
-            inputs.append(args.directions)
-        _write_report("hausdorff", args, inputs, [args.out], started)
-    return EXIT_OK
+    return EXIT_OK, _emit_json(payload, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -449,17 +373,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minimal-check", help="certify minimality of a hermitian matrix")
     p.add_argument("--matrix", required=True, help="hermitian matrix JSON file")
-    p.add_argument("--eig-tol", type=float, default=1e-8, dest="eig_tol")
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--max-iter", type=int, default=50_000, dest="max_iter")
+    p.add_argument("--eig-tol", type=float, default=DEFAULT_EIG_TOL, dest="eig_tol")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, dest="max_iter")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_minimal_check)
 
     p = sub.add_parser("intersect", help="decide whether two moment sets intersect")
     p.add_argument("--subspace-v", required=True, dest="subspace_v")
     p.add_argument("--subspace-w", required=True, dest="subspace_w")
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--max-iter", type=int, default=50_000, dest="max_iter")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, dest="max_iter")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_intersect)
 
@@ -495,13 +419,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        code, outputs = args.func(args)
     except (InputError, NonHermitianError, NotGenericAtCoordinate, DegenerateCurve, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if outputs:
+        _write_report(args, outputs, started)
+    return code
 
 
 if __name__ == "__main__":

@@ -74,10 +74,13 @@ class _Side:
         u = compressed_eigh(self.q, self.sign * d[None]).eigenvectors[0, :, 0]
         return u, np.abs(self.q @ u) ** 2
 
-    def density(self) -> np.ndarray:
-        """The r x r density matrix of the current convex combination."""
+    def witness(self) -> np.ndarray:
+        """The n x n density matrix Q M Q* of the current convex combination,
+        M its r x r density matrix."""
         m = (self.atoms * self.weights) @ self.atoms.conj().T
-        return 0.5 * (m + m.conj().T)
+        m = 0.5 * (m + m.conj().T)
+        witness = self.q @ m @ self.q.conj().T
+        return 0.5 * (witness + witness.conj().T)
 
 
 class _FeasibilityEngine:
@@ -238,11 +241,9 @@ def project_onto_moment(
         u = (p - side.y()) / distance
         lower = max(0.0, float(u @ p) - support_moment(s, u).value)
         converged = distance - lower <= tol
-    m = side.density()
-    witness = side.q @ m @ side.q.conj().T
     return ProjectionResult(
         distance=distance,
-        witness=0.5 * (witness + witness.conj().T),
+        witness=side.witness(),
         gap=engine.gap,
         iterations=engine.iterations,
         converged=converged,
@@ -332,12 +333,8 @@ def moments_intersect(
     f = engine.run()
     gap = math.sqrt(max(f, 0.0))
     if gap <= tol:
-        m_v = side_v.density()
-        m_w = side_w.density()
-        witness_y = side_v.q @ m_v @ side_v.q.conj().T
-        witness_x = side_w.q @ m_w @ side_w.q.conj().T
-        witness_y = 0.5 * (witness_y + witness_y.conj().T)
-        witness_x = 0.5 * (witness_x + witness_x.conj().T)
+        witness_y = side_v.witness()
+        witness_x = side_w.witness()
         common = 0.5 * (
             np.real(np.diagonal(witness_y)) + np.real(np.diagonal(witness_x))
         )

@@ -86,7 +86,11 @@ def check_minimal(
 
     The verdict follows the equivalence: minimal iff the extreme eigenvalues
     are opposite and the moment sets of their eigenspaces intersect.
+    ``eig_tol`` must be finite and nonnegative, and narrow enough that the
+    two extreme clusters of a symmetric spectrum share no eigenvalue.
     """
+    if not (math.isfinite(eig_tol) and eig_tol >= 0.0):
+        raise ValueError(f"eig_tol must be finite and nonnegative (got {eig_tol})")
     a = require_hermitian(m)
     dec = hermitian_eig(a)
     norm = float(np.max(np.abs(dec.eigenvalues))) if a.size else 0.0
@@ -121,6 +125,10 @@ def check_minimal(
             boundary_ambiguous=boundary_ambiguous,
         )
 
+    if np.any(mask_pos & mask_neg):
+        raise ValueError(
+            f"eig_tol = {eig_tol} is too wide: the extreme eigenvalue clusters overlap"
+        )
     certificate = moments_intersect(space_pos, space_neg, tol=feas_tol, max_iter=max_iter)
     if certificate.status is IntersectionStatus.INTERSECT:
         verdict = Verdict.MINIMAL
@@ -314,12 +322,19 @@ def hausdorff_moments(v: Subspace, w: Subspace, directions) -> HausdorffResult:
     directions, and compare against the projector-distance bound."""
     if v.n != w.n:
         raise ValueError("subspaces live in different ambient dimensions")
+    directions = np.asarray(directions, dtype=np.float64)
     top_v = compressed_eigh(v.basis, directions).eigenvalues[:, -1]
     top_w = compressed_eigh(w.basis, directions).eigenvalues[:, -1]
     # Support functions are positively homogeneous: h(c / |c|) = h(c) / |c|.
-    norms = np.linalg.norm(directions, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(directions, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("directions must be nonzero")
+    huge = ~np.isfinite(norms)
+    if np.any(huge):
+        # |c| overflows although c is finite: take it as max|c_i| |c / max|c_i||.
+        scale = np.max(np.abs(directions[huge]), axis=1)
+        norms[huge] = scale * np.linalg.norm(directions[huge] / scale[:, None], axis=1)
     estimate = float(np.max(np.abs(top_v - top_w) / norms, initial=0.0))
     gap = v.projector - w.projector
     spectral = spectral_norm(gap)

@@ -114,6 +114,14 @@ class TestCurve:
         sub = write_subspace(tmp_path / "line.json", [(1, 1, 1)], 3)
         assert main(["curve", "--subspace", sub, "-j", "1", "-k", "2", "--out", str(tmp_path / "c.csv")]) == 3
 
+    @pytest.mark.parametrize("steps", ["0", "-1", "-2"])
+    def test_steps_below_one_rejected(self, tmp_path, v_file, capsys, steps):
+        out = tmp_path / "c.csv"
+        argv = ["curve", "--subspace", v_file, "-j", "1", "-k", "2", "--steps", steps, "--out", str(out)]
+        assert main(argv) == 3
+        assert "--steps must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMinimalCheck:
     def test_minimal_exit_zero(self, tmp_path, capsys):
@@ -134,6 +142,12 @@ class TestMinimalCheck:
         m = np.outer(v, v) - np.outer(w, w)
         mat = write_matrix(tmp_path / "m.json", m)
         assert main(["minimal-check", "--matrix", mat, "--tol", "1e-12"]) == 2
+
+    @pytest.mark.parametrize("eig_tol", ["-1", "nan", "inf", "2"])
+    def test_bad_eig_tol_exit_three(self, tmp_path, capsys, eig_tol):
+        mat = write_matrix(tmp_path / "m.json", [[0, -1j], [1j, 0]])
+        assert main(["minimal-check", "--matrix", mat, f"--eig-tol={eig_tol}"]) == 3
+        assert "eig_tol" in capsys.readouterr().err
 
     def test_non_hermitian_exit_three(self, tmp_path, capsys):
         mat = write_matrix(tmp_path / "m.json", [[0, 1], [0, 0]])
@@ -204,6 +218,75 @@ class TestIntersectAndFriends:
         out = tmp_path / "b.csv"
         assert main(["jnr-boundary", "--subspace", v_file, "--directions", str(dirs), "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 4
+
+
+class TestRunReport:
+    """The RunReport sidecar of every file-producing command."""
+
+    @pytest.fixture
+    def files(self, tmp_path, v_file, w_file):
+        dirs = tmp_path / "dirs.json"
+        dirs.write_text(json.dumps([[1, 0, 0], [0, 1, 0], [1, 1, 1]]))
+        x = np.array([1, 1j]) / np.sqrt(2)
+        return {
+            "v": v_file,
+            "w": w_file,
+            "dirs": str(dirs),
+            "a": write_subspace(tmp_path / "a.json", [x], 2),
+            "b": write_subspace(tmp_path / "b.json", [np.conj(x)], 2),
+            "m": write_matrix(tmp_path / "m.json", [[0, -1j], [1j, 0]]),
+        }
+
+    CASES = {
+        "moment-sample": (["--subspace", "{v}", "--count", "3", "--seed", "5"], "s.csv",
+                          ["v"], 5, {}),
+        "curve": (["--subspace", "{v}", "-j", "1", "-k", "2", "--steps", "4"], "c.csv",
+                  ["v"], None, {}),
+        "jnr-boundary": (["--subspace", "{v}", "--directions", "{dirs}"], "b.csv",
+                         ["v", "dirs"], None, {}),
+        "jnr-boundary-fibonacci": (["--subspace", "{v}", "--directions", "fibonacci:7"], "f.csv",
+                                   ["v"], None, {}),
+        "centroid": (["--subspace", "{v}"], "c.json", ["v"], None, {}),
+        "support": (["--subspace", "{v}", "--direction", "1,0,2"], "s.json", ["v"], None, {}),
+        "hausdorff": (["--subspace-v", "{v}", "--subspace-w", "{w}", "--directions", "{dirs}"],
+                      "h.json", ["v", "w", "dirs"], None, {}),
+        "hausdorff-fibonacci": (["--subspace-v", "{v}", "--subspace-w", "{w}"], "g.json",
+                                ["v", "w"], None, {}),
+        "intersect": (["--subspace-v", "{a}", "--subspace-w", "{b}", "--max-iter", "900"], "i.json",
+                      ["a", "b"], None, {"tol": 1e-7, "max_iter": 900}),
+        "minimal-check": (["--matrix", "{m}", "--tol", "1e-6"], "m.json", ["m"], None,
+                          {"eig_tol": 1e-8, "tol": 1e-6, "max_iter": 50_000}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_report_fields(self, tmp_path, files, case):
+        flags, name, inputs, seed, tolerances = self.CASES[case]
+        command = case.removesuffix("-fibonacci")
+        out = str(tmp_path / name)
+        argv = [command, *(flag.format(**files) for flag in flags), "--out", out]
+        assert main(argv) == 0
+        report = json.loads(Path(out + ".report.json").read_text())
+        outputs = [out, out + ".ellipse.json"] if command == "curve" else [out]
+        assert report["command"] == command
+        assert report["outputs"] == outputs
+        assert sorted(report["inputs"]) == sorted(files[key] for key in inputs)
+        assert all(len(digest) == 64 for digest in report["inputs"].values())
+        assert report["seed"] == seed
+        assert report["tolerances"] == tolerances
+        assert f"command={command}" in report["invocation"]
+        assert report["wall_time_s"] >= 0.0
+
+    @pytest.mark.parametrize("command", ["centroid", "support", "minimal-check"])
+    def test_no_report_without_out(self, tmp_path, files, command, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = {
+            "centroid": ["centroid", "--subspace", files["v"]],
+            "support": ["support", "--subspace", files["v"], "--direction", "1,0,2"],
+            "minimal-check": ["minimal-check", "--matrix", files["m"]],
+        }[command]
+        before = set(tmp_path.iterdir())
+        assert main(argv) == 0
+        assert set(tmp_path.iterdir()) == before
 
 
 class TestDeterminism:

@@ -73,6 +73,28 @@ class TestCheckMinimal:
         with pytest.raises(ValueError, match="zero matrix"):
             check_minimal(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize(
+        "m, eig_tol",
+        [
+            # A negative or NaN width empties the clusters of a minimal matrix.
+            (PAULI_Y, -1.0),
+            (PAULI_Y, np.nan),
+            # A width of 2 ||M|| or more calls any spectrum symmetric.
+            (np.diag([1.0, -0.5]), 2.0),
+            (np.diag([1.0, -0.5]), np.inf),
+        ],
+    )
+    def test_rejects_bad_eig_tol(self, m, eig_tol):
+        with pytest.raises(ValueError, match="eig_tol"):
+            check_minimal(m, eig_tol=eig_tol)
+
+    def test_scalar_matrix_not_minimal(self):
+        # Both extreme clusters are the whole spectrum, but the spectrum is
+        # not symmetric, which already decides the verdict.
+        report = check_minimal(2.0 * np.eye(3))
+        assert report.verdict is Verdict.NOT_MINIMAL
+        assert not report.symmetric
+
     @pytest.mark.parametrize("n, r", [(5, 2), (8, 2), (8, 3), (12, 4)])
     def test_nested_moment_sets_minimal(self, n, r):
         # V spanned by (a_k + i b_k)/sqrt2 and W = conj(V) + span{e} with e
@@ -236,6 +258,16 @@ class TestHausdorff:
         dirs[3] = row
         with pytest.raises(ValueError):
             hausdorff_moments(example_v, example_w, dirs)
+
+    def test_overflowing_direction_norm(self):
+        # |c| overflows for c = (1e200, 0, 0); the estimate must still equal
+        # the one for the unit direction e_1.
+        v = subspace_from_spanning([(1, 1, 0), (0, 1, 1)])
+        w = subspace_from_spanning([(1, 0, 0)])
+        unit = hausdorff_moments(v, w, [[1.0, 0.0, 0.0]]).estimate
+        huge = hausdorff_moments(v, w, [[1e200, 0.0, 0.0]]).estimate
+        assert unit == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert huge == pytest.approx(unit, rel=1e-12)
 
     def test_conjugate_lines_non_reciprocal(self):
         v = subspace_from_spanning([CONJUGATE_X])
