@@ -23,11 +23,8 @@ from .jnr import (  # noqa: E402
     JNRPoint,
     cone_membership,
     delta_map,
-    hyperplane_slice_check,
     jnr_boundary,
     jnr_support,
-    sample_classical_range,
-    scaling_relation_check,
 )
 from .linalg import (  # noqa: E402
     EigenDecomposition,
@@ -41,17 +38,14 @@ from .minimality import (  # noqa: E402
     MinimalityReport,
     MinimalMatrixParts,
     Verdict,
-    brute_force_diag_distance,
     check_minimal,
     construct_minimal,
     hausdorff_moments,
-    support_coordinate_bound_check,
 )
 from .moment import (  # noqa: E402
     CurveSample,
     DegenerateCurve,
     EllipseParams,
-    curve_overlap_residual,
     curve_point,
     dominating_t,
     ellipse_projection,
@@ -61,11 +55,9 @@ from .moment import (  # noqa: E402
 )
 from .subspace import (  # noqa: E402
     NotGenericAtCoordinate,
-    NotGenericSubspace,
     PrincipalVector,
     Subspace,
     centroid,
-    centroid_algebra_check,
     is_generic,
     principal_vector,
     subspace_from_spanning,
@@ -84,13 +76,11 @@ __all__ = [
     "Subspace",
     "PrincipalVector",
     "NotGenericAtCoordinate",
-    "NotGenericSubspace",
     "subspace_from_spanning",
     "whole_space",
     "is_generic",
     "principal_vector",
     "centroid",
-    "centroid_algebra_check",
     "moment_of_vector",
     "sample_moment",
     "support_moment",
@@ -98,17 +88,13 @@ __all__ = [
     "EllipseParams",
     "DegenerateCurve",
     "curve_point",
-    "curve_overlap_residual",
     "dominating_t",
     "ellipse_projection",
     "JNRPoint",
     "delta_map",
     "jnr_support",
     "jnr_boundary",
-    "hyperplane_slice_check",
     "cone_membership",
-    "sample_classical_range",
-    "scaling_relation_check",
     "fibonacci_directions",
     "IntersectionCertificate",
     "IntersectionStatus",
@@ -120,8 +106,6 @@ __all__ = [
     "Verdict",
     "check_minimal",
     "construct_minimal",
-    "brute_force_diag_distance",
-    "support_coordinate_bound_check",
     "hausdorff_moments",
     "__version__",
 ]

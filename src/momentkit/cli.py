@@ -10,7 +10,8 @@ tolerances; the sidecar additionally records wall time.
 
 Exit codes: 0 success; for ``minimal-check`` and ``intersect`` the code maps
 the verdict (0 MINIMAL/INTERSECT, 1 NOT_MINIMAL/DISJOINT, 2 INDETERMINATE);
-3 signals invalid input, an out-of-range ``--steps`` or ``--eig-tol`` included.
+3 signals invalid input, an out-of-range ``--steps``, ``--eig-tol`` or
+``--tol`` included, or an output file that cannot be written.
 """
 from __future__ import annotations
 
@@ -30,14 +31,13 @@ from .jnr import jnr_boundary, jnr_support
 from .linalg import NonHermitianError, require_hermitian
 from .minimality import DEFAULT_EIG_TOL, check_minimal, hausdorff_moments
 from .moment import (
-    DegenerateCurve,
     curve_frame,
     curve_point,
     ellipse_projection,
     sample_moment,
     support_moment,
 )
-from .subspace import NotGenericAtCoordinate, Subspace, centroid, subspace_from_spanning
+from .subspace import Subspace, centroid, subspace_from_spanning
 
 EXIT_OK = 0
 EXIT_INPUT = 3
@@ -423,11 +423,11 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code, outputs = args.func(args)
-    except (InputError, NonHermitianError, NotGenericAtCoordinate, DegenerateCurve, ValueError) as exc:
+        if outputs:
+            _write_report(args, outputs, started)
+    except (InputError, ValueError, OSError) as exc:  # library input errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if outputs:
-        _write_report(args, outputs, started)
     return code
 
 

@@ -101,6 +101,8 @@ class _FeasibilityEngine:
         record_history: bool = False,
         separation_probe=None,
     ):
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ValueError(f"tol must be finite and nonnegative (got {tol})")
         self.sides = sides
         self.target = target
         self.tol = float(tol)

@@ -5,8 +5,8 @@ A hermitian M is minimal when no real diagonal D lowers its spectral norm:
 spectrum (largest eigenvalue = -smallest) together with a nonempty
 intersection of the moment sets of the two extreme eigenspaces; that
 intersection is decided by the Frank-Wolfe feasibility solver and certified
-exactly.  A grid-plus-descent oracle for the actual distance to the diagonal
-matrices backs the equivalence on small instances.
+exactly.  Support-based Hausdorff estimates between moment sets come with
+the projector-distance contraction bound.
 """
 from __future__ import annotations
 
@@ -25,18 +25,6 @@ from .feasibility import (
 )
 from .linalg import compressed_eigh, hermitian_eig, projector, require_hermitian, spectral_norm
 from .subspace import Subspace, mutually_orthogonal
-
-__all__ = [
-    "Verdict",
-    "MinimalityReport",
-    "check_minimal",
-    "MinimalMatrixParts",
-    "construct_minimal",
-    "brute_force_diag_distance",
-    "support_coordinate_bound_check",
-    "hausdorff_moments",
-    "HausdorffResult",
-]
 
 #: Relative width (times ||M||) of the eigenvalue cluster taken as the
 #: extreme eigenspaces.
@@ -206,96 +194,6 @@ def construct_minimal(
         verdict=Verdict.MINIMAL,
     )
     return m, report
-
-
-def brute_force_diag_distance(m, grid_step: float | None = None, refine_to: float = 1e-4) -> float:
-    """Distance from a hermitian matrix to the real diagonal matrices.
-
-    Independent oracle for small instances (n <= 4): exhaustive grid over the
-    diagonal offsets followed by coordinate descent with shrinking steps.  The
-    search space is reduced by one dimension because the optimal multiple of
-    the identity is exact: min over c of ||A + c I|| = (max eig - min eig)/2.
-    ||M + D|| is 1-Lipschitz in D under the max norm, so the grid value is
-    within half a step of the true minimum before refinement even starts.
-    """
-    a = require_hermitian(m)
-    n = a.shape[0]
-    if n > 4:
-        raise ValueError("the brute-force oracle is limited to n <= 4")
-    norm = spectral_norm(a)
-    if norm == 0.0:
-        return 0.0
-    step = norm / 20.0 if grid_step is None else float(grid_step)
-
-    def spread_value(offsets: np.ndarray) -> np.ndarray:
-        """(max eig - min eig)/2 of M + diag(offsets, 0) for stacked offsets."""
-        batch = np.broadcast_to(a, (offsets.shape[0], n, n)).copy()
-        idx = np.arange(n - 1)
-        batch[:, idx, idx] += offsets
-        eigs = np.linalg.eigvalsh(batch)
-        return 0.5 * (eigs[:, -1] - eigs[:, 0])
-
-    # The last diagonal entry is gauged to zero, so the remaining offsets may
-    # need twice the usual +-2||M|| range.
-    axis = np.arange(-4.0 * norm, 4.0 * norm + 0.5 * step, step)
-    grids = np.meshgrid(*([axis] * (n - 1)), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1) if n > 1 else np.zeros((1, 0))
-    best_val = math.inf
-    best = np.zeros(n - 1)
-    chunk = 65536
-    for lo in range(0, pts.shape[0], chunk):
-        vals = spread_value(pts[lo : lo + chunk])
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best = pts[lo + i].copy()
-
-    h = step
-    while h >= refine_to:
-        improved = True
-        while improved:
-            improved = False
-            for i in range(n - 1):
-                for sign in (1.0, -1.0):
-                    trial = best.copy()
-                    trial[i] += sign * h
-                    val = float(spread_value(trial[None, :])[0])
-                    if val < best_val - 1e-15:
-                        best_val, best = val, trial
-                        improved = True
-        h *= 0.5
-    return best_val
-
-
-@dataclass(frozen=True)
-class CoordinateBoundCheck:
-    """Whether an intersection point of orthogonal moment sets respects the
-    1/2 coordinate ceiling."""
-
-    applicable: bool
-    ok: bool
-    max_coordinate: float | None = None
-    reason: str | None = None
-
-
-def support_coordinate_bound_check(
-    cert: IntersectionCertificate, tol: float = 1e-9
-) -> CoordinateBoundCheck:
-    """Check every coordinate of the common point is at most 1/2 (+ tol).
-
-    Only applies to INTERSECT certificates whose subspaces are orthogonal;
-    anything else is reported as not applicable.
-    """
-    if cert.status is not IntersectionStatus.INTERSECT:
-        return CoordinateBoundCheck(
-            applicable=False, ok=False, reason=f"certificate status is {cert.status.value}"
-        )
-    if not mutually_orthogonal(cert.space_v, cert.space_w):
-        return CoordinateBoundCheck(
-            applicable=False, ok=False, reason="subspaces are not orthogonal"
-        )
-    top = float(np.max(cert.common))
-    return CoordinateBoundCheck(applicable=True, ok=top <= 0.5 + tol, max_coordinate=top)
 
 
 @dataclass(frozen=True)

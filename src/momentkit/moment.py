@@ -186,12 +186,6 @@ def curve_frame(s: Subspace, j: int, k: int) -> CurveFrame:
     return CurveFrame(j=j, k=k, vj=vj, vk=vk, phase=phase, w_tilde=w_tilde, t_end=t_end)
 
 
-def _check_t(t: float, upper: float = math.pi / 2) -> float:
-    if not -1e-12 <= t <= upper + 1e-12:
-        raise ValueError(f"curve parameter {t} outside [0, {upper}]")
-    return min(max(t, 0.0), upper)
-
-
 def curve_point(s: Subspace, j: int, k: int, t: float, frame: CurveFrame | None = None) -> CurveSample:
     """Point cos(t) v^j + sin(t) w_tilde of the curve, with its moment point.
 
@@ -199,7 +193,9 @@ def curve_point(s: Subspace, j: int, k: int, t: float, frame: CurveFrame | None 
     """
     if frame is None:
         frame = curve_frame(s, j, k)
-    t = _check_t(t)
+    if not -1e-12 <= t <= math.pi / 2 + 1e-12:
+        raise ValueError(f"curve parameter {t} outside [0, {math.pi / 2}]")
+    t = min(max(t, 0.0), math.pi / 2)
     v = math.cos(t) * frame.vj.v + math.sin(t) * frame.w_tilde
     return CurveSample(j=j, k=k, t=t, v=v, m=np.abs(v) ** 2)
 
@@ -249,21 +245,6 @@ def dominating_t(s: Subspace, j: int, k: int, x, tol: float = 1e-10) -> float:
             f"{eq_residual:.3e}, k-coordinate excess {slack:.3e}"
         )
     return t
-
-
-def curve_overlap_residual(s: Subspace, j: int, k: int, t: float) -> float:
-    """Residual of the overlap identity between the two opposite curves.
-
-    On [0, t_end] the curve from v^j toward v^k retraces, up to the fixed
-    phase, the curve from v^k toward v^j run backwards:
-    curve_jk(t) = phase * curve_kj(t_end - t).
-    """
-    frame_jk = curve_frame(s, j, k)
-    frame_kj = curve_frame(s, k, j)
-    t = _check_t(t, upper=frame_jk.t_end)
-    lhs = curve_point(s, j, k, t, frame=frame_jk).v
-    rhs = frame_jk.phase * curve_point(s, k, j, frame_jk.t_end - t, frame=frame_kj).v
-    return float(np.linalg.norm(lhs - rhs))
 
 
 def curve_support_direction(

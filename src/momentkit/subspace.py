@@ -31,14 +31,6 @@ class NotGenericAtCoordinate(ValueError):
         )
 
 
-class NotGenericSubspace(ValueError):
-    """The subspace misses principal vectors at the listed coordinates."""
-
-    def __init__(self, offending: tuple[int, ...]):
-        self.offending = tuple(offending)
-        super().__init__(f"subspace is not generic at coordinates {list(offending)}")
-
-
 @dataclass(frozen=True)
 class Subspace:
     """An r-dimensional subspace of C^n.
@@ -141,7 +133,7 @@ def centroid(s: Subspace) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Minimal subspace arithmetic backing the centroid identities.
+# Orthogonality.
 
 def orthogonal_complement(s: Subspace) -> Subspace:
     """Orthogonal complement; rejects the whole space (empty complement)."""
@@ -152,145 +144,5 @@ def orthogonal_complement(s: Subspace) -> Subspace:
     return Subspace(basis=q, projector=projector(q))
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    """Span of the union of the two subspaces."""
-    return subspace_from_spanning(np.hstack([a.basis, b.basis]).T)
-
-
-def subspace_intersection(a: Subspace, b: Subspace, tol: float = 1e-8) -> Subspace | None:
-    """Intersection of two subspaces, or None when it is trivial.
-
-    Computed as the eigenspace of P_a + P_b at eigenvalue 2.
-    """
-    dec = hermitian_eig(a.projector + b.projector)
-    q = dec.eigenvectors[:, dec.eigenvalues > 2.0 - tol]
-    if q.shape[1] == 0:
-        return None
-    return Subspace(basis=q, projector=projector(q))
-
-
 def mutually_orthogonal(a: Subspace, b: Subspace, tol: float = 1e-10) -> bool:
     return spectral_norm(a.projector @ b.projector) <= tol
-
-
-def is_contained(inner: Subspace, outer: Subspace, tol: float = 1e-10) -> bool:
-    return spectral_norm(outer.projector @ inner.projector - inner.projector) <= tol
-
-
-def _difference(outer: Subspace, inner: Subspace) -> Subspace:
-    """Orthogonal complement of ``inner`` within ``outer`` (inner must be
-    contained in outer)."""
-    reduced = (np.eye(outer.n) - inner.projector) @ outer.basis
-    return subspace_from_spanning(reduced.T)
-
-
-# ---------------------------------------------------------------------------
-# Centroid algebra.
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    """Outcome of one centroid identity: either a residual or the failed
-    hypothesis."""
-
-    name: str
-    applicable: bool
-    residual: float | None = None
-    reason: str | None = None
-
-
-@dataclass(frozen=True)
-class CentroidAlgebraReport:
-    checks: tuple[IdentityCheck, ...]
-
-    def residual(self, name: str) -> float:
-        for c in self.checks:
-            if c.name == name and c.applicable:
-                return float(c.residual)
-        raise KeyError(f"identity {name!r} was not applicable")
-
-    @property
-    def max_residual(self) -> float:
-        vals = [c.residual for c in self.checks if c.applicable]
-        return max(vals) if vals else 0.0
-
-
-def centroid_algebra_check(
-    s: Subspace,
-    v: Subspace | None = None,
-    tol: float = 1e-10,
-) -> CentroidAlgebraReport:
-    """Evaluate the centroid composition identities that apply to (s, v).
-
-    Checked identities (by the relation the pair satisfies):
-
-    * ``direct-sum``:   s orthogonal to v:  (r+k) c(s (+) v) = r c(s) + k c(v)
-    * ``complement``:   always (needs r < n):  (n-r) c(s^perp) = 1 - r c(s)
-    * ``difference``:   v strictly contained in s:
-      (r-d) c(s (-) v) = r c(s) - d c(v)
-    * ``shared-part``:  d = dim(s & v), with (s (-) d) orthogonal to (v (-) d):
-      (r+k-d) c(s + v) = r c(s) + k c(v) - d c(s & v)
-
-    Hypotheses violated within ``tol`` are reported, not raised.
-    """
-    checks: list[IdentityCheck] = []
-    c_s = centroid(s)
-
-    if s.is_whole_space:
-        checks.append(IdentityCheck("complement", False, reason="s is the whole space"))
-    else:
-        comp = orthogonal_complement(s)
-        lhs = centroid(comp)
-        rhs = (np.ones(s.n) - s.r * c_s) / (s.n - s.r)
-        checks.append(IdentityCheck("complement", True, residual=float(np.max(np.abs(lhs - rhs)))))
-
-    if v is None:
-        return CentroidAlgebraReport(tuple(checks))
-    if v.n != s.n:
-        raise ValueError("subspaces live in different ambient dimensions")
-
-    c_v = centroid(v)
-    r, k = s.r, v.r
-
-    if mutually_orthogonal(s, v, tol):
-        both = subspace_sum(s, v)
-        lhs = centroid(both)
-        rhs = (r * c_s + k * c_v) / (r + k)
-        checks.append(IdentityCheck("direct-sum", True, residual=float(np.max(np.abs(lhs - rhs)))))
-    else:
-        gap = spectral_norm(s.projector @ v.projector)
-        checks.append(
-            IdentityCheck("direct-sum", False, reason=f"s and v are not orthogonal (|P_s P_v| = {gap:.3e})")
-        )
-
-    if is_contained(v, s, tol) and v.r < s.r:
-        diff = _difference(s, v)
-        lhs = centroid(diff)
-        rhs = (r * c_s - k * c_v) / (r - k)
-        checks.append(IdentityCheck("difference", True, residual=float(np.max(np.abs(lhs - rhs)))))
-    else:
-        checks.append(
-            IdentityCheck("difference", False, reason="v is not strictly contained in s")
-        )
-
-    shared = subspace_intersection(s, v)
-    d = 0 if shared is None else shared.r
-    s_red = s if shared is None else (_difference(s, shared) if d < r else None)
-    v_red = v if shared is None else (_difference(v, shared) if d < k else None)
-    reduced_orthogonal = (
-        s_red is None or v_red is None or mutually_orthogonal(s_red, v_red, tol)
-    )
-    if reduced_orthogonal:
-        total = subspace_sum(s, v)
-        lhs = centroid(total)
-        shared_term = 0.0 if shared is None else d * centroid(shared)
-        rhs = (r * c_s + k * c_v - shared_term) / (r + k - d)
-        checks.append(IdentityCheck("shared-part", True, residual=float(np.max(np.abs(lhs - rhs)))))
-    else:
-        checks.append(
-            IdentityCheck(
-                "shared-part",
-                False,
-                reason="the parts of s and v outside their intersection are not orthogonal",
-            )
-        )
-    return CentroidAlgebraReport(tuple(checks))

@@ -69,6 +69,13 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
+def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Full-rank density matrix from a complex Gaussian factor."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = g @ g.conj().T
+    return rho / np.real(np.trace(rho))
+
+
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)

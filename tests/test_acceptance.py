@@ -10,11 +10,8 @@ import pytest
 from momentkit import (
     IntersectionStatus,
     Verdict,
-    brute_force_diag_distance,
     centroid,
-    centroid_algebra_check,
     check_minimal,
-    curve_overlap_residual,
     curve_point,
     delta_map,
     ellipse_projection,
@@ -23,12 +20,10 @@ from momentkit import (
     principal_vector,
     project_onto_moment,
     subspace_from_spanning,
-    support_coordinate_bound_check,
     whole_space,
 )
 from momentkit.cli import main as cli_main
 from momentkit.directions import fibonacci_directions
-from momentkit.jnr import random_density
 from momentkit.moment import (
     curve_frame,
     curve_support_direction,
@@ -43,10 +38,13 @@ from conftest import (
     P_V_REFERENCE,
     SPAN_V,
     SPAN_W,
+    random_density,
     random_generic_subspace,
     random_hermitian,
     random_subspace,
 )
+from paper_claims import assert_coordinate_bound, brute_force_diag_distance
+from paper_claims import centroid_residual, difference, overlap_residual, span
 from test_minimality import conjugate_pair_subspaces
 
 
@@ -161,7 +159,7 @@ def test_criterion_4_curve_suite():
                 assert np.max(np.abs(observed - expected)) <= 1e-10
             # Overlap reparametrization on 33 values.
             for t in np.linspace(0.0, frame.t_end, 33):
-                assert curve_overlap_residual(s, j, k, float(t)) <= 1e-10
+                assert overlap_residual(s, j, k, float(t)) <= 1e-10
             # Extremality against a sampled hull.
             if non_orthogonal:
                 pts = sample_moment(s, 10_000, seed=17)
@@ -189,24 +187,23 @@ def test_criterion_5_centroid_algebra():
             k = int(rng.integers(1, n - r))
             s = subspace_from_spanning(frame[:r])
             v = subspace_from_spanning(frame[r : r + k])
-            report = centroid_algebra_check(s, v)
-            assert report.residual("direct-sum") <= 1e-10
-            assert report.residual("complement") <= 1e-10
+            assert centroid_residual(span(s, v), plus=[s, v]) <= 1e-10
+            complement = orthogonal_complement(s)
+            assert centroid_residual(complement, plus=[whole_space(n)], minus=[s]) <= 1e-10
             # Nested pair: sub-span of s's basis combinations.
             if s.r >= 2:
                 mix = rng.standard_normal((s.r - 1, s.r)) + 1j * rng.standard_normal(
                     (s.r - 1, s.r)
                 )
                 nested = subspace_from_spanning((s.basis @ mix.T).T)
-                nested_report = centroid_algebra_check(s, nested)
-                assert nested_report.residual("difference") <= 1e-10
+                assert centroid_residual(difference(s, nested), plus=[s], minus=[nested]) <= 1e-10
             # Shared-part family: common line plus orthogonal extensions.
             if n >= 3:
                 d_vec, a_vec, b_vec = frame[0], frame[1], frame[2]
                 sp = subspace_from_spanning([d_vec, a_vec])
                 vp = subspace_from_spanning([d_vec, b_vec])
-                shared_report = centroid_algebra_check(sp, vp)
-                assert shared_report.residual("shared-part") <= 1e-10
+                shared = subspace_from_spanning([d_vec])
+                assert centroid_residual(span(sp, vp), plus=[sp, vp], minus=[shared]) <= 1e-10
             # Coordinate bound of the centroid.
             c = centroid(s)
             assert np.all(c <= 1.0 / s.r + 1e-12)
@@ -267,9 +264,7 @@ def test_criterion_7_support_coordinate_bound():
         for cert in certificates:
             if cert.status is not IntersectionStatus.INTERSECT:
                 continue
-            check = support_coordinate_bound_check(cert)
-            assert check.applicable
-            assert check.ok, f"coordinate {check.max_coordinate} exceeds 1/2"
+            assert_coordinate_bound(cert)
 
 
 def test_criterion_8_hausdorff_bound():

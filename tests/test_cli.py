@@ -178,6 +178,35 @@ class TestIntersectAndFriends:
             "intersect", "--subspace-v", va, "--subspace-w", vb, "--tol", "1e-12",
         ]) == 2
 
+    @pytest.mark.parametrize("tol", ["-1e-7", "nan", "inf"])
+    def test_bad_tol_exit_three(self, tmp_path, capsys, tol):
+        # With --tol inf this disjoint pair exited 0 (INTERSECT), and so did
+        # minimal-check on diag(1, -1) (MINIMAL).
+        va = write_subspace(tmp_path / "a.json", [(1, 0)], 2)
+        vb = write_subspace(tmp_path / "b.json", [(0, 1)], 2)
+        mat = write_matrix(tmp_path / "m.json", [[1, 0], [0, -1]])
+        for argv in (["intersect", "--subspace-v", va, "--subspace-w", vb],
+                     ["minimal-check", "--matrix", mat]):
+            assert main([*argv, f"--tol={tol}"]) == 3
+            assert "tol must be finite and nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["intersect", "centroid"])
+    def test_unwritable_out_exit_three(self, tmp_path, v_file, command):
+        # Exit 1 would read as DISJOINT for intersect.
+        inputs = {
+            "intersect": ["--subspace-v", v_file, "--subspace-w", v_file],
+            "centroid": ["--subspace", v_file],
+        }[command]
+        out = tmp_path / "missing" / "out.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "momentkit.cli", command, *inputs, "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_support_direction_length_mismatch(self, tmp_path, v_file, capsys):
         assert main(["support", "--subspace", v_file, "--direction", "1,0"]) == 3
         assert "expected 3" in capsys.readouterr().err

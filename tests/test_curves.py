@@ -4,7 +4,6 @@ import pytest
 from momentkit import (
     DegenerateCurve,
     NotGenericAtCoordinate,
-    curve_overlap_residual,
     curve_point,
     dominating_t,
     ellipse_projection,
@@ -21,6 +20,7 @@ from momentkit.moment import (
 )
 
 from conftest import point_to_segment, random_generic_subspace
+from paper_claims import overlap_residual
 
 
 class TestCurveEndpoints:
@@ -150,12 +150,12 @@ class TestDominatingParameter:
 
 class TestOverlap:
     def test_reference_midpoint(self, example_v):
-        assert curve_overlap_residual(example_v, 0, 1, np.pi / 6) < 1e-10
+        assert overlap_residual(example_v, 0, 1, np.pi / 6) < 1e-10
 
     def test_reference_endpoints(self, example_v):
         frame = curve_frame(example_v, 0, 1)
-        assert curve_overlap_residual(example_v, 0, 1, 0.0) < 1e-10
-        assert curve_overlap_residual(example_v, 0, 1, frame.t_end) < 1e-10
+        assert overlap_residual(example_v, 0, 1, 0.0) < 1e-10
+        assert overlap_residual(example_v, 0, 1, frame.t_end) < 1e-10
 
     def test_grid_on_random_subspaces(self):
         rng = np.random.default_rng(14)
@@ -163,12 +163,12 @@ class TestOverlap:
             s = random_generic_subspace(rng, 5, 3)
             frame = curve_frame(s, 0, 1)
             for t in np.linspace(0.0, frame.t_end, 33):
-                assert curve_overlap_residual(s, 0, 1, float(t)) < 1e-10
+                assert overlap_residual(s, 0, 1, float(t)) < 1e-10
 
     def test_domain_enforced(self, example_v):
         frame = curve_frame(example_v, 0, 1)
         with pytest.raises(ValueError, match="outside"):
-            curve_overlap_residual(example_v, 0, 1, frame.t_end + 0.1)
+            overlap_residual(example_v, 0, 1, frame.t_end + 0.1)
 
 
 class TestCurveExtremality:

@@ -14,9 +14,9 @@ from momentkit.feasibility import (
     _Side,
     separation_margin,
 )
-from momentkit.jnr import random_density, delta_map
+from momentkit.jnr import delta_map
 
-from conftest import CONJUGATE_X, CONJUGATE_XBAR, random_subspace
+from conftest import CONJUGATE_X, CONJUGATE_XBAR, random_density, random_subspace
 
 
 class TestProjection:
@@ -182,5 +182,21 @@ class TestEngineInvariants:
         s = random_subspace(rng, 4, 2)
         target = np.array([0.7, 0.1, 0.1, 0.1])
         res = project_onto_moment(s, target, tol=1e-9)
-        # The certified lower bound never exceeds the achieved value.
-        assert res.distance**2 - res.gap <= res.distance**2 + 1e-15
+        reference = project_onto_moment(s, target, tol=1e-12)
+        assert res.distance > 0.1  # an exterior point, so the gap is in play
+        # Frank-Wolfe duality: d^2 - gap is a lower bound on the optimal
+        # squared distance, which the tighter run bounds from above.
+        assert res.distance**2 - res.gap <= reference.distance**2 + 1e-15
+        assert res.gap >= -1e-15  # roundoff only
+
+    @pytest.mark.parametrize("tol", [-1e-7, np.nan, np.inf])
+    def test_rejects_unusable_tol(self, tol):
+        # With tol = inf the disjoint points (1, 0) and (0, 1) were reported
+        # INTERSECT, and e_1 converged at twice its distance sqrt(1/6).
+        v = subspace_from_spanning([(1, 0)])
+        w = subspace_from_spanning([(0, 1)])
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            moments_intersect(v, w, tol=tol)
+        s = subspace_from_spanning([(1, 1, 0), (0, 1, 1)])
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            project_onto_moment(s, [1.0, 0.0, 0.0], tol=tol)

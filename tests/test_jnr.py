@@ -2,25 +2,25 @@ import numpy as np
 import pytest
 
 from momentkit import (
-    NotGenericSubspace,
+    NotGenericAtCoordinate,
     cone_membership,
     delta_map,
-    hyperplane_slice_check,
     jnr_boundary,
     jnr_support,
     principal_vector,
-    scaling_relation_check,
+    project_onto_moment,
     subspace_from_spanning,
     support_moment,
     whole_space,
 )
 from momentkit.directions import fibonacci_directions
-from momentkit.jnr import random_density, validate_density
+from momentkit.jnr import validate_density
 from momentkit.linalg import hermitian_eig, spectral_norm
 from momentkit.moment import sample_unit_vectors
 from momentkit.subspace import orthogonal_complement
 
-from conftest import V1_REFERENCE, random_subspace, random_unitary
+from conftest import V1_REFERENCE, random_density, random_subspace, random_unitary
+from paper_claims import classical_range, scaling_residual
 
 
 def outer(x):
@@ -176,30 +176,27 @@ class TestBoundary:
         dirs = fibonacci_directions(3, 60)
         for point in jnr_boundary(example_v, dirs):
             if abs(point.x.sum() - 1.0) <= 1e-9:
-                check = hyperplane_slice_check(example_v, point.witness)
-                assert check.member and check.moment_distance <= 1e-6
+                x = delta_map(example_v, point.witness).x
+                assert project_onto_moment(example_v, x).distance <= 1e-6
 
 
 class TestSliceAndCone:
     def test_principal_state_on_slice(self, example_v):
-        check = hyperplane_slice_check(example_v, outer(V1_REFERENCE))
-        assert check.on_slice and check.member
-        assert check.consistent
+        x = delta_map(example_v, outer(V1_REFERENCE)).x
+        assert abs(x.sum() - 1.0) <= 1e-9
+        assert project_onto_moment(example_v, x).distance <= 1e-6
 
     def test_orthogonal_state_off_slice(self, example_v):
         q = orthogonal_complement(example_v).basis[:, 0]
-        check = hyperplane_slice_check(example_v, outer(q))
-        assert not check.on_slice
-        assert check.coordinate_sum == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(check.point, 0.0, atol=1e-12)
+        x = delta_map(example_v, outer(q)).x
+        assert x.sum() == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(x, 0.0, atol=1e-12)
 
     def test_mixed_state_half_sum(self, example_v):
         s_vec = sample_unit_vectors(example_v, 1, seed=8)[0]
         q = orthogonal_complement(example_v).basis[:, 0]
         rho = 0.5 * outer(s_vec) + 0.5 * outer(q)
-        check = hyperplane_slice_check(example_v, rho)
-        assert check.coordinate_sum == pytest.approx(0.5, abs=1e-10)
-        assert not check.on_slice
+        assert delta_map(example_v, rho).x.sum() == pytest.approx(0.5, abs=1e-10)
 
     def test_cone_zero_and_scaling(self, example_v):
         zero = cone_membership(example_v, np.zeros(3))
@@ -220,9 +217,7 @@ class TestSliceAndCone:
 
 class TestClassicalRange:
     def test_points_inside_support_halfspaces(self, example_v):
-        from momentkit.jnr import sample_classical_range
-
-        pts = sample_classical_range(example_v, 2000, seed=12)
+        pts = classical_range(example_v, 2000, seed=12)
         assert pts.shape == (2000, 3)
         rng = np.random.default_rng(13)
         for _ in range(100):
@@ -230,28 +225,26 @@ class TestClassicalRange:
             assert np.max(pts @ c) <= jnr_support(example_v, c).value + 1e-9
 
     def test_deterministic(self, example_v):
-        from momentkit.jnr import sample_classical_range
-
-        a = sample_classical_range(example_v, 64, seed=3)
-        b = sample_classical_range(example_v, 64, seed=3)
+        a = classical_range(example_v, 64, seed=3)
+        b = classical_range(example_v, 64, seed=3)
         assert np.array_equal(a, b)
 
 
 class TestScalingRelation:
     def test_whole_space_identity(self):
-        assert scaling_relation_check(whole_space(3), trials=50, seed=1) < 1e-12
+        assert scaling_residual(whole_space(3), trials=50, seed=1) < 1e-12
 
     def test_reference(self, example_v):
-        assert scaling_relation_check(example_v, trials=200, seed=2) < 1e-10
+        assert scaling_residual(example_v, trials=200, seed=2) < 1e-10
 
     def test_diagonal_line(self):
         s = subspace_from_spanning([(1, 1)])
-        assert scaling_relation_check(s, trials=100, seed=3) < 1e-12
+        assert scaling_residual(s, trials=100, seed=3) < 1e-12
 
     def test_non_generic_rejected(self):
         s = subspace_from_spanning([np.eye(3)[0]])
-        with pytest.raises(NotGenericSubspace):
-            scaling_relation_check(s)
+        with pytest.raises(NotGenericAtCoordinate):
+            scaling_residual(s, trials=1, seed=0)
 
 
 class TestValidateDensity:

@@ -5,7 +5,6 @@ from momentkit import (
     IntersectionStatus,
     MinimalMatrixParts,
     Verdict,
-    brute_force_diag_distance,
     check_minimal,
     cone_membership,
     construct_minimal,
@@ -13,10 +12,10 @@ from momentkit import (
     moments_intersect,
     spectral_norm,
     subspace_from_spanning,
-    support_coordinate_bound_check,
 )
 from momentkit.directions import fibonacci_directions
 from momentkit.linalg import orthonormalize
+from momentkit.subspace import mutually_orthogonal
 
 from conftest import (
     CONJUGATE_X,
@@ -24,6 +23,7 @@ from conftest import (
     random_hermitian,
     random_subspace,
 )
+from paper_claims import assert_coordinate_bound, brute_force_diag_distance
 
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
 
@@ -87,6 +87,21 @@ class TestCheckMinimal:
     def test_rejects_bad_eig_tol(self, m, eig_tol):
         with pytest.raises(ValueError, match="eig_tol"):
             check_minimal(m, eig_tol=eig_tol)
+
+    @pytest.mark.parametrize(
+        "m, feas_tol",
+        [
+            # With inf the disjoint moment points of diag(1, -1) passed as
+            # INTERSECT (MINIMAL); a negative or NaN tol left the minimal
+            # Pauli-Y INDETERMINATE.
+            (np.diag([1.0, -1.0]), np.inf),
+            (PAULI_Y, -1e-7),
+            (PAULI_Y, np.nan),
+        ],
+    )
+    def test_rejects_bad_feas_tol(self, m, feas_tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            check_minimal(m, feas_tol=feas_tol)
 
     def test_scalar_matrix_not_minimal(self):
         # Both extreme clusters are the whole spectrum, but the spectrum is
@@ -213,9 +228,7 @@ class TestSupportCoordinateBound:
         v = subspace_from_spanning([CONJUGATE_X])
         w = subspace_from_spanning([CONJUGATE_XBAR])
         cert = moments_intersect(v, w)
-        check = support_coordinate_bound_check(cert)
-        assert check.applicable and check.ok
-        assert check.max_coordinate == pytest.approx(0.5, abs=1e-12)
+        assert assert_coordinate_bound(cert) == pytest.approx(0.5, abs=1e-12)
 
     def test_random_conjugate_pairs(self):
         rng = np.random.default_rng(37)
@@ -225,21 +238,18 @@ class TestSupportCoordinateBound:
             v, w = conjugate_pair_subspaces(rng, n, r)
             cert = moments_intersect(v, w)
             assert cert.status is IntersectionStatus.INTERSECT
-            check = support_coordinate_bound_check(cert)
-            assert check.applicable and check.ok
+            assert_coordinate_bound(cert)
 
     def test_not_applicable_for_overlapping_subspaces(self, example_v):
         cert = moments_intersect(example_v, example_v)
-        check = support_coordinate_bound_check(cert)
-        assert not check.applicable
-        assert "orthogonal" in check.reason
+        assert not mutually_orthogonal(cert.space_v, cert.space_w)
 
     def test_not_applicable_for_disjoint(self):
         cert = moments_intersect(
             subspace_from_spanning([(1, 0)]), subspace_from_spanning([(0, 1)])
         )
-        check = support_coordinate_bound_check(cert)
-        assert not check.applicable
+        assert cert.status is not IntersectionStatus.INTERSECT
+        assert cert.common is None
 
 
 class TestHausdorff:

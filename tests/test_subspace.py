@@ -4,18 +4,13 @@ import pytest
 from momentkit import (
     NotGenericAtCoordinate,
     centroid,
-    centroid_algebra_check,
     is_generic,
     principal_vector,
     subspace_from_spanning,
     whole_space,
 )
 from momentkit.moment import sample_unit_vectors
-from momentkit.subspace import (
-    orthogonal_complement,
-    subspace_intersection,
-    subspace_sum,
-)
+from momentkit.subspace import mutually_orthogonal, orthogonal_complement
 
 from conftest import (
     P_V_REFERENCE,
@@ -24,6 +19,7 @@ from conftest import (
     random_generic_subspace,
     random_subspace,
 )
+from paper_claims import centroid_residual, difference, span
 
 
 class TestConstruction:
@@ -196,13 +192,11 @@ class TestCentroidAlgebra:
     def test_orthogonal_axes(self):
         s = subspace_from_spanning([np.eye(3)[0]])
         v = subspace_from_spanning([np.eye(3)[1]])
-        report = centroid_algebra_check(s, v)
-        assert report.residual("direct-sum") < 1e-12
+        assert centroid_residual(span(s, v), plus=[s, v]) < 1e-12
 
     def test_complement_of_reference(self, example_v):
-        report = centroid_algebra_check(example_v)
-        assert report.residual("complement") < 1e-10
         comp = orthogonal_complement(example_v)
+        assert centroid_residual(comp, plus=[whole_space(3)], minus=[example_v]) < 1e-10
         assert np.allclose(centroid(comp), [1 / 3, 1 / 3, 1 / 3], atol=1e-10)
 
     def test_nested_difference(self):
@@ -211,8 +205,8 @@ class TestCentroidAlgebra:
             outer = random_subspace(rng, 5, 3)
             mix = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
             inner = subspace_from_spanning((outer.basis @ mix.T).T)
-            report = centroid_algebra_check(outer, inner)
-            assert report.residual("difference") < 1e-10
+            diff = difference(outer, inner)
+            assert centroid_residual(diff, plus=[outer], minus=[inner]) < 1e-10
 
     def test_shared_part(self):
         from momentkit.linalg import orthonormalize
@@ -226,23 +220,20 @@ class TestCentroidAlgebra:
             d, a, b = triple
             s = subspace_from_spanning([d, a])
             v = subspace_from_spanning([d, b])
-            report = centroid_algebra_check(s, v)
-            assert report.residual("shared-part") < 1e-10
-            assert not {c.name: c for c in report.checks}["direct-sum"].applicable
+            shared = subspace_from_spanning([d])
+            assert centroid_residual(span(s, v), plus=[s, v], minus=[shared]) < 1e-10
+            assert not mutually_orthogonal(s, v)
 
     def test_hypothesis_failure_reported(self):
+        # The direct-sum identity needs orthogonal parts; this pair is not.
         s = subspace_from_spanning([(1, 0, 0)])
         v = subspace_from_spanning([(1, 1, 0)])
-        report = centroid_algebra_check(s, v)
-        checks = {c.name: c for c in report.checks}
-        assert not checks["direct-sum"].applicable
-        assert "orthogonal" in checks["direct-sum"].reason
+        assert not mutually_orthogonal(s, v)
+        assert centroid_residual(span(s, v), plus=[s, v]) > 0.1
 
     def test_intersection_helper(self, example_v):
-        assert subspace_intersection(
-            subspace_from_spanning([(1, 0, 0)]), subspace_from_spanning([(0, 1, 0)])
-        ) is None
-        both = subspace_sum(
-            subspace_from_spanning([(1, 0, 0)]), subspace_from_spanning([(0, 1, 0)])
-        )
-        assert both.r == 2
+        a = subspace_from_spanning([(1, 0, 0)])
+        b = subspace_from_spanning([(0, 1, 0)])
+        # Trivial intersection: P_a + P_b has no eigenvalue 2.
+        assert np.linalg.eigvalsh(a.projector + b.projector)[-1] < 2.0 - 1e-8
+        assert span(a, b).r == 2
