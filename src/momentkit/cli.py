@@ -10,8 +10,9 @@ tolerances; the sidecar additionally records wall time.
 
 Exit codes: 0 success; for ``minimal-check`` and ``intersect`` the code maps
 the verdict (0 MINIMAL/INTERSECT, 1 NOT_MINIMAL/DISJOINT, 2 INDETERMINATE);
-3 signals invalid input, an out-of-range ``--steps``, ``--eig-tol`` or
-``--tol`` included, or an output file that cannot be written.
+3 signals invalid input, a usage error or an out-of-range ``--steps``,
+``--eig-tol``, ``--tol`` or ``--max-iter`` included, or an output file that
+cannot be written.
 """
 from __future__ import annotations
 
@@ -419,7 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2, the INDETERMINATE code, on a usage error
+        return EXIT_INPUT if exc.code else EXIT_OK
     started = time.perf_counter()
     try:
         code, outputs = args.func(args)

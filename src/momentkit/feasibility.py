@@ -43,6 +43,12 @@ _NNLS_PENALTY = 1e3
 _PROBE_EVERY = 16
 
 
+def check_nonnegative(name: str, value: float) -> None:
+    """Reject a tolerance or iteration limit that is negative or not finite."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative (got {value})")
+
+
 class _Side:
     """One moment-set factor of the product feasible set.
 
@@ -101,8 +107,8 @@ class _FeasibilityEngine:
         record_history: bool = False,
         separation_probe=None,
     ):
-        if not (math.isfinite(tol) and tol >= 0.0):
-            raise ValueError(f"tol must be finite and nonnegative (got {tol})")
+        check_nonnegative("tol", tol)
+        check_nonnegative("max_iter", max_iter)
         self.sides = sides
         self.target = target
         self.tol = float(tol)

@@ -25,17 +25,19 @@ from .subspace import Subspace, orthogonal_complement
 #: PSD slack and trace tolerance for density-matrix validation.
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
+#: Largest distance to the moment set of a normalized cone member.
+CONE_TOL = 1e-6
 
 
-def validate_density(rho, psd_tol: float = PSD_TOL, trace_tol: float = TRACE_TOL) -> np.ndarray:
+def validate_density(rho) -> np.ndarray:
     """Validate a density matrix (hermitian, PSD, unit trace); returns the
     symmetrized copy.  Raises ``ValueError`` naming the violated invariant."""
     rho = require_hermitian(rho)
     trace = float(np.real(np.trace(rho)))
-    if abs(trace - 1.0) > trace_tol:
-        raise ValueError(f"state trace is {trace:.12g}, not 1 within {trace_tol:.1e}")
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise ValueError(f"state trace is {trace:.12g}, not 1 within {TRACE_TOL:.1e}")
     smallest = float(np.linalg.eigvalsh(rho)[0])
-    if smallest < -psd_tol:
+    if smallest < -PSD_TOL:
         raise ValueError(f"state has negative eigenvalue {smallest:.3e}")
     return rho
 
@@ -106,12 +108,12 @@ class ConeMembership:
     moment_distance: float
 
 
-def cone_membership(s: Subspace, x, tol: float = 1e-6) -> ConeMembership:
+def cone_membership(s: Subspace, x) -> ConeMembership:
     """Membership of a nonnegative vector in the cone generated by W.
 
     The cone of W equals the cone of the moment set, so x belongs exactly when
-    x is zero or x normalized to coordinate sum one lies in m_S; the returned
-    scaling is that coordinate sum.
+    x is zero or x normalized to coordinate sum one lies in m_S (within
+    CONE_TOL); the returned scaling is that coordinate sum.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.size != s.n:
@@ -122,4 +124,4 @@ def cone_membership(s: Subspace, x, tol: float = 1e-6) -> ConeMembership:
     if total <= 1e-15:
         return ConeMembership(member=True, scaling=0.0, moment_distance=0.0)
     distance = project_onto_moment(s, x / total).distance
-    return ConeMembership(member=distance <= tol, scaling=total, moment_distance=distance)
+    return ConeMembership(member=distance <= CONE_TOL, scaling=total, moment_distance=distance)

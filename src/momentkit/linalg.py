@@ -17,6 +17,8 @@ import numpy as np
 HERMITIAN_ATOL = 1e-12
 # A Gram-Schmidt residual below this fraction of the input norm drops the column.
 RANK_DROP_TOL = 1e-10
+# Largest max |Q*Q - I| accepted from columns claimed orthonormal.
+ORTHONORMAL_TOL = 1e-10
 # Components below this threshold do not qualify as the "first nonzero" entry
 # when fixing eigenvector phases (unit columns always carry a larger one).
 _PHASE_TOL = 1e-9
@@ -44,22 +46,15 @@ def as_complex_matrix(a) -> np.ndarray:
     return a
 
 
-def hermitian_defect(a) -> float:
-    """Max entrywise |A - A*|; zero for an exactly hermitian matrix."""
+def require_hermitian(a) -> np.ndarray:
+    """Validate hermiticity (max entrywise |A - A*| at most HERMITIAN_ATOL)
+    and return the symmetrized matrix (A + A*)/2."""
     a = as_complex_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is not square: shape {a.shape}")
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - a.conj().T)))
-
-
-def require_hermitian(a, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Validate hermiticity and return the symmetrized matrix (A + A*)/2."""
-    a = as_complex_matrix(a)
-    defect = hermitian_defect(a)
-    if defect > atol:
-        raise NonHermitianError(defect, atol)
+    defect = float(np.max(np.abs(a - a.conj().T), initial=0.0))
+    if defect > HERMITIAN_ATOL:
+        raise NonHermitianError(defect, HERMITIAN_ATOL)
     return 0.5 * (a + a.conj().T)
 
 
@@ -84,12 +79,12 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(a, atol: float = HERMITIAN_ATOL) -> EigenDecomposition:
+def hermitian_eig(a) -> EigenDecomposition:
     """Eigendecomposition of a hermitian matrix with deterministic output.
 
-    Rejects inputs whose max entry asymmetry exceeds ``atol``.
+    Rejects inputs whose max entry asymmetry exceeds HERMITIAN_ATOL.
     """
-    a = require_hermitian(a, atol=atol)
+    a = require_hermitian(a)
     w, v = np.linalg.eigh(a)
     return EigenDecomposition(eigenvalues=w, eigenvectors=_fix_phases(v))
 
@@ -111,11 +106,11 @@ def compressed_eigh(q: np.ndarray, directions) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=_fix_phases(v))
 
 
-def orthonormalize(vectors, drop_tol: float = RANK_DROP_TOL) -> np.ndarray:
+def orthonormalize(vectors) -> np.ndarray:
     """Orthonormal basis (as columns) of the span of the given vectors.
 
     Modified Gram-Schmidt with a second re-orthogonalization pass; a vector is
-    dropped when its residual falls below ``drop_tol`` times the largest input
+    dropped when its residual falls below RANK_DROP_TOL times the largest input
     norm, so rank-deficient input yields fewer columns.  All-zero input yields
     an ``(n, 0)`` array.
     """
@@ -138,7 +133,7 @@ def orthonormalize(vectors, drop_tol: float = RANK_DROP_TOL) -> np.ndarray:
             for q in basis:
                 w = w - q * np.vdot(q, w)
         norm = float(np.linalg.norm(w))
-        if norm <= drop_tol * scale:
+        if norm <= RANK_DROP_TOL * scale:
             continue
         basis.append(w / norm)
     if not basis:
@@ -146,7 +141,7 @@ def orthonormalize(vectors, drop_tol: float = RANK_DROP_TOL) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def projector(q, ortho_tol: float = 1e-10) -> np.ndarray:
+def projector(q) -> np.ndarray:
     """Orthogonal projector Q Q* onto the column span of an orthonormal Q."""
     q = as_complex_matrix(q)
     n, r = q.shape
@@ -154,7 +149,7 @@ def projector(q, ortho_tol: float = 1e-10) -> np.ndarray:
         return np.zeros((n, n), dtype=np.complex128)
     gram = q.conj().T @ q
     defect = float(np.max(np.abs(gram - np.eye(r))))
-    if defect > ortho_tol:
+    if defect > ORTHONORMAL_TOL:
         raise ValueError(
             f"columns are not orthonormal: max |Q*Q - I| = {defect:.3e}"
         )

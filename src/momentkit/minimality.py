@@ -21,10 +21,11 @@ from .feasibility import (
     DEFAULT_TOL,
     IntersectionCertificate,
     IntersectionStatus,
+    check_nonnegative,
     moments_intersect,
 )
 from .linalg import compressed_eigh, hermitian_eig, projector, require_hermitian, spectral_norm
-from .subspace import Subspace, mutually_orthogonal
+from .subspace import ORTHOGONAL_TOL, Subspace, mutually_orthogonal
 
 #: Relative width (times ||M||) of the eigenvalue cluster taken as the
 #: extreme eigenspaces.
@@ -74,14 +75,15 @@ def check_minimal(
 
     The verdict follows the equivalence: minimal iff the extreme eigenvalues
     are opposite and the moment sets of their eigenspaces intersect.
-    ``eig_tol`` must be finite and nonnegative, and narrow enough that the
-    two extreme clusters of a symmetric spectrum share no eigenvalue.
+    ``eig_tol``, ``feas_tol`` and ``max_iter`` must be finite and
+    nonnegative, and ``eig_tol`` narrow enough that the two extreme clusters
+    of a symmetric spectrum share no eigenvalue.
     """
-    if not (math.isfinite(eig_tol) and eig_tol >= 0.0):
-        raise ValueError(f"eig_tol must be finite and nonnegative (got {eig_tol})")
-    a = require_hermitian(m)
-    dec = hermitian_eig(a)
-    norm = float(np.max(np.abs(dec.eigenvalues))) if a.size else 0.0
+    check_nonnegative("eig_tol", eig_tol)
+    check_nonnegative("feas_tol", feas_tol)
+    check_nonnegative("max_iter", max_iter)
+    dec = hermitian_eig(m)
+    norm = float(np.max(np.abs(dec.eigenvalues)))
     if norm == 0.0:
         raise ValueError("the zero matrix has no minimality analysis")
     width = eig_tol * norm
@@ -93,40 +95,26 @@ def check_minimal(
     mask_neg = dec.eigenvalues <= lam_min + width
     interior = dec.eigenvalues[~(mask_pos | mask_neg)]
     boundary_ambiguous = bool(
-        interior.size
-        and (
-            np.any(interior >= lam_max - 2.0 * width)
-            or np.any(interior <= lam_min + 2.0 * width)
-        )
+        np.any((interior >= lam_max - 2.0 * width) | (interior <= lam_min + 2.0 * width))
     )
     space_pos = _eigenspace(dec.eigenvectors, mask_pos)
     space_neg = _eigenspace(dec.eigenvectors, mask_neg)
 
-    if not symmetric:
-        return MinimalityReport(
-            norm=norm,
-            symmetric=False,
-            space_pos=space_pos,
-            space_neg=space_neg,
-            certificate=None,
-            verdict=Verdict.NOT_MINIMAL,
-            boundary_ambiguous=boundary_ambiguous,
-        )
-
-    if np.any(mask_pos & mask_neg):
-        raise ValueError(
-            f"eig_tol = {eig_tol} is too wide: the extreme eigenvalue clusters overlap"
-        )
-    certificate = moments_intersect(space_pos, space_neg, tol=feas_tol, max_iter=max_iter)
-    if certificate.status is IntersectionStatus.INTERSECT:
-        verdict = Verdict.MINIMAL
-    elif certificate.status is IntersectionStatus.DISJOINT and not boundary_ambiguous:
-        verdict = Verdict.NOT_MINIMAL
-    else:
-        verdict = Verdict.INDETERMINATE
+    certificate = None
+    verdict = Verdict.NOT_MINIMAL
+    if symmetric:
+        if np.any(mask_pos & mask_neg):
+            raise ValueError(
+                f"eig_tol = {eig_tol} is too wide: the extreme eigenvalue clusters overlap"
+            )
+        certificate = moments_intersect(space_pos, space_neg, tol=feas_tol, max_iter=max_iter)
+        if certificate.status is IntersectionStatus.INTERSECT:
+            verdict = Verdict.MINIMAL
+        elif certificate.status is not IntersectionStatus.DISJOINT or boundary_ambiguous:
+            verdict = Verdict.INDETERMINATE
     return MinimalityReport(
         norm=norm,
-        symmetric=True,
+        symmetric=symmetric,
         space_pos=space_pos,
         space_neg=space_neg,
         certificate=certificate,
@@ -149,22 +137,17 @@ class MinimalMatrixParts:
     r: np.ndarray
 
 
-def construct_minimal(
-    parts: MinimalMatrixParts,
-    tol: float = 1e-10,
-    feas_tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[np.ndarray, MinimalityReport]:
+def construct_minimal(parts: MinimalMatrixParts) -> tuple[np.ndarray, MinimalityReport]:
     """Assemble lam (P_V - P_W) + R and certify it minimal.
 
-    Rejects any violated ingredient constraint and DISJOINT (or unresolved)
-    moment pairs.
+    Rejects any violated ingredient constraint (orthogonality and R P = 0
+    within ORTHOGONAL_TOL) and DISJOINT (or unresolved) moment pairs.
     """
     if parts.lam <= 0.0:
         raise ValueError("the extreme eigenvalue lam must be positive")
     if parts.v.n != parts.w.n:
         raise ValueError("subspaces live in different ambient dimensions")
-    if not mutually_orthogonal(parts.v, parts.w, tol):
+    if not mutually_orthogonal(parts.v, parts.w):
         raise ValueError("V and W are not orthogonal")
     rmat = require_hermitian(parts.r)
     if rmat.shape != (parts.v.n, parts.v.n):
@@ -176,9 +159,9 @@ def construct_minimal(
         )
     for name, space in (("V", parts.v), ("W", parts.w)):
         defect = spectral_norm(rmat @ space.projector)
-        if defect > tol:
+        if defect > ORTHOGONAL_TOL:
             raise ValueError(f"R does not annihilate {name}: ||R P_{name}|| = {defect:.3e}")
-    certificate = moments_intersect(parts.v, parts.w, tol=feas_tol, max_iter=max_iter)
+    certificate = moments_intersect(parts.v, parts.w)
     if certificate.status is not IntersectionStatus.INTERSECT:
         raise ValueError(
             f"moment sets do not certifiably intersect (status {certificate.status.value})"

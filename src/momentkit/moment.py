@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import compressed_eigh
-from .subspace import PrincipalVector, Subspace, centroid, principal_vector
+from .subspace import PrincipalVector, Subspace, principal_vector
 
 #: Linear-independence margin for a pair of principal vectors: independence of
 #: {v^j, v^k} is equivalent to v^j_j > |v^k_j|, tested with this slack.
@@ -33,16 +33,17 @@ class CurveInconsistency(RuntimeError):
     """A verified coordinate relation of the curve failed numerically."""
 
 
-def moment_of_vector(s: Subspace, x, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-    """Moment point |x|^2 of a unit vector x of the subspace."""
+def moment_of_vector(s: Subspace, x) -> np.ndarray:
+    """Moment point |x|^2 of a unit vector x of the subspace (norm and
+    membership checked within MEMBERSHIP_TOL)."""
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     if x.size != s.n:
         raise ValueError(f"vector has dimension {x.size}, expected {s.n}")
     norm_defect = abs(np.linalg.norm(x) - 1.0)
-    if norm_defect > tol:
+    if norm_defect > MEMBERSHIP_TOL:
         raise ValueError(f"vector is not normalized: | ||x|| - 1 | = {norm_defect:.3e}")
     residual = s.membership_residual(x)
-    if residual > tol:
+    if residual > MEMBERSHIP_TOL:
         raise ValueError(f"vector is not in the subspace: ||P x - x|| = {residual:.3e}")
     return np.abs(x) ** 2
 
@@ -82,30 +83,6 @@ def support_moment(s: Subspace, c) -> MomentSupport:
     value = float(dec.eigenvalues[0, -1])
     maximizer = s.basis @ dec.eigenvectors[0, :, -1]
     return MomentSupport(value=value, maximizer=maximizer)
-
-
-@dataclass(frozen=True)
-class ExtremalityReport:
-    """Whether the moment point of a principal vector is certified extreme.
-
-    The supporting direction is the coordinate axis; the certificate is a
-    simple top eigenvalue of the compressed axis projector.  A degenerate top
-    eigenvalue downgrades the status to "boundary".
-    """
-
-    index: int
-    status: str
-    eigenvalue_gap: float
-
-
-def principal_extremality(s: Subspace, j: int, tol: float = 1e-10) -> ExtremalityReport:
-    vj = principal_vector(s, j)  # raises when not generic at j
-    # The compression of the axis projector is rank one, so its spectrum is
-    # {P_jj, 0, ..., 0}: the top eigenvalue is simple exactly when P_jj
-    # clears the tolerance (trivially simple for a line).
-    gap = vj.top**2
-    status = "extreme" if (s.r == 1 or gap > tol) else "boundary"
-    return ExtremalityReport(index=vj.index, status=status, eigenvalue_gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +192,7 @@ def ellipse_projection(s: Subspace, j: int, k: int, frame: CurveFrame | None = N
     )
 
 
-def curve_moduli(frame: CurveFrame, t: float) -> tuple[float, float]:
-    """Moduli of the j-th and k-th coordinates of the curve at t (closed form)."""
-    alpha = abs(frame.vj.v[frame.k])
-    beta = math.sqrt(max(frame.vk.top**2 - alpha**2, 0.0))
-    return (
-        math.cos(t) * frame.vj.top,
-        math.cos(t) * alpha + math.sin(t) * beta,
-    )
-
-
-def dominating_t(s: Subspace, j: int, k: int, x, tol: float = 1e-10) -> float:
+def dominating_t(s: Subspace, j: int, k: int, x) -> float:
     """The unique t at which the curve dominates the (j, k) moduli of x.
 
     For a unit x in S the returned t satisfies |x_j| = |curve_j(t)| exactly and
@@ -233,52 +200,17 @@ def dominating_t(s: Subspace, j: int, k: int, x, tol: float = 1e-10) -> float:
     """
     frame = curve_frame(s, j, k)
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    moment_of_vector(s, x, tol=tol)  # validates unit norm and membership
+    moment_of_vector(s, x)  # validates unit norm and membership
     a = np.vdot(frame.vj.v, x)  # component of x along v^j
     t = math.acos(min(abs(a), 1.0))
-    mod_j, mod_k = curve_moduli(frame, t)
+    ell = ellipse_projection(s, j, k, frame=frame)
+    mod_j, mod_k = math.cos(t) * ell.a + math.sin(t) * ell.b
     eq_residual = abs(abs(x[j]) - mod_j)
     slack = abs(x[k]) - mod_k
-    if eq_residual > tol or slack > 1e-12:
+    if eq_residual > MEMBERSHIP_TOL or slack > 1e-12:
         raise CurveInconsistency(
             f"domination check failed at t={t}: j-coordinate residual "
             f"{eq_residual:.3e}, k-coordinate excess {slack:.3e}"
         )
     return t
 
-
-def curve_support_direction(
-    s: Subspace, j: int, k: int, t: float, frame: CurveFrame | None = None
-) -> np.ndarray:
-    """A direction supported on {j, k} that exposes the squared curve point.
-
-    Normal to the tangent of the projected squared curve, oriented away from
-    the projected centroid; for t in [0, pi/2) with non-orthogonal principal
-    vectors, the curve point maximizes this direction over the moment set.
-    """
-    if frame is None:
-        frame = curve_frame(s, j, k)
-    alpha = abs(frame.vj.v[frame.k])
-    beta = math.sqrt(max(frame.vk.top**2 - alpha**2, 0.0))
-    vjj = frame.vj.top
-    # Squared projected curve (rho_j, rho_k) and its tangent.
-    rho_j = (math.cos(t) * vjj) ** 2
-    rho_k = (math.cos(t) * alpha + math.sin(t) * beta) ** 2
-    d_rho_j = -math.sin(2 * t) * vjj**2
-    d_rho_k = 2 * (math.cos(t) * alpha + math.sin(t) * beta) * (
-        -math.sin(t) * alpha + math.cos(t) * beta
-    )
-    normal = np.array([d_rho_k, -d_rho_j])
-    norm = float(np.linalg.norm(normal))
-    if norm == 0.0:
-        normal = np.array([1.0, 0.0])
-    else:
-        normal /= norm
-    centre = centroid(s)
-    point = np.array([rho_j, rho_k])
-    reference = np.array([centre[frame.j], centre[frame.k]])
-    if float(normal @ (point - reference)) < 0.0:
-        normal = -normal
-    c = np.zeros(s.n)
-    c[frame.j], c[frame.k] = normal
-    return c

@@ -14,8 +14,10 @@ import numpy as np
 
 from .linalg import hermitian_eig, orthonormalize, projector, spectral_norm
 
-#: Default threshold on projector diagonal entries for genericity tests.
+#: Projector diagonal entries at or below this threshold are not generic.
 GENERIC_TOL = 1e-10
+#: Largest ||P_a P_b|| of two subspaces taken as mutually orthogonal.
+ORTHOGONAL_TOL = 1e-10
 
 
 class NotGenericAtCoordinate(ValueError):
@@ -85,10 +87,10 @@ class GenericityReport:
     offending: tuple[int, ...]
 
 
-def is_generic(s: Subspace, tol: float = GENERIC_TOL) -> GenericityReport:
-    """Check that every projector diagonal entry exceeds ``tol``."""
+def is_generic(s: Subspace) -> GenericityReport:
+    """Check that every projector diagonal entry exceeds GENERIC_TOL."""
     diag = np.real(np.diagonal(s.projector))
-    offending = tuple(int(j) for j in np.flatnonzero(diag <= tol))
+    offending = tuple(int(j) for j in np.flatnonzero(diag <= GENERIC_TOL))
     return GenericityReport(is_generic=not offending, offending=offending)
 
 
@@ -107,13 +109,13 @@ class PrincipalVector:
     top: float
 
 
-def principal_vector(s: Subspace, j: int, tol: float = GENERIC_TOL) -> PrincipalVector:
+def principal_vector(s: Subspace, j: int) -> PrincipalVector:
     """Principal standard vector v^j = P e_j / ||P e_j||, with v^j_j > 0."""
     if not 0 <= j < s.n:
         raise IndexError(f"coordinate {j} out of range for ambient dimension {s.n}")
     col = s.projector[:, j]
     diag = float(np.real(s.projector[j, j]))
-    if diag <= tol:
+    if diag <= GENERIC_TOL:
         raise NotGenericAtCoordinate(j, diag)
     norm = float(np.linalg.norm(col))
     v = col / norm
@@ -144,5 +146,5 @@ def orthogonal_complement(s: Subspace) -> Subspace:
     return Subspace(basis=q, projector=projector(q))
 
 
-def mutually_orthogonal(a: Subspace, b: Subspace, tol: float = 1e-10) -> bool:
-    return spectral_norm(a.projector @ b.projector) <= tol
+def mutually_orthogonal(a: Subspace, b: Subspace) -> bool:
+    return spectral_norm(a.projector @ b.projector) <= ORTHOGONAL_TOL

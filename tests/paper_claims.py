@@ -1,10 +1,11 @@
 """The paper's claims as test computations, and the brute-force oracle.
 
 The identities and bounds the paper proves about moment sets (centroid
-composition, the curve overlap, the rank-one rescaling, the 1/2 coordinate
-bound) are checked here against momentkit's answers; the library itself only
-answers questions.  Each helper evaluates one claim on given inputs and
-returns its residual, or asserts the bound.
+composition, the curve overlap, the extremality of the curve points, the
+rank-one rescaling, the 1/2 coordinate bound) are checked here against
+momentkit's answers; the library itself only answers questions.  Each helper
+evaluates one claim on given inputs and returns its residual or the direction
+to test, or asserts the bound.
 
 ``brute_force_diag_distance`` is the reference the minimality verdicts are
 checked against: the distance from a hermitian matrix to the real diagonal
@@ -16,8 +17,8 @@ import math
 
 import numpy as np
 
-from momentkit import IntersectionStatus, Subspace, centroid, delta_map, principal_vector
-from momentkit import subspace_from_spanning, whole_space
+from momentkit import IntersectionStatus, Subspace, centroid, delta_map, ellipse_projection
+from momentkit import principal_vector, subspace_from_spanning, whole_space
 from momentkit.linalg import require_hermitian, spectral_norm
 from momentkit.moment import curve_frame, curve_point, sample_unit_vectors
 from momentkit.subspace import mutually_orthogonal
@@ -53,6 +54,22 @@ def overlap_residual(s: Subspace, j: int, k: int, t: float) -> float:
     lhs = curve_point(s, j, k, t, frame=frame_jk).v
     rhs = frame_jk.phase * curve_point(s, k, j, frame_jk.t_end - t, frame=frame_kj).v
     return float(np.linalg.norm(lhs - rhs))
+
+
+def exposing_direction(s: Subspace, j: int, k: int, t: float) -> np.ndarray:
+    """The direction, supported on {j, k}, normal to the squared projected
+    curve p(t)^2, p(t) = cos(t) a + sin(t) b, and oriented away from the
+    projected centroid.  For t in [0, pi/2) and non-orthogonal principal
+    vectors the curve point at t maximizes it over the moment set."""
+    ell = ellipse_projection(s, j, k)
+    p = math.cos(t) * ell.a + math.sin(t) * ell.b
+    tangent = 2.0 * p * (math.cos(t) * ell.b - math.sin(t) * ell.a)
+    normal = np.array([tangent[1], -tangent[0]]) / np.linalg.norm(tangent)
+    if normal @ (p**2 - centroid(s)[[j, k]]) < 0.0:
+        normal = -normal
+    c = np.zeros(s.n)
+    c[[j, k]] = normal
+    return c
 
 
 def scaling_residual(s: Subspace, trials: int, seed: int) -> float:

@@ -24,12 +24,7 @@ from momentkit import (
 )
 from momentkit.cli import main as cli_main
 from momentkit.directions import fibonacci_directions
-from momentkit.moment import (
-    curve_frame,
-    curve_support_direction,
-    sample_moment,
-    sample_unit_vectors,
-)
+from momentkit.moment import curve_frame, sample_moment, sample_unit_vectors
 from momentkit.subspace import orthogonal_complement
 
 from conftest import (
@@ -44,7 +39,7 @@ from conftest import (
     random_subspace,
 )
 from paper_claims import assert_coordinate_bound, brute_force_diag_distance
-from paper_claims import centroid_residual, difference, overlap_residual, span
+from paper_claims import centroid_residual, difference, exposing_direction, overlap_residual, span
 from test_minimality import conjugate_pair_subspaces
 
 
@@ -164,7 +159,7 @@ def test_criterion_4_curve_suite():
             if non_orthogonal:
                 pts = sample_moment(s, 10_000, seed=17)
                 for t in np.linspace(0.0, np.pi / 2, 33)[:-1]:
-                    c = curve_support_direction(s, j, k, float(t), frame=frame)
+                    c = exposing_direction(s, j, k, float(t))
                     sample = curve_point(s, j, k, float(t), frame=frame)
                     assert float(c @ sample.m) >= float(np.max(pts @ c)) - 1e-6
 

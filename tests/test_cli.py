@@ -185,10 +185,26 @@ class TestIntersectAndFriends:
         va = write_subspace(tmp_path / "a.json", [(1, 0)], 2)
         vb = write_subspace(tmp_path / "b.json", [(0, 1)], 2)
         mat = write_matrix(tmp_path / "m.json", [[1, 0], [0, -1]])
+        asymmetric = write_matrix(tmp_path / "m2.json", [[1, 0], [0, -0.5]])
         for argv in (["intersect", "--subspace-v", va, "--subspace-w", vb],
-                     ["minimal-check", "--matrix", mat]):
+                     ["minimal-check", "--matrix", mat],
+                     ["minimal-check", "--matrix", asymmetric]):
             assert main([*argv, f"--tol={tol}"]) == 3
             assert "tol must be finite and nonnegative" in capsys.readouterr().err
+
+    def test_usage_errors_exit_three(self, tmp_path, capsys):
+        # argparse exits 2, which would read as INDETERMINATE.
+        va = write_subspace(tmp_path / "a.json", [(1, 0)], 2)
+        vb = write_subspace(tmp_path / "b.json", [(0, 1)], 2)
+        argv = ["intersect", "--subspace-v", va, "--subspace-w", vb]
+        assert main([*argv, "--tol", "-1e-7"]) == 3  # -1e-7 reads as an option
+        assert "expected one argument" in capsys.readouterr().err
+        assert main(argv[:3]) == 3
+        assert "required" in capsys.readouterr().err
+        assert main([*argv, "--max-iter", "-4"]) == 3  # was 1, DISJOINT
+        assert "max_iter must be finite and nonnegative" in capsys.readouterr().err
+        assert main(["--version"]) == 0
+        assert main(["intersect", "--help"]) == 0
 
     @pytest.mark.parametrize("command", ["intersect", "centroid"])
     def test_unwritable_out_exit_three(self, tmp_path, v_file, command):

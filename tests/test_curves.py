@@ -11,16 +11,10 @@ from momentkit import (
     subspace_from_spanning,
     whole_space,
 )
-from momentkit.moment import (
-    curve_frame,
-    curve_moduli,
-    curve_support_direction,
-    sample_moment,
-    sample_unit_vectors,
-)
+from momentkit.moment import curve_frame, sample_moment, sample_unit_vectors
 
 from conftest import point_to_segment, random_generic_subspace
-from paper_claims import overlap_residual
+from paper_claims import exposing_direction, overlap_residual
 
 
 class TestCurveEndpoints:
@@ -118,11 +112,11 @@ class TestDominatingParameter:
             assert dominating_t(example_v, 0, 1, x) == pytest.approx(t, abs=1e-10)
 
     def test_random_vectors_dominated(self, example_v):
-        frame = curve_frame(example_v, 0, 1)
+        ell = ellipse_projection(example_v, 0, 1)
         samples = sample_unit_vectors(example_v, 1000, seed=21)
         for x in samples:
             t = dominating_t(example_v, 0, 1, x)
-            mod_j, mod_k = curve_moduli(frame, t)
+            mod_j, mod_k = np.cos(t) * ell.a + np.sin(t) * ell.b
             assert abs(abs(x[0]) - mod_j) < 1e-10
             assert abs(x[1]) <= mod_k + 1e-12
 
@@ -135,12 +129,12 @@ class TestDominatingParameter:
         for trial in range(5):
             s = random_generic_subspace(rng, 4, 2)
             try:
-                frame = curve_frame(s, 0, 1)
+                ell = ellipse_projection(s, 0, 1)
             except DegenerateCurve:
                 continue
             for x in sample_unit_vectors(s, 200, seed=100 + trial):
                 t = dominating_t(s, 0, 1, x)
-                mod_j, mod_k = curve_moduli(frame, t)
+                mod_j, mod_k = np.cos(t) * ell.a + np.sin(t) * ell.b
                 curve_pt = np.array([mod_j**2, mod_k**2])
                 sample_pt = np.array([abs(x[0]) ** 2, abs(x[1]) ** 2])
                 assert point_to_segment(curve_pt, e_j, e_k) <= (
@@ -176,6 +170,6 @@ class TestCurveExtremality:
         pts = sample_moment(example_v, 10_000, seed=31)
         frame = curve_frame(example_v, 0, 1)
         for t in np.linspace(0.0, np.pi / 2, 33)[:-1]:
-            c = curve_support_direction(example_v, 0, 1, float(t), frame=frame)
+            c = exposing_direction(example_v, 0, 1, float(t))
             sample = curve_point(example_v, 0, 1, float(t), frame=frame)
             assert float(c @ sample.m) >= float(np.max(pts @ c)) - 1e-6

@@ -4,6 +4,7 @@ import pytest
 from momentkit import (
     IntersectionStatus,
     centroid,
+    check_minimal,
     moments_intersect,
     principal_vector,
     project_onto_moment,
@@ -200,3 +201,14 @@ class TestEngineInvariants:
         s = subspace_from_spanning([(1, 1, 0), (0, 1, 1)])
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             project_onto_moment(s, [1.0, 0.0, 0.0], tol=tol)
+
+    def test_rejects_negative_max_iter(self):
+        # -4 ran no iteration, like 0, which stays valid.
+        v = subspace_from_spanning([(1, 0)])
+        w = subspace_from_spanning([(0, 1)])
+        for call in (lambda: moments_intersect(v, w, max_iter=-4),
+                     lambda: project_onto_moment(v, [0.0, 1.0], max_iter=-4),
+                     lambda: check_minimal(np.diag([1.0, -0.5]), max_iter=-4)):
+            with pytest.raises(ValueError, match="max_iter must be finite and nonnegative"):
+                call()
+        assert moments_intersect(v, w, max_iter=0).iterations == 0

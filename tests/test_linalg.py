@@ -116,7 +116,8 @@ class TestCompressedEigh:
         rng = np.random.default_rng(13)
         q = random_subspace(rng, 7, 3).basis
         for c in rng.standard_normal((10, 7)):
-            dec = hermitian_eig(q.conj().T @ (c[:, None] * q), atol=1e-9)
+            m = q.conj().T @ (c[:, None] * q)
+            dec = hermitian_eig(0.5 * (m + m.conj().T))
             batched = compressed_eigh(q, c[None])
             assert np.array_equal(batched.eigenvalues[0], dec.eigenvalues)
             assert np.array_equal(batched.eigenvectors[0], dec.eigenvectors)

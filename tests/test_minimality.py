@@ -92,11 +92,13 @@ class TestCheckMinimal:
         "m, feas_tol",
         [
             # With inf the disjoint moment points of diag(1, -1) passed as
-            # INTERSECT (MINIMAL); a negative or NaN tol left the minimal
-            # Pauli-Y INDETERMINATE.
+            # INTERSECT (MINIMAL), and the asymmetric diag(1, -0.5) was
+            # NOT_MINIMAL; a negative or NaN tol left the minimal Pauli-Y
+            # INDETERMINATE.
             (np.diag([1.0, -1.0]), np.inf),
             (PAULI_Y, -1e-7),
             (PAULI_Y, np.nan),
+            (np.diag([1.0, -0.5]), np.inf),
         ],
     )
     def test_rejects_bad_feas_tol(self, m, feas_tol):

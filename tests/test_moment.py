@@ -9,7 +9,8 @@ from momentkit import (
     support_moment,
     whole_space,
 )
-from momentkit.moment import principal_extremality, sample_unit_vectors
+from momentkit.linalg import compressed_eigh
+from momentkit.moment import sample_unit_vectors
 
 from conftest import V1_REFERENCE, random_generic_subspace, random_subspace
 
@@ -107,12 +108,15 @@ class TestSupport:
             )
 
     def test_exposed_principal_point(self):
+        # e_j exposes v^j: the top eigenvalue of Q* E_j Q is (v^j_j)^2 and simple.
         rng = np.random.default_rng(10)
         s = random_generic_subspace(rng, 5, 3)
-        report = principal_extremality(s, 2)
-        assert report.status == "extreme"
-        assert report.eigenvalue_gap > 1e-10
+        values = compressed_eigh(s.basis, np.eye(5)[[2]]).eigenvalues[0]
+        assert values[-1] == pytest.approx(principal_vector(s, 2).top ** 2, abs=1e-12)
+        assert values[-1] - values[-2] > 1e-10
 
     def test_rank_one_subspace_extremality(self):
         s = subspace_from_spanning([(1, 1)])
-        assert principal_extremality(s, 0).status == "extreme"
+        values = compressed_eigh(s.basis, np.eye(2)[[0]]).eigenvalues[0]
+        assert values.shape == (1,)  # a single eigenvalue is simple
+        assert values[-1] == pytest.approx(principal_vector(s, 0).top ** 2, abs=1e-12)
