@@ -15,10 +15,19 @@ step costs one small eigensolve.  Iterates are explicit convex
 combinations of rank-one atoms |Q u|^2.  Each iteration adds the oracle atom
 of every side and re-solves all weights exactly by nonnegative least squares;
 a step is kept only when it strictly lowers the objective, and atoms left at
-zero weight are dropped, so at most n + (number of sides) stay active.  The
-duality gap of the oracle bounds the suboptimality, and disjointness is only
-ever declared through an exact support-function separation with a strict
-margin.
+zero weight are dropped, so at most n + (number of sides) stay active.
+
+The oracle's atoms also give, at every iterate, the duality gap and the
+Wolfe dual bound lower = <d, sum_s sign_s z_s - target> / |d| on the optimal
+residual norm (d the residual, z_s the oracle points; Jaggi 2013), at no
+extra eigensolve.  Every iterate is tested against it:
+
+* a projection stops once its distance is within ``tol`` of ``lower``, the
+  exact bound <u, p> - h(u) of the direction u from the iterate to p;
+* an intersection is declared DISJOINT at the first iterate whose bound
+  reaches ``SEPARATION_MARGIN``: -d/|d| is then a separating direction, and
+  its margin is confirmed once by ``separation_margin``.  Disjointness is
+  never declared otherwise.
 """
 from __future__ import annotations
 
@@ -29,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import compressed_eigh
-from .moment import support_moment
 from .subspace import Subspace
 
 #: Diagonal-difference norm below which the sets are declared intersecting.
@@ -39,8 +47,6 @@ DEFAULT_MAX_ITER = 50_000
 SEPARATION_MARGIN = 1e-9
 
 _NNLS_PENALTY = 1e3
-#: Iterations between separation probes of the intersection problem.
-_PROBE_EVERY = 16
 
 
 def check_nonnegative(name: str, value: float) -> None:
@@ -93,31 +99,27 @@ class _FeasibilityEngine:
     """Fully-corrective Frank-Wolfe (simplicial decomposition) for
     min || sum_s sign_s y_s - target ||^2 over a product of moment sets.
 
-    Each iteration adds one oracle atom per side and re-solves the weights of
-    all collected atoms exactly (augmented NNLS), so the objective decreases
-    strictly until the step no longer improves it.
+    Each iteration calls the oracle of every side, stops when ``certify(d, f,
+    lower)`` accepts the current iterate (residual d, objective f, dual bound
+    lower), and otherwise adds one oracle atom per side and re-solves the
+    weights of all collected atoms exactly (augmented NNLS), so the objective
+    decreases strictly until the step no longer improves it.  ``iterations``
+    counts the steps taken; the oracle also runs on the final iterate, so
+    ``gap`` and ``lower`` always describe the returned point unless it is
+    within ``tol`` of the target.
     """
 
-    def __init__(
-        self,
-        sides: list[_Side],
-        target: np.ndarray,
-        tol: float,
-        max_iter: int,
-        record_history: bool = False,
-        separation_probe=None,
-    ):
+    def __init__(self, sides: list[_Side], target: np.ndarray, tol: float, max_iter: int, certify):
         check_nonnegative("tol", tol)
         check_nonnegative("max_iter", max_iter)
         self.sides = sides
         self.target = target
         self.tol = float(tol)
         self.max_iter = int(max_iter)
-        self.history: list[float] | None = [] if record_history else None
-        self.separation_probe = separation_probe
-        self.separation_result = None
+        self.certify = certify
         self.iterations = 0
         self.gap = math.inf
+        self.lower = -math.inf
 
     def _residual(self) -> np.ndarray:
         d = -self.target.astype(np.float64, copy=True)
@@ -151,29 +153,21 @@ class _FeasibilityEngine:
             side.weights = w / w.sum()
         return True
 
-    def _probe(self, d: np.ndarray) -> bool:
-        if self.separation_probe is None:
-            return False
-        self.separation_result = self.separation_probe(d)
-        return self.separation_result is not None
-
     def run(self) -> float:
         tol_sq = self.tol * self.tol
         d = self._residual()
         f = float(d @ d)
-        for it in range(self.max_iter):
+        for it in range(self.max_iter + 1):
             self.iterations = it
-            if self.history is not None:
-                self.history.append(f)
             if f <= tol_sq:
-                return f
-            if it and it % _PROBE_EVERY == 0 and self._probe(d):
-                return f
+                break
 
             fw = [side.lmo(d) for side in self.sides]
             step = sum(side.sign * (z - side.y()) for side, (_, z) in zip(self.sides, fw))
             self.gap = float(-2.0 * (d @ step))
-            if self.gap <= tol_sq:
+            vertex = sum(side.sign * z for side, (_, z) in zip(self.sides, fw))
+            self.lower = float(d @ (vertex - self.target)) / math.sqrt(f)
+            if self.certify(d, f, self.lower) or self.gap <= tol_sq or it == self.max_iter:
                 break
 
             saved = [(side.atoms, side.points, side.weights) for side in self.sides]
@@ -197,9 +191,6 @@ class _FeasibilityEngine:
                 side.atoms = side.atoms[:, keep]
                 side.points = side.points[keep]
                 side.weights = side.weights[keep]
-
-        if f > tol_sq:
-            self._probe(d)
         return f
 
 
@@ -213,10 +204,11 @@ class ProjectionResult:
     ``witness`` is the n x n density matrix supported on the subspace whose
     moment coordinates realize the distance; ``gap`` is the final duality gap
     of the squared objective (an upper bound on how far the squared distance
-    is from optimal).  ``converged`` holds when the point is a member within
-    ``tol``, or when ``distance`` is within ``tol`` of the exact lower bound
-    <u, p> - h(u), with u the unit direction from the witness to p and h the
-    support function of the moment set.
+    is from optimal).  ``lower`` is 0 for a member within ``tol``, and
+    otherwise the exact lower bound max(0, <u, p> - h(u)) on the true
+    distance, with u the unit direction from the witness to p and h the
+    support function of the moment set.  ``converged`` holds when
+    ``distance - lower <= tol``.
     """
 
     distance: float
@@ -224,6 +216,7 @@ class ProjectionResult:
     gap: float
     iterations: int
     converged: bool
+    lower: float
 
 
 def project_onto_moment(
@@ -239,22 +232,23 @@ def project_onto_moment(
     if not np.all(np.isfinite(p)):
         raise ValueError("point has non-finite entries")
     side = _Side(s, +1.0)
-    engine = _FeasibilityEngine([side], p, tol=tol, max_iter=max_iter)
+    # The dual bound of the single side is <u, p> - h(u) for u = -d/|d|, the
+    # unit direction from the iterate to p: every z in the set has
+    # |p - z| >= <u, p - z> >= <u, p> - h(u).
+    engine = _FeasibilityEngine(
+        [side], p, tol=tol, max_iter=max_iter,
+        certify=lambda d, f, lower: math.sqrt(f) - lower <= tol,
+    )
     f = engine.run()
     distance = math.sqrt(max(f, 0.0))
-    converged = f <= tol * tol
-    if not converged:
-        # Exact lower bound: every z in the set has |p - z| >= <u, p - z>
-        # >= <u, p> - h(u) for the unit direction u from the witness to p.
-        u = (p - side.y()) / distance
-        lower = max(0.0, float(u @ p) - support_moment(s, u).value)
-        converged = distance - lower <= tol
+    lower = 0.0 if f <= tol * tol else max(0.0, engine.lower)
     return ProjectionResult(
         distance=distance,
         witness=side.witness(),
         gap=engine.gap,
         iterations=engine.iterations,
-        converged=converged,
+        converged=distance - lower <= tol,
+        lower=lower,
     )
 
 
@@ -299,21 +293,6 @@ def separation_margin(v: Subspace, w: Subspace, u) -> float:
     return bottom_w - top_v
 
 
-def _separation_probe(v: Subspace, w: Subspace):
-    def probe(d: np.ndarray):
-        norm = float(np.linalg.norm(d))
-        if norm == 0.0:
-            return None
-        for sign in (-1.0, 1.0):
-            u = sign * d / norm
-            margin = separation_margin(v, w, u)
-            if margin >= SEPARATION_MARGIN:
-                return u, margin
-        return None
-
-    return probe
-
-
 def moments_intersect(
     v: Subspace,
     w: Subspace,
@@ -331,12 +310,21 @@ def moments_intersect(
         raise ValueError("subspaces live in different ambient dimensions")
     side_v = _Side(v, +1.0)
     side_w = _Side(w, -1.0)
+    separation = []
+
+    def certify(d: np.ndarray, f: float, lower: float) -> bool:
+        # lower = (min over m_V - max over m_W of <d, .>)/|d|, the support gap
+        # along -d/|d| as the oracle computed it; confirm it independently.
+        if lower < SEPARATION_MARGIN:
+            return False
+        u = -d / float(np.linalg.norm(d))
+        margin = separation_margin(v, w, u)
+        if margin >= SEPARATION_MARGIN:
+            separation.append((u, margin))
+        return bool(separation)
+
     engine = _FeasibilityEngine(
-        [side_v, side_w],
-        np.zeros(v.n),
-        tol=tol,
-        max_iter=max_iter,
-        separation_probe=_separation_probe(v, w),
+        [side_v, side_w], np.zeros(v.n), tol=tol, max_iter=max_iter, certify=certify
     )
     f = engine.run()
     gap = math.sqrt(max(f, 0.0))
@@ -356,8 +344,8 @@ def moments_intersect(
             gap=gap,
             iterations=engine.iterations,
         )
-    if engine.separation_result is not None:
-        u, margin = engine.separation_result
+    if separation:
+        u, margin = separation[0]
         return IntersectionCertificate(
             status=IntersectionStatus.DISJOINT,
             space_v=v,

@@ -1,8 +1,14 @@
 """Shared builders and frozen reference data for the test suite."""
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from momentkit import Subspace, subspace_from_spanning
+
+# Property tests draw the same examples on every run, with no time limit per
+# example: solver runs vary in length, and a rerun must reproduce a failure.
+settings.register_profile("momentkit", derandomize=True, deadline=None)
+settings.load_profile("momentkit")
 
 # Reference 3-dimensional example: two subspaces with identical moment sets
 # but no diagonal-unitary relation between them.
@@ -60,6 +66,19 @@ def random_generic_subspace(rng: np.random.Generator, n: int, r: int) -> Subspac
         s = random_subspace(rng, n, r)
         if np.min(np.real(np.diagonal(s.projector))) > 1e-3:
             return s
+
+
+def coordinate_half_pair(rng: np.random.Generator, n: int, r: int) -> tuple[Subspace, Subspace]:
+    """V mostly on the first half of the coordinates, W on the second half,
+    each with a small leak into the other half: disjoint moment sets."""
+    half = n // 2
+    v = np.zeros((r, n), dtype=np.complex128)
+    w = np.zeros((r, n), dtype=np.complex128)
+    v[:, :half] = random_subspace(rng, half, r).basis.T
+    w[:, half:] = random_subspace(rng, n - half, r).basis.T
+    v[:, half:] = 0.1 / np.sqrt(n - half) * rng.standard_normal((r, n - half))
+    w[:, :half] = 0.1 / np.sqrt(half) * rng.standard_normal((r, half))
+    return subspace_from_spanning(v), subspace_from_spanning(w)
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -10,14 +10,17 @@ from momentkit import (
     project_onto_moment,
     subspace_from_spanning,
 )
-from momentkit.feasibility import (
-    _FeasibilityEngine,
-    _Side,
-    separation_margin,
-)
+from momentkit import feasibility
+from momentkit.feasibility import separation_margin
 from momentkit.jnr import delta_map
 
-from conftest import CONJUGATE_X, CONJUGATE_XBAR, random_density, random_subspace
+from conftest import (
+    CONJUGATE_X,
+    CONJUGATE_XBAR,
+    coordinate_half_pair,
+    random_density,
+    random_subspace,
+)
 
 
 class TestProjection:
@@ -25,6 +28,7 @@ class TestProjection:
         res = project_onto_moment(example_v, centroid(example_v))
         assert res.distance <= 1e-7
         assert res.converged
+        assert res.lower == 0.0
 
     def test_principal_point_is_member(self, example_v):
         p = np.abs(principal_vector(example_v, 0).v) ** 2
@@ -71,6 +75,23 @@ class TestProjection:
             top = np.linalg.eigvalsh(s.basis.conj().T @ (u[:, None] * s.basis))[-1]
             lower = max(0.0, float(u @ p) - top)
             assert lower - 1e-12 <= res.distance <= lower + 1e-7
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 1000])
+    def test_exterior_bracket_replays(self, max_iter):
+        # The returned lower bound is that of the witness's own direction,
+        # also when the run stops at max_iter.
+        s = random_subspace(np.random.default_rng(0), 6, 2)
+        for k in range(6):
+            p = np.eye(6)[k]
+            res = project_onto_moment(s, p, max_iter=max_iter)
+            assert 0.0 <= res.lower <= res.distance + 1e-12
+            assert res.converged == (res.distance - res.lower <= 1e-7)
+            if max_iter == 1000:
+                assert res.converged
+            y = np.real(np.diagonal(res.witness))
+            u = (p - y) / np.linalg.norm(p - y)
+            top = np.linalg.eigvalsh(s.basis.conj().T @ (u[:, None] * s.basis))[-1]
+            assert res.lower == pytest.approx(max(0.0, float(u @ p) - top), abs=1e-12)
 
     def test_rejects_bad_input(self, example_v):
         with pytest.raises(ValueError):
@@ -133,23 +154,36 @@ class TestIntersection:
         assert found >= 5
 
     def test_disjoint_multi_atom_margin_replays(self):
-        # V mostly on the first half of the coordinates, W on the second
-        # half, each with a small leak into the other half.
         rng = np.random.default_rng(8)
         for n, r in ((6, 2), (8, 3), (10, 2), (12, 4)):
-            half = n // 2
-            v = np.zeros((r, n), dtype=np.complex128)
-            w = np.zeros((r, n), dtype=np.complex128)
-            v[:, :half] = random_subspace(rng, half, r).basis.T
-            w[:, half:] = random_subspace(rng, n - half, r).basis.T
-            v[:, half:] = 0.1 / np.sqrt(n - half) * rng.standard_normal((r, n - half))
-            w[:, :half] = 0.1 / np.sqrt(half) * rng.standard_normal((r, half))
-            sv, sw = subspace_from_spanning(v), subspace_from_spanning(w)
+            sv, sw = coordinate_half_pair(rng, n, r)
             cert = moments_intersect(sv, sw)
             assert cert.status is IntersectionStatus.DISJOINT
             fresh = separation_margin(sv, sw, cert.direction)
             assert fresh == pytest.approx(cert.margin, abs=1e-10)
             assert fresh >= 1e-9
+
+    def test_coordinate_half_pair_certified_at_first_iterate(self, monkeypatch):
+        # The oracle's dual bound at the starting iterate already separates a
+        # coordinate-half pair: two oracle eigensolves plus the two of the
+        # confirming separation_margin, no corrective step.
+        calls = []
+        original = feasibility.compressed_eigh
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(feasibility, "compressed_eigh", counted)
+        rng = np.random.default_rng(8)
+        for n, r in ((6, 2), (8, 3), (10, 2), (12, 4)):
+            sv, sw = coordinate_half_pair(rng, n, r)
+            calls.clear()
+            cert = moments_intersect(sv, sw)
+            assert cert.status is IntersectionStatus.DISJOINT
+            assert cert.iterations == 0
+            assert len(calls) <= 4
+            assert separation_margin(sv, sw, cert.direction) >= feasibility.SEPARATION_MARGIN
 
     def test_tangent_case_indeterminate(self):
         angle = np.pi / 4 + 1e-10
@@ -162,21 +196,20 @@ class TestIntersection:
 
 class TestEngineInvariants:
     def test_objective_monotone_with_exact_line_search(self):
+        # A run capped at k steps returns the k-th iterate of the uncapped
+        # run, so the distances over k = 0..K trace the objective history.
         rng = np.random.default_rng(6)
         for _ in range(5):
             s = random_subspace(rng, 5, 3)
             target = rng.random(5)
             target /= target.sum()
-            engine = _FeasibilityEngine(
-                [_Side(s, +1.0)],
-                target,
-                tol=1e-9,
-                max_iter=400,
-                record_history=True,
-            )
-            engine.run()
-            hist = np.array(engine.history)
-            assert np.all(np.diff(hist) <= 1e-14)
+            full = project_onto_moment(s, target, tol=1e-9, max_iter=400)
+            history = [
+                project_onto_moment(s, target, tol=1e-9, max_iter=k).distance
+                for k in range(full.iterations + 1)
+            ]
+            assert history[-1] == full.distance
+            assert np.all(np.diff(history) <= 0.0)
 
     def test_gap_bounds_suboptimality(self):
         rng = np.random.default_rng(7)
