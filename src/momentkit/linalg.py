@@ -61,9 +61,11 @@ def require_hermitian(a) -> np.ndarray:
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each (unit) column of a matrix or stack so its first component
     above _PHASE_TOL is real > 0."""
-    first = np.argmax(np.abs(vectors) > _PHASE_TOL, axis=-2)[..., None, :]
-    pivot = np.take_along_axis(vectors, first, axis=-2)
-    return vectors * (np.conj(pivot) / np.abs(pivot))
+    r = vectors.shape[-1]
+    v = vectors.reshape(-1, r, r)
+    first = np.argmax(np.abs(v) > _PHASE_TOL, axis=-2)
+    pivot = v[np.arange(len(v))[:, None], first, np.arange(r)]
+    return (v * (np.conj(pivot) / np.abs(pivot))[:, None, :]).reshape(vectors.shape)
 
 
 @dataclass(frozen=True)
@@ -96,11 +98,11 @@ def compressed_eigh(q: np.ndarray, directions) -> EigenDecomposition:
     symmetrized: their roundoff grows with the scale of c and is no input
     error."""
     d = np.asarray(directions, dtype=np.float64)
-    if d.ndim != 2 or d.shape[1] != q.shape[0] or not np.all(np.isfinite(d)):
+    if d.ndim != 2 or d.shape[1] != q.shape[0] or not np.isfinite(d).all():
         raise ValueError(f"directions must be finite real rows of dimension {q.shape[0]}")
     m = q.conj().T @ (d[:, :, None] * q)
     m = 0.5 * (m + m.conj().swapaxes(-1, -2))
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("directions are too large: the compression overflows")
     w, v = np.linalg.eigh(m)
     return EigenDecomposition(eigenvalues=w, eigenvectors=_fix_phases(v))

@@ -204,6 +204,8 @@ def hausdorff_moments(v: Subspace, w: Subspace, directions) -> HausdorffResult:
     if v.n != w.n:
         raise ValueError("subspaces live in different ambient dimensions")
     directions = np.asarray(directions, dtype=np.float64)
+    if directions.ndim == 2 and len(directions) == 0:
+        raise ValueError("at least one direction is required")
     top_v = compressed_eigh(v.basis, directions).eigenvalues[:, -1]
     top_w = compressed_eigh(w.basis, directions).eigenvalues[:, -1]
     # Support functions are positively homogeneous: h(c / |c|) = h(c) / |c|.
@@ -216,7 +218,7 @@ def hausdorff_moments(v: Subspace, w: Subspace, directions) -> HausdorffResult:
         # |c| overflows although c is finite: take it as max|c_i| |c / max|c_i||.
         scale = np.max(np.abs(directions[huge]), axis=1)
         norms[huge] = scale * np.linalg.norm(directions[huge] / scale[:, None], axis=1)
-    estimate = float(np.max(np.abs(top_v - top_w) / norms, initial=0.0))
+    estimate = float(np.max(np.abs(top_v - top_w) / norms))
     gap = v.projector - w.projector
     spectral = spectral_norm(gap)
     frobenius = float(np.linalg.norm(gap))

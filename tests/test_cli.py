@@ -395,18 +395,39 @@ class TestDeterminism:
         assert out.read_bytes() == baseline.read_bytes()
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported only by the calls that need it (NNLS, the normal
-    # quantile for n >= 4 direction schedules).
+SCIPY_FREE = {
+    "import": "pass",
+    "fibonacci": "from momentkit.directions import fibonacci_directions; fibonacci_directions(8, 10)",
+    "jnr-boundary": "main(['jnr-boundary', '--subspace', {v!r}, '--directions', 'fibonacci:64',"
+                    " '--out', {out!r}])",
+    "hausdorff": "main(['hausdorff', '--subspace-v', {v!r}, '--subspace-w', {w!r}, '--out', {out!r}])",
+}
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # scipy is imported only by the solvers' NNLS step: loading the CLI and
+    # the n >= 4 direction schedules (here n = 8, the hausdorff command with
+    # its default fibonacci:500) must not load it.  One fresh child each.
     import momentkit
 
+    rng = np.random.default_rng(8)
+    spans = {
+        name: write_subspace(tmp_path / f"{name}.json",
+                             rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8)), 8)
+        for name in "vw"
+    }
     src = str(Path(momentkit.__file__).resolve().parents[1])
-    code = "import sys, momentkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-        check=True,
-    )
-    assert proc.stdout.strip() == "[]"
+    loaded = {}
+    for case, run in SCIPY_FREE.items():
+        run = run.format(out=str(tmp_path / f"{case}.out"), **spans)
+        code = ("import sys; from momentkit.cli import main; "
+                f"{run}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            check=True,
+        )
+        loaded[case] = proc.stdout.splitlines()[-1]
+    assert loaded == dict.fromkeys(SCIPY_FREE, "[]")

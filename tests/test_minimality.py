@@ -281,6 +281,14 @@ class TestHausdorff:
         assert unit == pytest.approx(1.0 / 3.0, rel=1e-12)
         assert huge == pytest.approx(unit, rel=1e-12)
 
+    def test_rejects_empty_directions(self):
+        # A maximum over no directions is undefined, not 0: with [[1, 0, 0]]
+        # this pair's estimate is 1/3.
+        v = subspace_from_spanning([(1, 1, 0), (0, 1, 1)])
+        w = subspace_from_spanning([(1, 0, 0)])
+        with pytest.raises(ValueError, match="at least one direction"):
+            hausdorff_moments(v, w, np.empty((0, 3)))
+
     def test_conjugate_lines_non_reciprocal(self):
         v = subspace_from_spanning([CONJUGATE_X])
         w = subspace_from_spanning([CONJUGATE_XBAR])
