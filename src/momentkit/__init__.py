@@ -46,6 +46,7 @@ from .moment import (  # noqa: E402
     CurveSample,
     DegenerateCurve,
     EllipseParams,
+    curve_frame,
     curve_point,
     dominating_t,
     ellipse_projection,
@@ -87,6 +88,7 @@ __all__ = [
     "CurveSample",
     "EllipseParams",
     "DegenerateCurve",
+    "curve_frame",
     "curve_point",
     "dominating_t",
     "ellipse_projection",

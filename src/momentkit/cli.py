@@ -156,14 +156,9 @@ def _parse_directions(schedule: str, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Output helpers.
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _write_csv(path: str, header: list[str], rows) -> list[str]:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    line = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header), *(line % tuple(row) for row in np.asarray(rows, float).tolist())]
     out = Path(path)
     out.write_text("\n".join(lines) + "\n")
     return [str(out)]
@@ -221,11 +216,11 @@ def _cmd_curve(args) -> tuple[int, list[str]]:
     s = load_subspace(args.subspace)
     j, k = _indices(args, s.n)
     frame = curve_frame(s, j, k)
-    ell = ellipse_projection(s, j, k, frame=frame)
+    ell = ellipse_projection(frame)
     ts = np.linspace(0.0, np.pi / 2.0, args.steps + 1)
     rows = []
     for t in ts:
-        sample = curve_point(s, j, k, float(t), frame=frame)
+        sample = curve_point(frame, float(t))
         rows.append([t, *sample.m, abs(sample.v[j]), abs(sample.v[k])])
     header = ["t", *[f"m{i + 1}" for i in range(s.n)], f"mod_{j + 1}", f"mod_{k + 1}"]
     outputs = _write_csv(args.out, header, rows)
@@ -337,9 +332,6 @@ def _cmd_hausdorff(args) -> tuple[int, list[str]]:
         "estimate": result.estimate,
         "spectral_distance": result.spectral_distance,
         "frobenius_distance": result.frobenius_distance,
-        "hypothesis_holds": result.hypothesis_holds,
-        "bound": result.bound,
-        "bound_ok": result.bound_ok,
         "direction_count": int(directions.shape[0]),
     }
     return EXIT_OK, _emit_json(payload, args.out)

@@ -143,18 +143,19 @@ def orthonormalize(vectors) -> np.ndarray:
     return np.column_stack(basis)
 
 
+def require_orthonormal(q) -> np.ndarray:
+    """Validate orthonormal columns (max |Q*Q - I| at most ORTHONORMAL_TOL)
+    and return Q as a complex matrix."""
+    q = as_complex_matrix(q)
+    defect = float(np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1])), initial=0.0))
+    if defect > ORTHONORMAL_TOL:
+        raise ValueError(f"columns are not orthonormal: max |Q*Q - I| = {defect:.3e}")
+    return q
+
+
 def projector(q) -> np.ndarray:
     """Orthogonal projector Q Q* onto the column span of an orthonormal Q."""
-    q = as_complex_matrix(q)
-    n, r = q.shape
-    if r == 0:
-        return np.zeros((n, n), dtype=np.complex128)
-    gram = q.conj().T @ q
-    defect = float(np.max(np.abs(gram - np.eye(r))))
-    if defect > ORTHONORMAL_TOL:
-        raise ValueError(
-            f"columns are not orthonormal: max |Q*Q - I| = {defect:.3e}"
-        )
+    q = require_orthonormal(q)
     p = q @ q.conj().T
     return 0.5 * (p + p.conj().T)
 

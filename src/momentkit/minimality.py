@@ -5,13 +5,12 @@ A hermitian M is minimal when no real diagonal D lowers its spectral norm:
 spectrum (largest eigenvalue = -smallest) together with a nonempty
 intersection of the moment sets of the two extreme eigenspaces; that
 intersection is decided by the Frank-Wolfe feasibility solver and certified
-exactly.  Support-based Hausdorff estimates between moment sets come with
-the projector-distance contraction bound.
+exactly.  Support-based Hausdorff estimates between moment sets are reported
+next to the spectral and Frobenius distances of the projectors.
 """
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .feasibility import (
     check_nonnegative,
     moments_intersect,
 )
-from .linalg import compressed_eigh, hermitian_eig, projector, require_hermitian, spectral_norm
+from .linalg import compressed_eigh, hermitian_eig, require_hermitian, spectral_norm
 from .subspace import ORTHOGONAL_TOL, Subspace, mutually_orthogonal
 
 #: Relative width (times ||M||) of the eigenvalue cluster taken as the
@@ -60,11 +59,6 @@ class MinimalityReport:
     boundary_ambiguous: bool = False
 
 
-def _eigenspace(vectors: np.ndarray, mask: np.ndarray) -> Subspace:
-    q = vectors[:, mask]
-    return Subspace(basis=q, projector=projector(q))
-
-
 def check_minimal(
     m,
     eig_tol: float = DEFAULT_EIG_TOL,
@@ -97,8 +91,8 @@ def check_minimal(
     boundary_ambiguous = bool(
         np.any((interior >= lam_max - 2.0 * width) | (interior <= lam_min + 2.0 * width))
     )
-    space_pos = _eigenspace(dec.eigenvectors, mask_pos)
-    space_neg = _eigenspace(dec.eigenvectors, mask_neg)
+    space_pos = Subspace(dec.eigenvectors[:, mask_pos])
+    space_neg = Subspace(dec.eigenvectors[:, mask_neg])
 
     certificate = None
     verdict = Verdict.NOT_MINIMAL
@@ -185,22 +179,18 @@ class HausdorffResult:
 
     ``estimate`` is the max over the probe directions of the support-function
     difference, a lower bound on the true Hausdorff distance that converges as
-    the directions densify.  The contraction bound (2 sqrt(n) + 1) times the
-    spectral projector distance applies when that distance is below 1/(2n);
-    the Frobenius projector distance is also reported.
+    the directions densify.  The spectral and Frobenius distances of the two
+    projectors are reported with it.
     """
 
     estimate: float
     spectral_distance: float
     frobenius_distance: float
-    hypothesis_holds: bool
-    bound: float | None
-    bound_ok: bool | None
 
 
 def hausdorff_moments(v: Subspace, w: Subspace, directions) -> HausdorffResult:
     """Estimate the Hausdorff distance between m_V and m_W over unit
-    directions, and compare against the projector-distance bound."""
+    directions, with the distances of their projectors."""
     if v.n != w.n:
         raise ValueError("subspaces live in different ambient dimensions")
     directions = np.asarray(directions, dtype=np.float64)
@@ -220,16 +210,8 @@ def hausdorff_moments(v: Subspace, w: Subspace, directions) -> HausdorffResult:
         norms[huge] = scale * np.linalg.norm(directions[huge] / scale[:, None], axis=1)
     estimate = float(np.max(np.abs(top_v - top_w) / norms))
     gap = v.projector - w.projector
-    spectral = spectral_norm(gap)
-    frobenius = float(np.linalg.norm(gap))
-    hypothesis = spectral < 1.0 / (2.0 * v.n)
-    bound = (2.0 * math.sqrt(v.n) + 1.0) * spectral if hypothesis else None
-    bound_ok = (estimate <= bound + 1e-9) if hypothesis else None
     return HausdorffResult(
         estimate=estimate,
-        spectral_distance=spectral,
-        frobenius_distance=frobenius,
-        hypothesis_holds=hypothesis,
-        bound=bound,
-        bound_ok=bound_ok,
+        spectral_distance=spectral_norm(gap),
+        frobenius_distance=float(np.linalg.norm(gap)),
     )

@@ -8,11 +8,12 @@ that axis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import hermitian_eig, orthonormalize, projector, spectral_norm
+from .linalg import hermitian_eig, orthonormalize, projector, require_orthonormal, spectral_norm
 
 #: Projector diagonal entries at or below this threshold are not generic.
 GENERIC_TOL = 1e-10
@@ -35,15 +36,23 @@ class NotGenericAtCoordinate(ValueError):
 
 @dataclass(frozen=True)
 class Subspace:
-    """An r-dimensional subspace of C^n.
+    """An r-dimensional subspace of C^n, given by an n x r ``basis`` with
+    orthonormal columns, stored as complex (``ValueError`` when max |Q*Q - I|
+    exceeds ``linalg.ORTHONORMAL_TOL``).  Everything else is derived from it.
 
-    ``basis`` is an n x r matrix with orthonormal columns, ``projector`` the
-    cached n x n orthogonal projector onto the span.  Instances are treated as
-    immutable; operations never modify the stored arrays.
+    Instances are treated as immutable; operations never modify the stored
+    arrays.
     """
 
     basis: np.ndarray
-    projector: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "basis", require_orthonormal(self.basis))
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        """The n x n orthogonal projector onto the span, computed once."""
+        return projector(self.basis)
 
     @property
     def n(self) -> int:
@@ -72,13 +81,12 @@ def subspace_from_spanning(vectors) -> Subspace:
     q = orthonormalize(vectors)
     if q.shape[1] == 0:
         raise ValueError("vectors span only the zero subspace")
-    return Subspace(basis=q, projector=projector(q))
+    return Subspace(q)
 
 
 def whole_space(n: int) -> Subspace:
     """The full space C^n."""
-    eye = np.eye(n, dtype=np.complex128)
-    return Subspace(basis=eye, projector=eye.copy())
+    return Subspace(np.eye(n, dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -142,8 +150,7 @@ def orthogonal_complement(s: Subspace) -> Subspace:
     if s.is_whole_space:
         raise ValueError("the whole space has a trivial complement")
     dec = hermitian_eig(s.projector)
-    q = dec.eigenvectors[:, dec.eigenvalues < 0.5]
-    return Subspace(basis=q, projector=projector(q))
+    return Subspace(dec.eigenvectors[:, dec.eigenvalues < 0.5])
 
 
 def mutually_orthogonal(a: Subspace, b: Subspace) -> bool:

@@ -2,7 +2,8 @@
 
 The identities and bounds the paper proves about moment sets (centroid
 composition, the curve overlap, the extremality of the curve points, the
-rank-one rescaling, the 1/2 coordinate bound) are checked here against
+domination of a vector's moduli by the curve, the rank-one rescaling, the 1/2
+coordinate bound, the Hausdorff contraction bound) are checked here against
 momentkit's answers; the library itself only answers questions.  Each helper
 evaluates one claim on given inputs and returns its residual or the direction
 to test, or asserts the bound.
@@ -17,10 +18,11 @@ import math
 
 import numpy as np
 
-from momentkit import IntersectionStatus, Subspace, centroid, delta_map, ellipse_projection
-from momentkit import principal_vector, subspace_from_spanning, whole_space
+from momentkit import IntersectionStatus, Subspace, centroid, curve_frame, curve_point
+from momentkit import delta_map, ellipse_projection, principal_vector, subspace_from_spanning
+from momentkit import whole_space
 from momentkit.linalg import require_hermitian, spectral_norm
-from momentkit.moment import curve_frame, curve_point, sample_unit_vectors
+from momentkit.moment import CurveFrame, MEMBERSHIP_TOL, sample_unit_vectors
 from momentkit.subspace import mutually_orthogonal
 
 from conftest import random_density
@@ -50,26 +52,46 @@ def overlap_residual(s: Subspace, j: int, k: int, t: float) -> float:
     [0, t_end] puts one of the two curve parameters outside [0, pi/2], which
     ``curve_point`` rejects."""
     frame_jk = curve_frame(s, j, k)
-    frame_kj = curve_frame(s, k, j)
-    lhs = curve_point(s, j, k, t, frame=frame_jk).v
-    rhs = frame_jk.phase * curve_point(s, k, j, frame_jk.t_end - t, frame=frame_kj).v
+    lhs = curve_point(frame_jk, t).v
+    rhs = frame_jk.phase * curve_point(curve_frame(s, k, j), frame_jk.t_end - t).v
     return float(np.linalg.norm(lhs - rhs))
 
 
-def exposing_direction(s: Subspace, j: int, k: int, t: float) -> np.ndarray:
+def exposing_direction(s: Subspace, frame: CurveFrame, t: float) -> np.ndarray:
     """The direction, supported on {j, k}, normal to the squared projected
     curve p(t)^2, p(t) = cos(t) a + sin(t) b, and oriented away from the
     projected centroid.  For t in [0, pi/2) and non-orthogonal principal
     vectors the curve point at t maximizes it over the moment set."""
-    ell = ellipse_projection(s, j, k)
+    ell = ellipse_projection(frame)
     p = math.cos(t) * ell.a + math.sin(t) * ell.b
     tangent = 2.0 * p * (math.cos(t) * ell.b - math.sin(t) * ell.a)
     normal = np.array([tangent[1], -tangent[0]]) / np.linalg.norm(tangent)
-    if normal @ (p**2 - centroid(s)[[j, k]]) < 0.0:
+    jk = [frame.j, frame.k]
+    if normal @ (p**2 - centroid(s)[jk]) < 0.0:
         normal = -normal
     c = np.zeros(s.n)
-    c[[j, k]] = normal
+    c[jk] = normal
     return c
+
+
+def check_domination(frame: CurveFrame, x, t: float) -> None:
+    """Assert that the curve point at t dominates the (j, k) moduli of the
+    unit vector x: |x_j| = |curve_j(t)| within MEMBERSHIP_TOL and
+    |x_k| <= |curve_k(t)| + 1e-12."""
+    ell = ellipse_projection(frame)
+    mod_j, mod_k = math.cos(t) * ell.a + math.sin(t) * ell.b
+    assert abs(abs(x[frame.j]) - mod_j) <= MEMBERSHIP_TOL
+    assert abs(x[frame.k]) <= mod_k + 1e-12
+
+
+def hausdorff_contraction_bound(v: Subspace, w: Subspace) -> float | None:
+    """The contraction bound (2 sqrt(n) + 1) ||P_V - P_W|| on the Hausdorff
+    distance of m_V and m_W, or None when its hypothesis
+    ||P_V - P_W|| < 1/(2n) fails."""
+    spectral = spectral_norm(v.projector - w.projector)
+    if not spectral < 1.0 / (2.0 * v.n):
+        return None
+    return (2.0 * math.sqrt(v.n) + 1.0) * spectral
 
 
 def scaling_residual(s: Subspace, trials: int, seed: int) -> float:

@@ -13,7 +13,7 @@ PUBLIC = sorted("""
     IntersectionCertificate IntersectionStatus JNRPoint MinimalMatrixParts
     MinimalityReport NonHermitianError NotGenericAtCoordinate PrincipalVector
     ProjectionResult Subspace Verdict __version__ centroid check_minimal
-    cone_membership construct_minimal curve_point delta_map dominating_t
+    cone_membership construct_minimal curve_frame curve_point delta_map dominating_t
     ellipse_projection fibonacci_directions hausdorff_moments hermitian_eig
     is_generic jnr_boundary jnr_support moment_of_vector moments_intersect
     orthonormalize principal_vector project_onto_moment projector sample_moment
@@ -29,6 +29,7 @@ MOVED = """
     sample_classical_range scaling_relation_check subspace_intersection
     subspace_sum support_coordinate_bound_check curve_support_direction
     principal_extremality ExtremalityReport curve_moduli hermitian_defect
+    CurveInconsistency check_domination hausdorff_contraction_bound
 """.split()
 
 #: Public functions of the library modules with their parameters.  The only
@@ -41,10 +42,11 @@ SIGNATURES = """
     jnr.jnr_boundary(s,directions) jnr.jnr_support(s,c) jnr.validate_density(rho)
     linalg.as_complex_matrix(a) linalg.compressed_eigh(q,directions) linalg.hermitian_eig(a)
     linalg.orthonormalize(vectors) linalg.projector(q) linalg.require_hermitian(a)
-    linalg.spectral_norm(a) minimality.check_minimal(m,eig_tol,feas_tol,max_iter)
+    linalg.require_orthonormal(q) linalg.spectral_norm(a)
+    minimality.check_minimal(m,eig_tol,feas_tol,max_iter)
     minimality.construct_minimal(parts) minimality.hausdorff_moments(v,w,directions)
-    moment.curve_frame(s,j,k) moment.curve_point(s,j,k,t,frame) moment.dominating_t(s,j,k,x)
-    moment.ellipse_projection(s,j,k,frame) moment.moment_of_vector(s,x)
+    moment.curve_frame(s,j,k) moment.curve_point(frame,t) moment.dominating_t(s,j,k,x)
+    moment.ellipse_projection(frame) moment.moment_of_vector(s,x)
     moment.sample_moment(s,count,seed) moment.sample_unit_vectors(s,count,seed)
     moment.support_moment(s,c) subspace.centroid(s) subspace.is_generic(s)
     subspace.mutually_orthogonal(a,b) subspace.orthogonal_complement(s)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from momentkit.cli import main
+from momentkit.cli import _write_csv, main
 
 from conftest import SPAN_V, SPAN_W
 
@@ -41,6 +41,14 @@ def v_file(tmp_path):
 @pytest.fixture
 def w_file(tmp_path):
     return write_subspace(tmp_path / "W.json", SPAN_W, 3)
+
+
+def test_csv_rows_keep_17_digits(tmp_path):
+    row = [-0.0, 5e-324, 1e308, 0.1, 1 / 3]
+    out = tmp_path / "d.csv"
+    _write_csv(str(out), list("abcde"), [row, np.array(row)])
+    line = ",".join(f"{x:.17g}" for x in row)
+    assert out.read_text() == f"a,b,c,d,e\n{line}\n{line}\n"
 
 
 class TestMomentSample:
@@ -256,6 +264,8 @@ class TestIntersectAndFriends:
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["estimate"] <= 1e-9
+        assert sorted(payload) == ["direction_count", "estimate", "frobenius_distance",
+                                   "spectral_distance"]
 
     def test_directions_file(self, tmp_path, v_file):
         dirs = tmp_path / "dirs.json"

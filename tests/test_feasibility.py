@@ -93,6 +93,14 @@ class TestProjection:
             top = np.linalg.eigvalsh(s.basis.conj().T @ (u[:, None] * s.basis))[-1]
             assert res.lower == pytest.approx(max(0.0, float(u @ p) - top), abs=1e-12)
 
+    def test_whole_plane_exterior_point_converges(self):
+        # The NNLS unit-sum penalty row once leaked 6e-7 of weight here, and
+        # renormalizing left the witness 1.6e-7 above its lower bound.
+        s = random_subspace(np.random.default_rng(2527), 2, 2)
+        res = project_onto_moment(s, [-0.273, 0.071])
+        assert res.converged
+        assert res.distance - res.lower <= 1e-9
+
     def test_rejects_bad_input(self, example_v):
         with pytest.raises(ValueError):
             project_onto_moment(example_v, [1.0, 2.0])

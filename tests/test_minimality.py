@@ -24,6 +24,7 @@ from conftest import (
     random_subspace,
 )
 from paper_claims import assert_coordinate_bound, brute_force_diag_distance
+from paper_claims import hausdorff_contraction_bound
 
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
 
@@ -296,7 +297,7 @@ class TestHausdorff:
         assert res.estimate == pytest.approx(0.0, abs=1e-10)
         assert res.frobenius_distance == pytest.approx(np.sqrt(2.0), abs=1e-10)
         assert res.spectral_distance == pytest.approx(1.0, abs=1e-10)
-        assert not res.hypothesis_holds
+        assert hausdorff_contraction_bound(v, w) is None
 
     def test_perturbation_respects_contraction_bound(self):
         rng = np.random.default_rng(41)
@@ -308,11 +309,11 @@ class TestHausdorff:
             bumped = subspace_from_spanning(
                 (base.basis + eps * (rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)))).T
             )
-            res = hausdorff_moments(base, bumped, fibonacci_directions(n, 200))
-            if not res.hypothesis_holds:
+            bound = hausdorff_contraction_bound(base, bumped)
+            if bound is None:
                 continue
-            assert res.bound_ok
-            assert res.estimate <= res.bound + 1e-9
+            res = hausdorff_moments(base, bumped, fibonacci_directions(n, 200))
+            assert res.estimate <= bound + 1e-9
 
     def test_estimate_is_lower_bound_of_support_gap(self):
         # Distinct singleton moments: the estimate approaches the exact

@@ -3,12 +3,15 @@ import pytest
 
 from momentkit import (
     NotGenericAtCoordinate,
+    Subspace,
     centroid,
     is_generic,
     principal_vector,
     subspace_from_spanning,
     whole_space,
 )
+from momentkit import subspace
+from momentkit.linalg import projector
 from momentkit.moment import sample_unit_vectors
 from momentkit.subspace import mutually_orthogonal, orthogonal_complement
 
@@ -43,6 +46,23 @@ class TestConstruction:
     def test_whole_space_flagged(self):
         s = subspace_from_spanning(np.eye(3))
         assert s.is_whole_space
+
+    def test_non_orthonormal_basis_rejected(self):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Subspace(np.ones((3, 2)))
+
+    def test_projector_is_derived_once(self, example_v, monkeypatch):
+        calls = []
+        monkeypatch.setattr(subspace, "projector", lambda q: calls.append(q) or projector(q))
+        s = Subspace(example_v.basis)
+        assert np.array_equal(s.projector, projector(example_v.basis))
+        assert s.projector is s.projector
+        assert len(calls) == 1
+
+    def test_projector_cannot_be_passed(self, example_v):
+        # A projector passed next to its basis could disagree with it.
+        with pytest.raises(TypeError):
+            Subspace(basis=example_v.basis, projector=np.eye(3))
 
 
 class TestGenericity:
