@@ -17,10 +17,10 @@ of every side and re-solves all weights exactly by nonnegative least squares;
 a step is kept only when it strictly lowers the objective, and atoms left at
 zero weight are dropped, so at most n + (number of sides) stay active.
 
-The oracle's atoms also give, at every iterate, the duality gap and the
-Wolfe dual bound lower = <d, sum_s sign_s z_s - target> / |d| on the optimal
-residual norm (d the residual, z_s the oracle points; Jaggi 2013), at no
-extra eigensolve.  Every iterate is tested against it:
+The oracle's atoms also give, at every iterate, the Wolfe dual bound
+lower = <d, sum_s sign_s z_s - target> / |d| on the optimal residual norm
+(d the residual, z_s the oracle points; Jaggi 2013), at no extra eigensolve.
+It is the solver's only certificate and its only stopping test:
 
 * a projection stops once its distance is within ``tol`` of ``lower``, the
   exact bound <u, p> - h(u) of the direction u from the iterate to p;
@@ -28,6 +28,11 @@ extra eigensolve.  Every iterate is tested against it:
   reaches ``SEPARATION_MARGIN``: -d/|d| is then a separating direction, and
   its margin is confirmed once by ``separation_margin``.  Disjointness is
   never declared otherwise.
+
+(The usual Frank-Wolfe stopping quantity -2 <d, sum_s sign_s (z_s - y_s)>
+equals 2 |d| (|d| - lower), so it adds no test.)  A solve stops in exactly
+four cases: the residual is within ``tol``, the dual bound is accepted,
+``max_iter`` steps are taken, or the corrective step stalls.
 """
 from __future__ import annotations
 
@@ -98,103 +103,92 @@ class _Side:
         return 0.5 * (witness + witness.conj().T)
 
 
-class _FeasibilityEngine:
+def _residual(sides: list[_Side], target: np.ndarray) -> np.ndarray:
+    d = -target.astype(np.float64, copy=True)
+    for side in sides:
+        d += side.sign * side.y()
+    return d
+
+
+def _reweight(sides: list[_Side], target: np.ndarray) -> bool:
+    """Optimal weights over all atoms of all sides (augmented NNLS, a penalty
+    row per side for unit total weight), normalized per side.  False, with
+    the weights untouched, when the solve fails or leaves a side without
+    weight."""
+    from scipy.optimize import nnls  # only solver calls pay for scipy
+
+    n = target.size
+    blocks = []
+    for s_idx, side in enumerate(sides):
+        block = np.zeros((n + len(sides), len(side.weights)))
+        block[:n] = side.sign * side.points.T
+        block[n + s_idx] = _NNLS_PENALTY
+        blocks.append(block)
+    b = np.concatenate([target, np.full(len(sides), _NNLS_PENALTY)])
+    try:
+        x, _ = nnls(np.hstack(blocks), b)
+    except RuntimeError:
+        return False
+    weights = np.split(x, np.cumsum([len(side.weights) for side in sides])[:-1])
+    if any(w.sum() <= 0.0 for w in weights):
+        return False
+    for side, w in zip(sides, weights):
+        side.weights = w / w.sum()
+    return True
+
+
+def _minimize(sides: list[_Side], target: np.ndarray, tol: float, max_iter: int,
+              certify) -> tuple[float, int, float]:
     """Fully-corrective Frank-Wolfe (simplicial decomposition) for
     min || sum_s sign_s y_s - target ||^2 over a product of moment sets.
 
-    Each iteration calls the oracle of every side, stops when ``certify(d, f,
-    lower)`` accepts the current iterate (residual d, objective f, dual bound
-    lower), and otherwise adds one oracle atom per side and re-solves the
-    weights of all collected atoms exactly (augmented NNLS), so the objective
-    decreases strictly until the step no longer improves it.  ``iterations``
-    counts the steps taken; the oracle also runs on the final iterate, so
-    ``gap`` and ``lower`` always describe the returned point unless it is
-    within ``tol`` of the target.
+    Each iteration calls the oracle of every side and stops when
+    ``certify(d, f, lower)`` accepts the current iterate (residual d,
+    objective f, dual bound lower).  Otherwise it adds one oracle atom per
+    side and re-solves the weights of all collected atoms exactly
+    (augmented NNLS), so the objective decreases strictly until a step no
+    longer improves it.  Returns the final objective, the number of steps
+    taken and the last ``lower``; the oracle also runs on the final iterate,
+    so ``lower`` describes the returned point unless it is within ``tol``.
     """
+    check_nonnegative("tol", tol)
+    check_nonnegative("max_iter", max_iter)
+    max_iter = int(max_iter)
+    tol_sq = tol * tol
+    d = _residual(sides, target)
+    f = float(d @ d)
+    lower = -math.inf
+    for it in range(max_iter + 1):
+        if f <= tol_sq:
+            break
+        fw = [side.lmo(d) for side in sides]
+        vertex = sum(side.sign * z for side, (_, z) in zip(sides, fw))
+        lower = float(d @ (vertex - target)) / math.sqrt(f)
+        if certify(d, f, lower) or it == max_iter:
+            break
 
-    def __init__(self, sides: list[_Side], target: np.ndarray, tol: float, max_iter: int, certify):
-        check_nonnegative("tol", tol)
-        check_nonnegative("max_iter", max_iter)
-        self.sides = sides
-        self.target = target
-        self.tol = float(tol)
-        self.max_iter = int(max_iter)
-        self.certify = certify
-        self.iterations = 0
-        self.gap = math.inf
-        self.lower = -math.inf
-
-    def _residual(self) -> np.ndarray:
-        d = -self.target.astype(np.float64, copy=True)
-        for side in self.sides:
-            d += side.sign * side.y()
-        return d
-
-    def _reweight(self) -> bool:
-        """Optimal weights over all atoms of all sides (augmented NNLS, a
-        penalty row per side for unit total weight), normalized per side.
-        False, with the weights untouched, when the solve fails or leaves a
-        side without weight."""
-        from scipy.optimize import nnls  # only solver calls pay for scipy
-
-        n = self.target.size
-        blocks = []
-        for s_idx, side in enumerate(self.sides):
-            block = np.zeros((n + len(self.sides), len(side.weights)))
-            block[:n] = side.sign * side.points.T
-            block[n + s_idx] = _NNLS_PENALTY
-            blocks.append(block)
-        b = np.concatenate([self.target, np.full(len(self.sides), _NNLS_PENALTY)])
-        try:
-            x, _ = nnls(np.hstack(blocks), b)
-        except RuntimeError:
-            return False
-        weights = np.split(x, np.cumsum([len(side.weights) for side in self.sides])[:-1])
-        if any(w.sum() <= 0.0 for w in weights):
-            return False
-        for side, w in zip(self.sides, weights):
-            side.weights = w / w.sum()
-        return True
-
-    def run(self) -> float:
-        tol_sq = self.tol * self.tol
-        d = self._residual()
-        f = float(d @ d)
-        for it in range(self.max_iter + 1):
-            self.iterations = it
-            if f <= tol_sq:
-                break
-
-            fw = [side.lmo(d) for side in self.sides]
-            step = sum(side.sign * (z - side.y()) for side, (_, z) in zip(self.sides, fw))
-            self.gap = float(-2.0 * (d @ step))
-            vertex = sum(side.sign * z for side, (_, z) in zip(self.sides, fw))
-            self.lower = float(d @ (vertex - self.target)) / math.sqrt(f)
-            if self.certify(d, f, self.lower) or self.gap <= tol_sq or it == self.max_iter:
-                break
-
-            saved = [(side.atoms, side.points, side.weights) for side in self.sides]
-            for side, (u, z) in zip(self.sides, fw):
-                side.atoms = np.column_stack([side.atoms, u])
-                side.points = np.vstack([side.points, z])
-                side.weights = np.append(side.weights, 0.0)
-            if self._reweight():
-                d_new = self._residual()
-                f_new = float(d_new @ d_new)
-            else:
-                f_new = math.inf
-            if not f_new < f:
-                # The corrective step no longer improves: keep the last iterate.
-                for side, (atoms, points, weights) in zip(self.sides, saved):
-                    side.atoms, side.points, side.weights = atoms, points, weights
-                break
-            d, f = d_new, f_new
-            for side in self.sides:
-                keep = side.weights > 0.0
-                side.atoms = side.atoms[:, keep]
-                side.points = side.points[keep]
-                side.weights = side.weights[keep]
-        return f
+        saved = [(side.atoms, side.points, side.weights) for side in sides]
+        for side, (u, z) in zip(sides, fw):
+            side.atoms = np.column_stack([side.atoms, u])
+            side.points = np.vstack([side.points, z])
+            side.weights = np.append(side.weights, 0.0)
+        if _reweight(sides, target):
+            d_new = _residual(sides, target)
+            f_new = float(d_new @ d_new)
+        else:
+            f_new = math.inf
+        if not f_new < f:
+            # The corrective step no longer improves: keep the last iterate.
+            for side, (atoms, points, weights) in zip(sides, saved):
+                side.atoms, side.points, side.weights = atoms, points, weights
+            break
+        d, f = d_new, f_new
+        for side in sides:
+            keep = side.weights > 0.0
+            side.atoms = side.atoms[:, keep]
+            side.points = side.points[keep]
+            side.weights = side.weights[keep]
+    return f, it, lower
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +199,15 @@ class ProjectionResult:
     """Distance from a point to the moment set with a witness state.
 
     ``witness`` is the n x n density matrix supported on the subspace whose
-    moment coordinates realize the distance; ``gap`` is the final duality gap
-    of the squared objective (an upper bound on how far the squared distance
-    is from optimal).  ``lower`` is 0 for a member within ``tol``, and
-    otherwise the exact lower bound max(0, <u, p> - h(u)) on the true
-    distance, with u the unit direction from the witness to p and h the
-    support function of the moment set.  ``converged`` holds when
-    ``distance - lower <= tol``.
+    moment coordinates realize the distance.  ``lower`` is 0 for a member
+    within ``tol``, and otherwise the exact lower bound
+    max(0, <u, p> - h(u)) on the true distance, with u the unit direction
+    from the witness to p and h the support function of the moment set.
+    ``converged`` holds when ``distance - lower <= tol``.
     """
 
     distance: float
     witness: np.ndarray
-    gap: float
     iterations: int
     converged: bool
     lower: float
@@ -238,18 +229,16 @@ def project_onto_moment(
     # The dual bound of the single side is <u, p> - h(u) for u = -d/|d|, the
     # unit direction from the iterate to p: every z in the set has
     # |p - z| >= <u, p - z> >= <u, p> - h(u).
-    engine = _FeasibilityEngine(
-        [side], p, tol=tol, max_iter=max_iter,
+    f, iterations, lower = _minimize(
+        [side], p, tol, max_iter,
         certify=lambda d, f, lower: math.sqrt(f) - lower <= tol,
     )
-    f = engine.run()
     distance = math.sqrt(max(f, 0.0))
-    lower = 0.0 if f <= tol * tol else max(0.0, engine.lower)
+    lower = 0.0 if f <= tol * tol else max(0.0, lower)
     return ProjectionResult(
         distance=distance,
         witness=side.witness(),
-        gap=engine.gap,
-        iterations=engine.iterations,
+        iterations=iterations,
         converged=distance - lower <= tol,
         lower=lower,
     )
@@ -326,42 +315,21 @@ def moments_intersect(
             separation.append((u, margin))
         return bool(separation)
 
-    engine = _FeasibilityEngine(
-        [side_v, side_w], np.zeros(v.n), tol=tol, max_iter=max_iter, certify=certify
-    )
-    f = engine.run()
+    f, iterations, _ = _minimize([side_v, side_w], np.zeros(v.n), tol, max_iter, certify)
     gap = math.sqrt(max(f, 0.0))
     if gap <= tol:
+        status = IntersectionStatus.INTERSECT
         witness_y = side_v.witness()
         witness_x = side_w.witness()
-        common = 0.5 * (
-            np.real(np.diagonal(witness_y)) + np.real(np.diagonal(witness_x))
-        )
-        return IntersectionCertificate(
-            status=IntersectionStatus.INTERSECT,
-            space_v=v,
-            space_w=w,
-            witness_y=witness_y,
-            witness_x=witness_x,
-            common=common,
-            gap=gap,
-            iterations=engine.iterations,
-        )
-    if separation:
+        common = 0.5 * (np.real(np.diagonal(witness_y)) + np.real(np.diagonal(witness_x)))
+        fields = dict(witness_y=witness_y, witness_x=witness_x, common=common)
+    elif separation:
+        status = IntersectionStatus.DISJOINT
         u, margin = separation[0]
-        return IntersectionCertificate(
-            status=IntersectionStatus.DISJOINT,
-            space_v=v,
-            space_w=w,
-            direction=u,
-            margin=margin,
-            gap=gap,
-            iterations=engine.iterations,
-        )
+        fields = dict(direction=u, margin=margin)
+    else:
+        status = IntersectionStatus.INDETERMINATE
+        fields = {}
     return IntersectionCertificate(
-        status=IntersectionStatus.INDETERMINATE,
-        space_v=v,
-        space_w=w,
-        gap=gap,
-        iterations=engine.iterations,
+        status=status, space_v=v, space_w=w, gap=gap, iterations=iterations, **fields
     )

@@ -125,9 +125,6 @@ def orthonormalize(vectors) -> np.ndarray:
     if any(not np.all(np.isfinite(c)) for c in cols):
         raise ValueError("vector has non-finite entries")
     scale = max(float(np.linalg.norm(c)) for c in cols)
-    if scale == 0.0:
-        return np.zeros((n, 0), dtype=np.complex128)
-
     basis: list[np.ndarray] = []
     for v in cols:
         w = v.copy()

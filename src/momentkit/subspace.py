@@ -34,20 +34,24 @@ class NotGenericAtCoordinate(ValueError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
-    """An r-dimensional subspace of C^n, given by an n x r ``basis`` with
-    orthonormal columns, stored as complex (``ValueError`` when max |Q*Q - I|
-    exceeds ``linalg.ORTHONORMAL_TOL``).  Everything else is derived from it.
+    """An r-dimensional subspace of C^n, r >= 1, given by an n x r ``basis``
+    with orthonormal columns, stored as complex (``ValueError`` when the
+    basis is empty or max |Q*Q - I| exceeds ``linalg.ORTHONORMAL_TOL``).
+    Everything else is derived from it.
 
     Instances are treated as immutable; operations never modify the stored
-    arrays.
+    arrays.  Equality and hashing are by identity.
     """
 
     basis: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", require_orthonormal(self.basis))
+        q = require_orthonormal(self.basis)
+        if q.shape[1] == 0:
+            raise ValueError("empty basis: the span is the zero subspace")
+        object.__setattr__(self, "basis", q)
 
     @cached_property
     def projector(self) -> np.ndarray:
@@ -78,10 +82,7 @@ def subspace_from_spanning(vectors) -> Subspace:
     Raises ``ValueError`` when the span is zero.  A span equal to all of C^n is
     allowed; it is flagged by ``Subspace.is_whole_space``.
     """
-    q = orthonormalize(vectors)
-    if q.shape[1] == 0:
-        raise ValueError("vectors span only the zero subspace")
-    return Subspace(q)
+    return Subspace(orthonormalize(vectors))
 
 
 def whole_space(n: int) -> Subspace:

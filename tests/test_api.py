@@ -1,6 +1,7 @@
 """The public surface: what ``momentkit`` exports, the parameters of every
 library function, and the paper-claim checkers that live in ``paper_claims``
 instead of the library."""
+import dataclasses
 import importlib
 import inspect
 
@@ -53,6 +54,13 @@ SIGNATURES = """
     subspace.principal_vector(s,j) subspace.subspace_from_spanning(vectors) subspace.whole_space(n)
 """.split()
 
+#: Fields of the solver results, in order.
+FIELDS = {
+    "ProjectionResult": "distance witness iterations converged lower".split(),
+    "IntersectionCertificate": """status space_v space_w witness_y witness_x common
+                                  direction margin gap iterations""".split(),
+}
+
 
 def test_all_is_pinned():
     assert sorted(momentkit.__all__) == PUBLIC
@@ -82,3 +90,8 @@ def test_signatures_are_pinned():
                   for name, fn in sorted(vars(mod).items())
                   if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and name[0] != "_"]
     assert found == SIGNATURES
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_result_fields_are_pinned(name):
+    assert [f.name for f in dataclasses.fields(getattr(momentkit, name))] == FIELDS[name]

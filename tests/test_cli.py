@@ -211,6 +211,10 @@ class TestIntersectAndFriends:
         assert "required" in capsys.readouterr().err
         assert main([*argv, "--max-iter", "-4"]) == 3  # was 1, DISJOINT
         assert "max_iter must be finite and nonnegative" in capsys.readouterr().err
+        for schedule in ("fibonacci:0", "fibonacci:x"):
+            assert main(["jnr-boundary", "--subspace", va, "--directions", schedule,
+                         "--out", str(tmp_path / "b.csv")]) == 3
+            assert "fibonacci" in capsys.readouterr().err
         assert main(["--version"]) == 0
         assert main(["intersect", "--help"]) == 0
 

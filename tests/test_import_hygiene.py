@@ -37,4 +37,4 @@ def test_no_module_level_scipy_import():
 
 def test_only_scipy_import_is_the_nnls_step():
     imports = [imp for path in SOURCES for imp in _scipy_imports(path)]
-    assert imports == [("feasibility", "_FeasibilityEngine._reweight", "scipy.optimize.nnls")]
+    assert imports == [("feasibility", "_reweight", "scipy.optimize.nnls")]

@@ -214,6 +214,20 @@ class TestSliceAndCone:
         with pytest.raises(ValueError, match="negative"):
             cone_membership(example_v, np.array([0.5, -0.1, 0.6]))
 
+    def test_cone_huge_coordinates(self, example_v):
+        # The coordinate sum overflowed to inf and the zero vector was
+        # projected: member=False at distance 0.577.
+        result = cone_membership(example_v, [1e308] * 3)
+        assert result.member
+        assert result.scaling == np.inf
+        assert result.moment_distance <= 1e-12
+
+    @pytest.mark.parametrize("x", [[np.inf, 0.0, 0.0], [np.nan, 1.0, 1.0]])
+    def test_cone_rejects_non_finite(self, example_v, x):
+        # inf / inf warned and nan passed the sign check.
+        with pytest.raises(ValueError, match="non-finite"):
+            cone_membership(example_v, x)
+
 
 class TestClassicalRange:
     def test_points_inside_support_halfspaces(self, example_v):

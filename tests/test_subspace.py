@@ -43,6 +43,18 @@ class TestConstruction:
         with pytest.raises(ValueError, match="zero subspace"):
             subspace_from_spanning([(0, 0)])
 
+    def test_empty_basis_rejected(self):
+        # Accepted before: centroid then divided by r = 0.
+        with pytest.raises(ValueError, match="zero subspace"):
+            Subspace(np.zeros((3, 0)))
+
+    def test_identity_equality_and_hash(self, example_v):
+        # The default dataclass equality compared the basis arrays, so == and
+        # hash raised.
+        assert example_v == example_v
+        assert example_v != Subspace(example_v.basis)
+        assert {example_v: 1}[example_v] == 1
+
     def test_whole_space_flagged(self):
         s = subspace_from_spanning(np.eye(3))
         assert s.is_whole_space
