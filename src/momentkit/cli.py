@@ -69,12 +69,14 @@ def _load_json(path: str):
         ) from exc
 
 
+def _is_number(value) -> bool:
+    """A parsed JSON number; true and false parse as ``bool``, a subclass of
+    ``int``, and are no numbers."""
+    return type(value) in (int, float)
+
+
 def _complex_entry(value, where: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(p, (int, float)) for p in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
         raise InputError(f"{where}: complex entries must be [re, im] pairs, got {value!r}")
     return complex(value[0], value[1])
 
@@ -90,7 +92,7 @@ def _complex_rows(path: str, key: str, square: bool) -> np.ndarray:
     if not isinstance(data, dict) or "n" not in data or key not in data:
         raise InputError(f"{path}: expected an object with keys 'n' and '{key}'")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise InputError(f"{path}: 'n' must be a positive integer")
     rows = data[key]
     if square and (not isinstance(rows, list) or len(rows) != n):
@@ -145,9 +147,11 @@ def _parse_directions(schedule: str, n: int) -> np.ndarray:
     data = _load_json(schedule)
     if isinstance(data, dict) and "directions" in data:
         data = data["directions"]
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != n:
+    if not data or not isinstance(data, list) or not all(
+        isinstance(row, list) and len(row) == n and all(map(_is_number, row)) for row in data
+    ):
         raise InputError(f"{schedule}: directions must be a list of {n}-vectors")
+    arr = np.array(data, dtype=np.float64)
     if not np.all(np.isfinite(arr)) or np.any(np.all(arr == 0.0, axis=1)):
         raise InputError(f"{schedule}: directions must be finite and nonzero")
     return arr

@@ -9,13 +9,14 @@ decomposition; Holloway 1974, Lacoste-Julien & Jaggi 2015):
 
 A density matrix M over the coefficient space C^r maps linearly to the moment
 coordinates y = diag(Q M Q*) in R^n, and the linear minimization oracle over
-the density set is an extreme eigenvector of the r x r gradient compression
-(``linalg.compressed_eigh``, which also gives every support value), so every
-step costs one small eigensolve.  Iterates are explicit convex
-combinations of rank-one atoms |Q u|^2.  Each iteration adds the oracle atom
-of every side and re-solves all weights exactly by nonnegative least squares;
-a step is kept only when it strictly lowers the objective, and atoms left at
-zero weight are dropped, so at most n + (number of sides) stay active.
+the density set is the bottom eigenvector of the r x r gradient compression,
+the top one of the negated gradient (``linalg.compressed_top_eigh``, which
+also gives every support value), so every step costs one small eigensolve.
+Iterates are explicit convex combinations of rank-one atoms |Q u|^2.  Each
+iteration adds the oracle atom of every side and re-solves all weights
+exactly by nonnegative least squares; a step is kept only when it strictly
+lowers the objective, and atoms left at zero weight are dropped, so at most
+n + (number of sides) stay active.
 
 The oracle's atoms also give, at every iterate, the Wolfe dual bound
 lower = <d, sum_s sign_s z_s - target> / |d| on the optimal residual norm
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import compressed_eigh
+from .linalg import compressed_top_eigh
 from .subspace import Subspace
 
 #: Diagonal-difference norm below which the sets are declared intersecting.
@@ -73,6 +74,7 @@ class _Side:
 
     def __init__(self, subspace: Subspace, sign: float):
         self.q = subspace.basis
+        self.table = subspace.compression_table
         self.sign = float(sign)
         r = subspace.r
         # Principal-vertex probes: coefficient vectors of the principal
@@ -91,7 +93,7 @@ class _Side:
 
     def lmo(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Atom minimizing <sign * d, z> over the moment set."""
-        u = compressed_eigh(self.q, self.sign * d[None]).eigenvectors[0, :, 0]
+        u = compressed_top_eigh(self.table, -self.sign * d[None])[1][0]
         return u, np.abs(self.q @ u) ** 2
 
     def witness(self) -> np.ndarray:
@@ -194,7 +196,7 @@ def _minimize(sides: list[_Side], target: np.ndarray, tol: float, max_iter: int,
 # ---------------------------------------------------------------------------
 # Public operations.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionResult:
     """Distance from a point to the moment set with a witness state.
 
@@ -250,7 +252,7 @@ class IntersectionStatus(str, enum.Enum):
     INDETERMINATE = "INDETERMINATE"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntersectionCertificate:
     """Outcome of the moment-intersection feasibility problem.
 
@@ -280,8 +282,8 @@ def separation_margin(v: Subspace, w: Subspace, u) -> float:
     moment sets with m_V on the lower side.
     """
     u = np.reshape(u, (1, -1))
-    top_v = float(compressed_eigh(v.basis, u).eigenvalues[0, -1])
-    bottom_w = float(compressed_eigh(w.basis, u).eigenvalues[0, 0])
+    top_v = float(compressed_top_eigh(v.compression_table, u)[0][0])
+    bottom_w = -float(compressed_top_eigh(w.compression_table, -u)[0][0])
     return bottom_w - top_v
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feasibility import project_onto_moment
-from .linalg import compressed_eigh, require_hermitian
+from .linalg import compressed_top_eigh, require_hermitian
 from .subspace import Subspace, orthogonal_complement
 
 #: PSD slack and trace tolerance for density-matrix validation.
@@ -42,7 +42,7 @@ def validate_density(rho) -> np.ndarray:
     return rho
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JNRPoint:
     """A point of the joint numerical range with the state producing it."""
 
@@ -59,7 +59,7 @@ def delta_map(s: Subspace, rho) -> JNRPoint:
     return JNRPoint(x=np.real(np.diagonal(compressed)).copy(), witness=rho)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JNRSupport:
     value: float
     witness: np.ndarray
@@ -69,9 +69,8 @@ def _supporting_vectors(s: Subspace, directions) -> tuple[np.ndarray, np.ndarray
     """Support values of W along each row, unit vectors of C^n attaining them
     (Q u, u a top eigenvector of Q* diag(c) Q), and the rows where the value
     is floored at zero and attained by a complement vector instead."""
-    dec = compressed_eigh(s.basis, directions)
-    top = dec.eigenvalues[:, -1]
-    vectors = dec.eigenvectors[:, :, -1] @ s.basis.T
+    top, vectors = compressed_top_eigh(s.compression_table, directions)
+    vectors = vectors @ s.basis.T
     floored = (top < 0.0) & (not s.is_whole_space)
     if floored.any():
         vectors[floored] = orthogonal_complement(s).basis[:, 0]

@@ -1,6 +1,6 @@
 """Dense complex matrix primitives: hermitian eigensolves, the batched
-compressed eigensolve behind every support value, orthonormalization,
-projectors and spectral norms.
+top eigenpair of the compressions behind every support value,
+orthonormalization, projectors and spectral norms.
 
 Every routine is a pure function on small dense arrays (the intended regime is
 ambient dimension up to a few dozen).  Results are deterministic for a fixed
@@ -22,6 +22,7 @@ ORTHONORMAL_TOL = 1e-10
 # Components below this threshold do not qualify as the "first nonzero" entry
 # when fixing eigenvector phases (unit columns always carry a larger one).
 _PHASE_TOL = 1e-9
+_FLOAT_MAX = np.finfo(np.float64).max
 
 
 class NonHermitianError(ValueError):
@@ -58,20 +59,17 @@ def require_hermitian(a) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each (unit) column of a matrix or stack so its first component
-    above _PHASE_TOL is real > 0."""
-    r = vectors.shape[-1]
-    v = vectors.reshape(-1, r, r)
-    first = np.argmax(np.abs(v) > _PHASE_TOL, axis=-2)
-    pivot = v[np.arange(len(v))[:, None], first, np.arange(r)]
-    return (v * (np.conj(pivot) / np.abs(pivot))[:, None, :]).reshape(vectors.shape)
+def _fix_phases(rows: np.ndarray) -> np.ndarray:
+    """Rotate each (unit) row of a matrix so its first component above
+    _PHASE_TOL is real > 0."""
+    first = (np.abs(rows) > _PHASE_TOL).argmax(axis=1)
+    pivot = rows[np.arange(len(rows)), first, None]
+    return rows * (pivot.conj() / abs(pivot))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Spectral decomposition A = V diag(w) V* of a hermitian matrix, or of
-    each matrix of a stack (leading axes).
+    """Spectral decomposition A = V diag(w) V* of a hermitian matrix.
 
     ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the matching
     orthonormal, phase-fixed eigenvectors as columns.
@@ -86,26 +84,38 @@ def hermitian_eig(a) -> EigenDecomposition:
 
     Rejects inputs whose max entry asymmetry exceeds HERMITIAN_ATOL.
     """
-    a = require_hermitian(a)
-    w, v = np.linalg.eigh(a)
-    return EigenDecomposition(eigenvalues=w, eigenvectors=_fix_phases(v))
+    w, v = np.linalg.eigh(require_hermitian(a))
+    return EigenDecomposition(eigenvalues=w, eigenvectors=_fix_phases(v.T).T)
 
 
-def compressed_eigh(q: np.ndarray, directions) -> EigenDecomposition:
-    """Eigendecompositions, as in ``hermitian_eig``, of Q* diag(c) Q for each
-    row c of a (k, n) stack of real directions: (k, r) values, (k, r, r)
-    vectors.  The compressions are hermitian by construction and only
-    symmetrized: their roundoff grows with the scale of c and is no input
-    error."""
+def compressed_top_eigh(table: np.ndarray, directions) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvalue and top eigenvector, phase-fixed as in
+    ``hermitian_eig``, of Q* diag(c) Q for each row c of a (k, n) stack of
+    real directions: (k,) values and (k, r) vectors.  The bottom eigenpair
+    of Q* diag(c) Q is the top one of -c, with the value negated.
+
+    ``table`` is ``Subspace.compression_table``, the (n, r, r) products
+    conj(q_i)^T q_i of the rows q_i of Q, so each compression is one real
+    matmul of c against it.  ``eigh`` reads only the lower triangle and the
+    real part of the diagonal, so the compression is not symmetrized.
+    """
+    n, r = table.shape[:2]
     d = np.asarray(directions, dtype=np.float64)
-    if d.ndim != 2 or d.shape[1] != q.shape[0] or not np.isfinite(d).all():
-        raise ValueError(f"directions must be finite real rows of dimension {q.shape[0]}")
-    m = q.conj().T @ (d[:, :, None] * q)
-    m = 0.5 * (m + m.conj().swapaxes(-1, -2))
-    if not np.isfinite(m).all():
-        raise ValueError("directions are too large: the compression overflows")
-    w, v = np.linalg.eigh(m)
-    return EigenDecomposition(eigenvalues=w, eigenvectors=_fix_phases(v))
+    peak = abs(d).max(initial=0.0)
+    if d.ndim != 2 or d.shape[1] != n or not peak <= _FLOAT_MAX:
+        raise ValueError(f"directions must be finite real rows of dimension {n}")
+    # Row by row (a stacked matmul, not one GEMM), so that a row's compression
+    # does not depend on the rows stacked with it.
+    real_table = table.reshape(n, -1).view(np.float64)
+    if peak > _FLOAT_MAX / 2:
+        # The entries are at most max |c_i| up to roundoff, so only a
+        # direction this close to the float limit can overflow them.
+        with np.errstate(over="ignore"):
+            if not np.isfinite(d[:, None, :] @ real_table).all():
+                raise ValueError("directions are too large: the compression overflows")
+    m = d[:, None, :] @ real_table
+    w, v = np.linalg.eigh(m.view(np.complex128).reshape(-1, r, r))
+    return w[:, -1], _fix_phases(v[:, :, -1])
 
 
 def orthonormalize(vectors) -> np.ndarray:

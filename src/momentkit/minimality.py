@@ -23,7 +23,7 @@ from .feasibility import (
     check_nonnegative,
     moments_intersect,
 )
-from .linalg import compressed_eigh, hermitian_eig, require_hermitian, spectral_norm
+from .linalg import compressed_top_eigh, hermitian_eig, require_hermitian, spectral_norm
 from .subspace import ORTHOGONAL_TOL, Subspace, mutually_orthogonal
 
 #: Relative width (times ||M||) of the eigenvalue cluster taken as the
@@ -37,7 +37,7 @@ class Verdict(str, enum.Enum):
     INDETERMINATE = "INDETERMINATE"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinimalityReport:
     """Minimality analysis of a hermitian matrix.
 
@@ -117,7 +117,7 @@ def check_minimal(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinimalMatrixParts:
     """Ingredients of a minimal matrix lam (P_V - P_W) + R.
 
@@ -196,19 +196,15 @@ def hausdorff_moments(v: Subspace, w: Subspace, directions) -> HausdorffResult:
     directions = np.asarray(directions, dtype=np.float64)
     if directions.ndim == 2 and len(directions) == 0:
         raise ValueError("at least one direction is required")
-    top_v = compressed_eigh(v.basis, directions).eigenvalues[:, -1]
-    top_w = compressed_eigh(w.basis, directions).eigenvalues[:, -1]
-    # Support functions are positively homogeneous: h(c / |c|) = h(c) / |c|.
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(directions, axis=1)
-    if np.any(norms == 0.0):
+    top_v = compressed_top_eigh(v.compression_table, directions)[0]
+    top_w = compressed_top_eigh(w.compression_table, directions)[0]
+    scale = abs(directions).max(axis=1)
+    if np.any(scale == 0.0):
         raise ValueError("directions must be nonzero")
-    huge = ~np.isfinite(norms)
-    if np.any(huge):
-        # |c| overflows although c is finite: take it as max|c_i| |c / max|c_i||.
-        scale = np.max(np.abs(directions[huge]), axis=1)
-        norms[huge] = scale * np.linalg.norm(directions[huge] / scale[:, None], axis=1)
-    estimate = float(np.max(np.abs(top_v - top_w) / norms))
+    # Support functions are positively homogeneous: h(c / |c|) = h(c) / |c|.
+    # Dividing by max |c_i| first keeps every quantity in the float range.
+    norms = np.linalg.norm(directions / scale[:, None], axis=1)
+    estimate = float(np.max(np.abs(top_v / scale - top_w / scale) / norms))
     gap = v.projector - w.projector
     return HausdorffResult(
         estimate=estimate,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import compressed_eigh
+from .linalg import compressed_top_eigh
 from .subspace import PrincipalVector, Subspace, principal_vector
 
 #: Linear-independence margin for a pair of principal vectors: independence of
@@ -60,7 +60,7 @@ def sample_moment(s: Subspace, count: int, seed: int) -> np.ndarray:
     return np.abs(sample_unit_vectors(s, count, seed)) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentSupport:
     """Exact support value of the moment set in a direction, with a unit
     vector of the subspace attaining it."""
@@ -75,16 +75,14 @@ def support_moment(s: Subspace, c) -> MomentSupport:
     max over unit x in S of sum_i c_i |x_i|^2 is the top eigenvalue of the
     compression Q* diag(c) Q; the maximizer is Q times its top eigenvector.
     """
-    dec = compressed_eigh(s.basis, np.reshape(c, (1, -1)))
-    value = float(dec.eigenvalues[0, -1])
-    maximizer = s.basis @ dec.eigenvectors[0, :, -1]
-    return MomentSupport(value=value, maximizer=maximizer)
+    values, vectors = compressed_top_eigh(s.compression_table, np.reshape(c, (1, -1)))
+    return MomentSupport(value=float(values[0]), maximizer=s.basis @ vectors[0])
 
 
 # ---------------------------------------------------------------------------
 # Curves joining principal moment points.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurveFrame:
     """Geometry shared by all points of the curve from v^j toward v^k.
 
@@ -103,7 +101,7 @@ class CurveFrame:
     t_end: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurveSample:
     """A point of the curve: the unit vector and its moment point."""
 
@@ -114,7 +112,7 @@ class CurveSample:
     m: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EllipseParams:
     """Projection of the curve moduli to the (j, k) plane: t maps to
     cos(t) a + sin(t) b, part of an ellipse centred at the origin.

@@ -58,6 +58,14 @@ class Subspace:
         """The n x n orthogonal projector onto the span, computed once."""
         return projector(self.basis)
 
+    @cached_property
+    def compression_table(self) -> np.ndarray:
+        """The n x r x r products conj(q_i)^T q_i of the rows q_i of the
+        basis, computed once: Q* diag(c) Q = sum_i c_i table[i] (see
+        ``linalg.compressed_top_eigh``)."""
+        q = self.basis
+        return np.multiply(q.conj()[:, :, None], q[:, None, :], order="C")
+
     @property
     def n(self) -> int:
         return self.basis.shape[0]
@@ -103,7 +111,7 @@ def is_generic(s: Subspace) -> GenericityReport:
     return GenericityReport(is_generic=not offending, offending=offending)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrincipalVector:
     """Principal standard vector at coordinate ``index``.
 

@@ -1,13 +1,17 @@
 """The public surface: what ``momentkit`` exports, the parameters of every
 library function, and the paper-claim checkers that live in ``paper_claims``
 instead of the library."""
+import copy
 import dataclasses
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 import momentkit
+
+from conftest import SPAN_V, SPAN_W
 
 PUBLIC = sorted("""
     CurveSample DegenerateCurve EigenDecomposition EllipseParams
@@ -41,7 +45,7 @@ SIGNATURES = """
     feasibility.moments_intersect(v,w,tol,max_iter) feasibility.project_onto_moment(s,p,tol,max_iter)
     feasibility.separation_margin(v,w,u) jnr.cone_membership(s,x) jnr.delta_map(s,rho)
     jnr.jnr_boundary(s,directions) jnr.jnr_support(s,c) jnr.validate_density(rho)
-    linalg.as_complex_matrix(a) linalg.compressed_eigh(q,directions) linalg.hermitian_eig(a)
+    linalg.as_complex_matrix(a) linalg.compressed_top_eigh(table,directions) linalg.hermitian_eig(a)
     linalg.orthonormalize(vectors) linalg.projector(q) linalg.require_hermitian(a)
     linalg.require_orthonormal(q) linalg.spectral_norm(a)
     minimality.check_minimal(m,eig_tol,feas_tol,max_iter)
@@ -95,3 +99,34 @@ def test_signatures_are_pinned():
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_result_fields_are_pinned(name):
     assert [f.name for f in dataclasses.fields(getattr(momentkit, name))] == FIELDS[name]
+
+
+def _results():
+    """One instance of each result type that carries an array field."""
+    mk = momentkit
+    v, w = mk.subspace_from_spanning(SPAN_V), mk.subspace_from_spanning(SPAN_W)
+    frame = mk.curve_frame(v, 0, 1)
+    return {
+        "ProjectionResult": mk.project_onto_moment(v, np.full(3, 0.5)),
+        "IntersectionCertificate": mk.moments_intersect(v, w),
+        "MinimalityReport": mk.check_minimal(np.array([[0.0, 1.0], [1.0, 0.0]])),
+        "MomentSupport": mk.support_moment(v, [1.0, 0.0, 0.0]),
+        "JNRPoint": mk.delta_map(v, np.eye(3) / 3),
+        "JNRSupport": mk.jnr_support(v, [1.0, 0.0, 0.0]),
+        "EigenDecomposition": mk.hermitian_eig(np.eye(2)),
+        "PrincipalVector": mk.principal_vector(v, 0),
+        "CurveFrame": frame,
+        "CurveSample": mk.curve_point(frame, 0.5),
+        "EllipseParams": mk.ellipse_projection(frame),
+        "MinimalMatrixParts": mk.MinimalMatrixParts(1.0, v, w, np.zeros((3, 3))),
+    }
+
+
+def test_results_compare_by_identity():
+    # Field-wise == of numpy arrays has no single truth value, so results
+    # compare and hash by identity.
+    for name, result in _results().items():
+        assert type(result).__name__ == name
+        assert result == result, name
+        assert hash(result) == hash(result), name
+        assert result != copy.copy(result), name

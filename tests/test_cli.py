@@ -245,6 +245,33 @@ class TestIntersectAndFriends:
         payload = json.loads(capsys.readouterr().out)
         assert payload["moment_support"] == pytest.approx(3.0, abs=1e-12)
 
+    def test_support_direction_near_float_limit(self, v_file, capsys):
+        assert main(["support", "--subspace", v_file, "--direction", "1e308,1e308,0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["moment_support"] == 9.999999999999998e307
+
+    @pytest.mark.parametrize("where", ["entry", "n"])
+    def test_json_booleans_are_no_numbers(self, tmp_path, capsys, where):
+        # true == 1 in Python; the loader must not read it as a coordinate or
+        # a dimension.
+        payload = {"n": 2, "vectors": [[[1, 0], [0, 0]]]}
+        if where == "entry":
+            payload["vectors"][0][0] = [True, False]
+        else:
+            payload = {"n": True, "vectors": [[[1, 0]]]}
+        sub = tmp_path / "bool.json"
+        sub.write_text(json.dumps(payload))
+        assert main(["centroid", "--subspace", str(sub)]) == 3
+        assert "error: " in capsys.readouterr().err
+
+    def test_directions_file_booleans_rejected(self, tmp_path, v_file, capsys):
+        dirs = tmp_path / "dirs.json"
+        dirs.write_text(json.dumps([[True, 0, 0]]))
+        out = tmp_path / "b.csv"
+        assert main(["jnr-boundary", "--subspace", v_file, "--directions", str(dirs),
+                     "--out", str(out)]) == 3
+        assert "3-vectors" in capsys.readouterr().err
+
     def test_centroid_reference(self, tmp_path, v_file, capsys):
         assert main(["centroid", "--subspace", v_file]) == 0
         payload = json.loads(capsys.readouterr().out)

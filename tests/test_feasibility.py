@@ -176,13 +176,13 @@ class TestIntersection:
         # coordinate-half pair: two oracle eigensolves plus the two of the
         # confirming separation_margin, no corrective step.
         calls = []
-        original = feasibility.compressed_eigh
+        original = feasibility.compressed_top_eigh
 
         def counted(*args):
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(feasibility, "compressed_eigh", counted)
+        monkeypatch.setattr(feasibility, "compressed_top_eigh", counted)
         rng = np.random.default_rng(8)
         for n, r in ((6, 2), (8, 3), (10, 2), (12, 4)):
             sv, sw = coordinate_half_pair(rng, n, r)

@@ -5,12 +5,14 @@ from momentkit.linalg import (
     EigenDecomposition,
     NonHermitianError,
     _fix_phases,
-    compressed_eigh,
+    compressed_top_eigh,
     hermitian_eig,
     orthonormalize,
     projector,
     spectral_norm,
 )
+
+from momentkit.subspace import Subspace
 
 from conftest import P_V_REFERENCE, SPAN_V, random_hermitian, random_subspace
 
@@ -75,13 +77,12 @@ class TestHermitianEig:
 
 
 def loop_fix_phases(vectors):
-    """Column-by-column reference for the phase convention."""
+    """Row-by-row reference for the phase convention."""
     out = vectors.copy()
-    for i in range(out.shape[1]):
-        col = out[:, i]
-        idx = np.flatnonzero(np.abs(col) > 1e-9)
-        pivot = col[idx[0]]
-        out[:, i] = col * (np.conj(pivot) / np.abs(pivot))
+    for i, row in enumerate(out):
+        idx = np.flatnonzero(np.abs(row) > 1e-9)
+        pivot = row[idx[0]]
+        out[i] = row * (np.conj(pivot) / np.abs(pivot))
     return out
 
 
@@ -89,54 +90,73 @@ class TestCompressedEigh:
     def test_fix_phases_matches_loop(self):
         rng = np.random.default_rng(11)
         stack = [random_hermitian(rng, 5) for _ in range(20)]
-        # Leading zero components move the pivot off the first row.
+        # Leading zero components move the pivot off the first entry.
         stack += [np.diag(rng.standard_normal(5)).astype(complex) for _ in range(5)]
         # Components below the 1e-9 threshold do not qualify as the pivot.
         stack += [np.diag([0.0, 1, 2, 3, 4]) + 1e-12 * random_hermitian(rng, 5) for _ in range(5)]
         _, vectors = np.linalg.eigh(np.array(stack))
-        expected = np.array([loop_fix_phases(v) for v in vectors])
-        assert np.array_equal(_fix_phases(vectors), expected)
-        for v, e in zip(vectors, expected):
-            assert np.array_equal(_fix_phases(v), e)
+        rows = vectors.swapaxes(-1, -2).reshape(-1, 5)
+        expected = loop_fix_phases(rows)
+        assert np.array_equal(_fix_phases(rows), expected)
+        for i in range(0, len(rows), 7):
+            assert np.array_equal(_fix_phases(rows[i:i + 1]), expected[i:i + 1])
 
     def test_stack_matches_rows_bitwise(self):
         rng = np.random.default_rng(12)
-        for n, r in [(4, 2), (8, 3), (16, 5), (5, 5), (3, 1)]:
-            q = random_subspace(rng, n, r).basis
+        for n, r in [(4, 2), (8, 3), (16, 5), (5, 5), (3, 1), (32, 4), (12, 6), (1, 1)]:
+            table = random_subspace(rng, n, r).compression_table
             dirs = rng.standard_normal((40, n))
-            stacked = compressed_eigh(q, dirs)
-            assert stacked.eigenvalues.shape == (40, r)
-            assert stacked.eigenvectors.shape == (40, r, r)
+            values, vectors = compressed_top_eigh(table, dirs)
+            assert values.shape == (40,)
+            assert vectors.shape == (40, r)
             for i, c in enumerate(dirs):
-                row = compressed_eigh(q, c[None])
-                assert np.array_equal(stacked.eigenvalues[i], row.eigenvalues[0])
-                assert np.array_equal(stacked.eigenvectors[i], row.eigenvectors[0])
+                value, vector = compressed_top_eigh(table, c[None])
+                assert np.array_equal(values[i], value[0])
+                assert np.array_equal(vectors[i], vector[0])
 
     def test_matches_hermitian_eig_of_explicit_compression(self):
         rng = np.random.default_rng(13)
-        q = random_subspace(rng, 7, 3).basis
-        for c in rng.standard_normal((10, 7)):
-            m = q.conj().T @ (c[:, None] * q)
-            dec = hermitian_eig(0.5 * (m + m.conj().T))
-            batched = compressed_eigh(q, c[None])
-            assert np.array_equal(batched.eigenvalues[0], dec.eigenvalues)
-            assert np.array_equal(batched.eigenvectors[0], dec.eigenvectors)
+        for n, r in [(7, 3), (5, 5), (16, 4), (4, 1)]:
+            s = random_subspace(rng, n, r)
+            for c in rng.standard_normal((10, n)):
+                dec = hermitian_eig(s.basis.conj().T @ (c[:, None] * s.basis))
+                values, vectors = compressed_top_eigh(s.compression_table, c[None])
+                assert abs(values[0] - dec.eigenvalues[-1]) <= 1e-14
+                assert np.max(np.abs(vectors[0] - dec.eigenvectors[:, -1])) <= 1e-14
+
+    def test_bottom_eigenvalue_through_negated_direction(self):
+        rng = np.random.default_rng(14)
+        for n, r in [(6, 2), (9, 4), (3, 3)]:
+            s = random_subspace(rng, n, r)
+            dirs = rng.standard_normal((10, n))
+            bottom, vectors = compressed_top_eigh(s.compression_table, -dirs)
+            for c, value, u in zip(dirs, bottom, vectors):
+                m = s.basis.conj().T @ (c[:, None] * s.basis)
+                assert -value == pytest.approx(np.linalg.eigvalsh(m)[0], abs=1e-14)
+                assert np.linalg.norm(m @ u + value * u) <= 1e-13
 
     @pytest.mark.parametrize(
         "dirs", [np.ones(3), np.ones((2, 4)), [[1.0, np.nan, 0.0]], [[np.inf, 0.0, 0.0]]]
     )
     def test_rejects_bad_directions(self, dirs):
-        q = random_subspace(np.random.default_rng(0), 3, 2).basis
+        table = random_subspace(np.random.default_rng(0), 3, 2).compression_table
         with pytest.raises(ValueError, match="finite real rows"):
-            compressed_eigh(q, dirs)
+            compressed_top_eigh(table, dirs)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_rejects_overflowing_compression(self):
-        # Finite directions near the float limit overflow Q* diag(c) Q; the
-        # result would be NaN, so the primitive raises instead.
-        q = orthonormalize(SPAN_V)
+        # The compression of a direction near the float limit stays finite:
+        # 1e308 times the support at (1, 1, 0).
+        table = Subspace(orthonormalize(SPAN_V)).compression_table
+        values, _ = compressed_top_eigh(table, [[1e308, 1e308, 0.0]])
+        assert values[0] == 9.999999999999998e307
+        assert values[0] == pytest.approx(1e308 * compressed_top_eigh(table, [[1, 1, 0]])[0][0],
+                                          rel=1e-15)
+        # A basis column 1e-11 above unit norm (within the orthonormality
+        # tolerance) takes the largest float past the limit: rejected, with
+        # no floating-point warning on the way.
+        table = Subspace(np.array([[1.0 + 1e-11]])).compression_table
         with pytest.raises(ValueError, match="overflows"):
-            compressed_eigh(q, [[1e308, 1e308, 0.0]])
+            compressed_top_eigh(table, [[np.finfo(np.float64).max]])
 
 
 class TestOrthonormalize:

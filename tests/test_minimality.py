@@ -281,6 +281,10 @@ class TestHausdorff:
         huge = hausdorff_moments(v, w, [[1e200, 0.0, 0.0]]).estimate
         assert unit == pytest.approx(1.0 / 3.0, rel=1e-12)
         assert huge == pytest.approx(unit, rel=1e-12)
+        # Near the float limit both |c| and the support difference overflow.
+        unit = hausdorff_moments(v, w, [[1.0, -1.0, 0.0]]).estimate
+        huge = hausdorff_moments(v, w, [[1.7e308, -1.7e308, 0.0]]).estimate
+        assert huge == pytest.approx(unit, rel=1e-12)
 
     def test_rejects_empty_directions(self):
         # A maximum over no directions is undefined, not 0: with [[1, 0, 0]]

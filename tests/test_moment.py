@@ -9,7 +9,7 @@ from momentkit import (
     support_moment,
     whole_space,
 )
-from momentkit.linalg import compressed_eigh
+from momentkit.linalg import compressed_top_eigh, hermitian_eig
 from momentkit.moment import sample_unit_vectors
 
 from conftest import V1_REFERENCE, random_generic_subspace, random_subspace
@@ -98,8 +98,7 @@ class TestSupport:
 
     @pytest.mark.parametrize("n, r", [(8, 3), (16, 5), (32, 4)])
     def test_large_direction_scales_value(self, n, r):
-        # The roundoff asymmetry of the compression grows with the scale of
-        # the direction; it is no input error.
+        # Support functions are positively homogeneous, at any finite scale.
         rng = np.random.default_rng(n)
         s = random_subspace(rng, n, r)
         for c in rng.standard_normal((5, n)):
@@ -108,15 +107,18 @@ class TestSupport:
             )
 
     def test_exposed_principal_point(self):
-        # e_j exposes v^j: the top eigenvalue of Q* E_j Q is (v^j_j)^2 and simple.
+        # e_j exposes v^j: the top eigenvalue of Q* E_j Q is (v^j_j)^2 and
+        # simple, as Q* E_j Q = conj(q_j)^T q_j has rank one.
         rng = np.random.default_rng(10)
         s = random_generic_subspace(rng, 5, 3)
-        values = compressed_eigh(s.basis, np.eye(5)[[2]]).eigenvalues[0]
-        assert values[-1] == pytest.approx(principal_vector(s, 2).top ** 2, abs=1e-12)
+        top, _ = compressed_top_eigh(s.compression_table, np.eye(5)[[2]])
+        assert top[0] == pytest.approx(principal_vector(s, 2).top ** 2, abs=1e-12)
+        values = hermitian_eig(s.compression_table[2]).eigenvalues
+        assert values[-1] == pytest.approx(top[0], abs=1e-12)
         assert values[-1] - values[-2] > 1e-10
 
     def test_rank_one_subspace_extremality(self):
         s = subspace_from_spanning([(1, 1)])
-        values = compressed_eigh(s.basis, np.eye(2)[[0]]).eigenvalues[0]
-        assert values.shape == (1,)  # a single eigenvalue is simple
-        assert values[-1] == pytest.approx(principal_vector(s, 0).top ** 2, abs=1e-12)
+        top, vectors = compressed_top_eigh(s.compression_table, np.eye(2)[[0]])
+        assert vectors.shape == (1, 1)  # a single eigenvalue is simple
+        assert top[0] == pytest.approx(principal_vector(s, 0).top ** 2, abs=1e-12)

@@ -1,10 +1,11 @@
-"""Property tests: the solver never overclaims.
+"""Property tests: the solver never overclaims, and support values are exact.
 
 Shapes run over n = 1..10 and r = 1..n, r = n and n = 1 included.  Every
 example is rebuilt from a numpy seed, so a failure replays from the printed
 arguments.
 """
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -12,7 +13,9 @@ from momentkit import (
     IntersectionStatus,
     moments_intersect,
     project_onto_moment,
+    sample_moment,
     subspace_from_spanning,
+    support_moment,
 )
 from momentkit.feasibility import DEFAULT_TOL, SEPARATION_MARGIN, separation_margin
 
@@ -78,3 +81,17 @@ def test_projection_lower_bound_below_distance(shape, seed, on_simplex):
     res = project_onto_moment(s, p, max_iter=MAX_ITER)
     assert 0.0 <= res.lower <= res.distance + 1e-12
     assert res.converged == (res.distance - res.lower <= DEFAULT_TOL)
+
+
+@given(shape=shapes(), seed=seeds)
+@example(shape=(1, 1), seed=0)
+@example(shape=(5, 1), seed=6)
+@example(shape=(8, 8), seed=7)
+def test_support_bounds_moment_points_and_is_attained(shape, seed):
+    n, r = shape
+    rng = np.random.default_rng(seed)
+    s = random_subspace(rng, n, r)
+    c = rng.standard_normal(n)
+    sup = support_moment(s, c)
+    assert np.max(sample_moment(s, 64, seed) @ c) <= sup.value + 1e-12
+    assert sup.value == pytest.approx(c @ np.abs(sup.maximizer) ** 2, abs=1e-12)
