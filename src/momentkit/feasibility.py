@@ -11,12 +11,18 @@ A density matrix M over the coefficient space C^r maps linearly to the moment
 coordinates y = diag(Q M Q*) in R^n, and the linear minimization oracle over
 the density set is the bottom eigenvector of the r x r gradient compression,
 the top one of the negated gradient (``linalg.compressed_top_eigh``, which
-also gives every support value), so every step costs one small eigensolve.
-Iterates are explicit convex combinations of rank-one atoms |Q u|^2.  Each
-iteration adds the oracle atom of every side and re-solves all weights
-exactly by nonnegative least squares; a step is kept only when it strictly
-lowers the objective, and atoms left at zero weight are dropped, so at most
-n + (number of sides) stay active.
+also gives every support value), so every step costs one small eigensolve;
+two sides of one dimension share one call.  Iterates are explicit convex
+combinations of rank-one atoms |Q u|^2.  Each iteration adds the oracle atom
+of every side and re-solves all weights exactly (``_Master``): a
+Lawson-Hanson active-set solve of the least-squares master with one equality
+row per side for its unit sum, and no penalty row, warm-started at the
+current weights.  Each of its passes is one ``np.linalg.solve`` of the KKT
+system of the active atoms; a step takes one pass when no atom leaves and
+one more per atom that leaves or enters.  A step is kept only when it
+strictly lowers the objective, and atoms left at zero weight are dropped.
+Every moment point of a side sums to +-1, so at most n + S - 1 atoms stay
+active, S the number of sides.
 
 The oracle's atoms also give, at every iterate, the Wolfe dual bound
 lower = <d, sum_s sign_s z_s - target> / |d| on the optimal residual norm
@@ -52,10 +58,16 @@ DEFAULT_MAX_ITER = 50_000
 #: Strict support-function margin required to certify disjointness.
 SEPARATION_MARGIN = 1e-9
 
-#: Weight of each side's unit-sum row in the augmented NNLS.  The weights it
-#: returns miss unit sum by O(1 / penalty^2), and renormalizing them moves the
-#: iterate: at 1e3 a projection stalled 1.6e-7 above its lower bound.
-_NNLS_PENALTY = 1e5
+#: An atom enters the active set only when its Schur complement in the KKT
+#: matrix, the squared distance from its point to the affine span of the
+#: active points of its side (shifted by the other sides), exceeds this
+#: fraction of its squared norm.  The Gram matrix resolves that distance only
+#: to about sqrt(eps) of the norm; below it the atom adds nothing the active
+#: ones do not already reach, and admitting it makes the system singular.
+_ADMIT_RTOL = 1e-13
+#: An inactive atom enters only when its KKT multiplier is below
+#: -_DUAL_RTOL * (1 + max |target|), the roundoff of computing it.
+_DUAL_RTOL = 1e-14
 
 
 def check_nonnegative(name: str, value: float) -> None:
@@ -65,131 +77,339 @@ def check_nonnegative(name: str, value: float) -> None:
 
 
 class _Side:
-    """One moment-set factor of the product feasible set.
-
-    Atoms are unit coefficient vectors u in C^r, stored as the columns of
-    ``atoms``; atom i contributes the moment point ``points[i] = |Q u_i|^2``
-    with weight ``weights[i]``.
-    """
+    """One moment-set factor of the product feasible set: its basis and
+    compression table, and the sign of its moment point in the residual."""
 
     def __init__(self, subspace: Subspace, sign: float):
         self.q = subspace.basis
         self.table = subspace.compression_table
         self.sign = float(sign)
-        r = subspace.r
-        # Principal-vertex probes: coefficient vectors of the principal
-        # standard vectors, available to the reweighting step at zero weight.
-        coeffs = self.q.conj().T
-        norms = np.linalg.norm(coeffs, axis=0)
+
+    def probes(self) -> np.ndarray:
+        """Coefficient vectors (rows) of the principal standard vectors: the
+        principal vertices of the moment set."""
+        coeffs = self.q.conj()
+        norms = np.linalg.norm(coeffs, axis=1)
         keep = norms > 1e-12
-        self.atoms = np.hstack(
-            [np.eye(r, dtype=np.complex128), coeffs[:, keep] / norms[keep]]
-        )
-        self.weights = np.concatenate([np.full(r, 1.0 / r), np.zeros(int(keep.sum()))])
-        self.points = np.abs(self.q @ self.atoms).T ** 2
+        return coeffs[keep] / norms[keep, None]
 
-    def y(self) -> np.ndarray:
-        return self.weights @ self.points
-
-    def lmo(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Atom minimizing <sign * d, z> over the moment set."""
-        u = compressed_top_eigh(self.table, -self.sign * d[None])[1][0]
-        return u, np.abs(self.q @ u) ** 2
-
-    def witness(self) -> np.ndarray:
-        """The n x n density matrix Q M Q* of the current convex combination,
-        M its r x r density matrix."""
-        m = (self.atoms * self.weights) @ self.atoms.conj().T
+    def witness(self, atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """The n x n density matrix Q M Q* of a convex combination of atoms
+        (rows), M its r x r density matrix."""
+        m = (atoms.T * weights) @ atoms.conj()
         m = 0.5 * (m + m.conj().T)
         witness = self.q @ m @ self.q.conj().T
         return 0.5 * (witness + witness.conj().T)
 
 
-def _residual(sides: list[_Side], target: np.ndarray) -> np.ndarray:
-    d = -target.astype(np.float64, copy=True)
-    for side in sides:
-        d += side.sign * side.y()
-    return d
+def _ratio_step(w: list[float], z: list[float]) -> list[float]:
+    """Wolfe's ratio step from feasible weights w toward the solution z with
+    some z_i <= 0: the longest one keeping every weight nonnegative.  The
+    weight of the first atom it blocks is set to exactly 0.  An atom with
+    w_i = z_i = 0 (entering, and left at zero) blocks at step 0, not 0/0."""
+    alpha, first = math.inf, -1
+    for i, (wi, zi) in enumerate(zip(w, z)):
+        if zi <= 0.0:
+            ratio = wi / (wi - zi) if wi > zi else 0.0
+            if ratio < alpha:
+                alpha, first = ratio, i
+    w = [wi + alpha * (zi - wi) for wi, zi in zip(w, z)]
+    w[first] = 0.0
+    return w
 
 
-def _reweight(sides: list[_Side], target: np.ndarray) -> bool:
-    """Optimal weights over all atoms of all sides (augmented NNLS, a penalty
-    row per side for unit total weight), normalized per side.  False, with
-    the weights untouched, when the solve fails or leaves a side without
-    weight."""
-    from scipy.optimize import nnls  # only solver calls pay for scipy
+class _Master:
+    """The atoms of every side, their weights, and the exact reweighting.
 
-    n = target.size
-    blocks = []
-    for s_idx, side in enumerate(sides):
-        block = np.zeros((n + len(sides), len(side.weights)))
-        block[:n] = side.sign * side.points.T
-        block[n + s_idx] = _NNLS_PENALTY
-        blocks.append(block)
-    b = np.concatenate([target, np.full(len(sides), _NNLS_PENALTY)])
-    try:
-        x, _ = nnls(np.hstack(blocks), b)
-    except RuntimeError:
-        return False
-    weights = np.split(x, np.cumsum([len(side.weights) for side in sides])[:-1])
-    if any(w.sum() <= 0.0 for w in weights):
-        return False
-    for side, w in zip(sides, weights):
-        side.weights = w / w.sum()
-    return True
+    An atom is a unit coefficient vector u of a side s, with column
+    a = sign_s |Q_s u|^2 of the master problem; the iterate is A w with the
+    weights of each side on its unit simplex.  It starts at the centroid of
+    every side, weight 1/r on each coefficient unit vector, with the
+    principal vertices beside them at zero weight.
+
+    ``step`` adds one oracle atom per side and solves
+    min |A w - target|^2 over w >= 0 with unit sum per side exactly, by the
+    Lawson-Hanson active-set method with one equality row per side (Lawson &
+    Hanson 1974; Bro & De Jong 1997), from the current weights with the
+    oracle atoms entering.  Each pass solves the KKT system of the active and
+    entering atoms, with G = A^T A and E the side rows,
+
+        [ 0    E ] [nu]   [      1     ]
+        [ E^T  G ] [ w] = [ A^T target ],
+
+    by ``np.linalg.solve``; no penalty row stands in for the unit sums.  When
+    a weight is not positive, Wolfe's ratio step goes back toward the last
+    feasible weights until one reaches zero, and that atom leaves.  When all
+    are positive, the inactive atom with the most negative multiplier
+    G w - A^T target + E^T nu enters.  Between steps every live atom is
+    active, so a step whose atoms all stay takes one pass.
+
+    An entering atom is admitted only when its Schur complement in the KKT
+    matrix is above ``_ADMIT_RTOL`` of its squared norm.  A lone one that
+    fails is rejected for the step, as the active atoms already reach it; of
+    several, those that fail wait for the dual check.  Start atoms that
+    depend on each other make the first step start again from the oracle
+    atom of every side alone.
+
+    Storage is built by the first step, with fixed capacity: ``kkt`` holds
+    the KKT matrix of the ``m`` live atoms, side rows first and the
+    right-hand side as its last column, and ``points`` their columns a.
+    The ``q`` active atoms come first, so a pass solves a leading block.  A
+    new atom borders the Gram matrix with one product, and an atom leaves by
+    a swap with the last one of the block.
+    """
+
+    def __init__(self, sides: list[_Side], target: np.ndarray):
+        self.sides = sides
+        self.target = target
+        self.signs = np.array([side.sign for side in sides])
+        # Side rows of the oracle atoms, one per side in side order.
+        self.eye = np.eye(len(sides))
+        # Sides of one dimension share one eigensolve call in the oracle.
+        tables = [side.table for side in sides]
+        if len(tables) == 1:
+            self.table = tables[0]
+        else:
+            self.table = np.stack(tables) if len({t.shape for t in tables}) == 1 else None
+        self.kkt = None
+        self.iterate = None
+        self.dual_tol = -_DUAL_RTOL * (1.0 + float(abs(target).max(initial=0.0)))
+
+    def oracle(self, d: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The oracle atom (u, z) of every side: z = |Q u|^2 minimizes
+        <sign * d, z> over the side's moment set."""
+        directions = -self.signs[:, None] * d
+        if self.table is None:
+            us = [compressed_top_eigh(side.table, c[None])[1][0]
+                  for side, c in zip(self.sides, directions)]
+        else:
+            us = compressed_top_eigh(self.table, directions)[1]
+        return [(u, abs(side.q @ u) ** 2) for side, u in zip(self.sides, us)]
+
+    def residual(self) -> np.ndarray:
+        """Residual of the starting iterate, the centroid of every side."""
+        return sum(side.sign * (abs(side.q) ** 2).mean(axis=1) for side in self.sides) - self.target
+
+    def witness(self, s: int) -> np.ndarray:
+        side = self.sides[s]
+        r = side.q.shape[1]
+        if self.iterate is None:
+            return side.witness(np.eye(r), np.full(r, 1.0 / r))
+        weights, atoms = self.iterate
+        mine = [i for i, (t, _) in enumerate(atoms) if t == s]
+        return side.witness(np.array([atoms[i][1] for i in mine]), weights[mine])
+
+    def _build(self, fw) -> list[float]:
+        """Storage for every atom a solve can hold at once, filled with the
+        oracle atoms fw, the unit vectors of all sides and the probes, in
+        that order; return the weights of the first two groups."""
+        n_sides, n = len(self.sides), self.target.size
+        units = [np.eye(side.q.shape[1], dtype=np.complex128) for side in self.sides]
+        probes = [side.probes() for side in self.sides]
+        cap = sum(len(u) + len(p) for u, p in zip(units, probes)) + n + 2 * n_sides
+        self.points = np.zeros((cap, n))
+        self.kkt = np.zeros((n_sides + cap, n_sides + cap + 1))
+        self.kkt[:n_sides, -1] = 1.0
+        # By position: (side, coefficient vector) of each live atom, and
+        # whether the active atoms already reach it, which keeps it out of
+        # the dual check.
+        self.atoms = []
+        groups = ([(s, u[None], z[None]) for s, (u, z) in enumerate(fw)]
+                  + [(s, u, abs(side.q.T) ** 2) for s, (side, u) in enumerate(zip(self.sides, units))]
+                  + [(s, p, abs(p @ side.q.T) ** 2) for s, (side, p) in enumerate(zip(self.sides, probes))])
+        for s, atoms, points in groups:
+            self.points[len(self.atoms):len(self.atoms) + len(atoms)] = self.sides[s].sign * points
+            self.atoms += [(s, u) for u in atoms]
+        self.m = len(self.atoms)
+        self.rejected = [False] * self.m
+        self._border(0, np.arange(n_sides)[:, None] == [s for s, _ in self.atoms])
+        return [0.0] * n_sides + [1.0 / len(u) for u in units for _ in u]
+
+    def _border(self, lo: int, side_rows: np.ndarray) -> None:
+        """Border the KKT matrix with the atoms at positions lo..m-1, whose
+        side rows (one-hot columns) are given."""
+        n_sides, hi, k = len(self.sides), self.m, self.kkt
+        points = self.points[:hi]
+        border = points @ points[lo:].T
+        rows = slice(n_sides + lo, n_sides + hi)
+        k[n_sides:n_sides + hi, rows] = border
+        k[rows, n_sides:n_sides + hi] = border.T
+        k[:n_sides, rows] = side_rows
+        k[rows, :n_sides] = side_rows.T
+        k[rows, -1] = points[lo:] @ self.target
+
+    def _swap(self, a: int, b: int) -> None:
+        """Exchange live positions a and b."""
+        n_sides, k = len(self.sides), self.kkt
+        i, j = n_sides + a, n_sides + b
+        k[i], k[j] = k[j].copy(), k[i].copy()
+        k[:, i], k[:, j] = k[:, j].copy(), k[:, i].copy()
+        self.points[a], self.points[b] = self.points[b].copy(), self.points[a].copy()
+        for store in (self.atoms, self.rejected):
+            store[a], store[b] = store[b], store[a]
+
+    def _leave(self, w: list[float], positions: list[int]) -> None:
+        """Take the atoms at the given ascending positions out of the block
+        of the len(w) leading ones: each swaps with the last and its weight
+        is popped."""
+        for i in reversed(positions):
+            if i != len(w) - 1:
+                self._swap(i, len(w) - 1)
+                w[i] = w[-1]
+            w.pop()
+
+    def step(self, fw) -> np.ndarray | None:
+        """Add the oracle atoms (u, z) of every side and re-solve all weights.
+        Return the residual of the new weights, which become the iterate only
+        on ``accept``; None when the solve fails."""
+        lam = None
+        if self.kkt is None:
+            # The oracle atoms enter beside the unit vectors at their
+            # centroid weights.
+            self.q = 0
+            w = self._build(fw)
+        else:
+            lo = self.m
+            for s, (u, z) in enumerate(fw):
+                self.points[lo + s] = self.sides[s].sign * z
+                self.atoms.append((s, u))
+                self.rejected.append(False)
+            self.m += len(fw)
+            self._border(lo, self.eye)
+            w = self.w + [0.0] * len(fw)
+            if len(fw) == 1:
+                row = self.kkt[len(fw) + lo]
+                lam = float(row[:len(fw) + lo] @ self.x - row[-1])
+        if not self._solve(w, lam):
+            return None
+        return self.x[len(self.sides):] @ self.points[:self.q] - self.target
+
+    def accept(self) -> None:
+        """Make the weights of the last ``step`` the iterate and free the
+        atoms they leave at zero."""
+        self.m = q = self.q
+        del self.atoms[q:], self.rejected[q:]
+        self.iterate = (self.x[len(self.sides):], self.atoms[:])
+
+    def _solve(self, w: list[float], lam: float | None = None) -> bool:
+        """Lawson-Hanson from the feasible weights w of the q active atoms and
+        of the atoms entering after them.  ``lam`` is the multiplier of a lone
+        entering atom at the KKT solution of the others, when known.  On
+        success the active atoms are the leading positions, with KKT solution
+        ``x`` = [nu, weights]."""
+        n_sides, k, q = len(self.sides), self.kkt, self.q
+        # Every pass admits or drops an atom; the bound only ends cycling
+        # in roundoff, as a failed solve.
+        for _ in range(4 * len(self.points)):
+            size, e = n_sides + len(w), len(w) - q
+            # An entering atom needs 1 / its Schur complement delta, the
+            # inverse's diagonal entry.  With lam known it is -z / lam for
+            # its weight z; otherwise a unit column of the solve gives it.
+            units = e > 1 or e == 1 and lam is None
+            if units:
+                rhs = np.zeros((size, e + 1))
+                rhs[:, 0] = k[:size, -1]
+                rhs.reshape(-1)[(size - e) * (e + 1) + 1::e + 2] = 1.0
+            else:
+                rhs = k[:size, -1]
+            try:
+                sol = np.linalg.solve(k[:size, :size], rhs)
+            except np.linalg.LinAlgError:
+                if not e:
+                    return False
+                sol = None
+            if e:
+                norm = k.diagonal()[size - e:size].tolist()
+                if sol is None:
+                    bad = list(range(e))
+                elif units:
+                    # The inverse's entry is 0 for the only atom of a side.
+                    inv = sol[size - e:, 1:].diagonal().tolist()
+                    bad = [i for i in range(e) if not abs(inv[i]) * norm[i] * _ADMIT_RTOL < 1.0]
+                    sol = sol[:, 0]
+                else:
+                    bad = [] if abs(sol[-1]) * norm[0] * _ADMIT_RTOL < abs(lam) else [0]
+                lam = None
+                if bad:
+                    if any(w[q + i] > 0.0 for i in bad):
+                        # Start atoms depend on each other: start again from
+                        # the oracle atoms, which lead the first step.
+                        w = [1.0] * n_sides
+                    else:
+                        if e == 1:
+                            self.rejected[q] = True
+                        self._leave(w, [q + i for i in bad])
+                    continue
+            z = sol[n_sides:].tolist()
+            if min(z) > 0.0:
+                q, w = len(w), z
+                if q == self.m:
+                    break
+                # The dual check over the inactive atoms.
+                live = slice(n_sides + q, n_sides + self.m)
+                mult = (k[live, :n_sides + q] @ sol - k[live, -1]).tolist()
+                for i, rejected in enumerate(self.rejected[q:]):
+                    if rejected:
+                        mult[i] = math.inf
+                j = min(range(len(mult)), key=mult.__getitem__)
+                if not mult[j] < self.dual_tol:
+                    break
+                if j:
+                    self._swap(q, q + j)
+                w, lam = w + [0.0], mult[j]
+                continue
+            if e == 1 and z[-1] <= 0.0:
+                # A lone entering atom that gains no weight adds nothing.
+                self.rejected[q] = True
+                w.pop()
+                continue
+            w = _ratio_step(w, z)
+            self._leave(w, [i for i, wi in enumerate(w) if not wi > 0.0])
+            q = len(w)
+        else:
+            return False
+        self.q, self.w, self.x = q, w, sol
+        return True
 
 
-def _minimize(sides: list[_Side], target: np.ndarray, tol: float, max_iter: int,
-              certify) -> tuple[float, int, float]:
+def _minimize(master: _Master, tol: float, max_iter: int, certify) -> tuple[float, int, float]:
     """Fully-corrective Frank-Wolfe (simplicial decomposition) for
     min || sum_s sign_s y_s - target ||^2 over a product of moment sets.
 
     Each iteration calls the oracle of every side and stops when
     ``certify(d, f, lower)`` accepts the current iterate (residual d,
     objective f, dual bound lower).  Otherwise it adds one oracle atom per
-    side and re-solves the weights of all collected atoms exactly
-    (augmented NNLS), so the objective decreases strictly until a step no
-    longer improves it.  Returns the final objective, the number of steps
-    taken and the last ``lower``; the oracle also runs on the final iterate,
-    so ``lower`` describes the returned point unless it is within ``tol``.
+    side and re-solves the weights of all atoms exactly (``_Master.step``:
+    the least-squares master with one equality row per side and no penalty,
+    one KKT solve per pass).  The objective thus decreases strictly until a
+    step no longer improves it or the solve fails.  Returns the final
+    objective, the number of steps taken and the last ``lower``; the oracle
+    also runs on the final iterate, so ``lower`` describes the returned
+    point unless it is within ``tol``.
     """
     check_nonnegative("tol", tol)
     check_nonnegative("max_iter", max_iter)
     max_iter = int(max_iter)
     tol_sq = tol * tol
-    d = _residual(sides, target)
+    target = master.target
+    d = master.residual()
     f = float(d @ d)
     lower = -math.inf
     for it in range(max_iter + 1):
         if f <= tol_sq:
             break
-        fw = [side.lmo(d) for side in sides]
-        vertex = sum(side.sign * z for side, (_, z) in zip(sides, fw))
+        fw = master.oracle(d)
+        vertex = sum(side.sign * z for side, (_, z) in zip(master.sides, fw))
         lower = float(d @ (vertex - target)) / math.sqrt(f)
         if certify(d, f, lower) or it == max_iter:
             break
-
-        saved = [(side.atoms, side.points, side.weights) for side in sides]
-        for side, (u, z) in zip(sides, fw):
-            side.atoms = np.column_stack([side.atoms, u])
-            side.points = np.vstack([side.points, z])
-            side.weights = np.append(side.weights, 0.0)
-        if _reweight(sides, target):
-            d_new = _residual(sides, target)
-            f_new = float(d_new @ d_new)
-        else:
-            f_new = math.inf
+        d_new = master.step(fw)
+        f_new = math.inf if d_new is None else float(d_new @ d_new)
         if not f_new < f:
             # The corrective step no longer improves: keep the last iterate.
-            for side, (atoms, points, weights) in zip(sides, saved):
-                side.atoms, side.points, side.weights = atoms, points, weights
             break
+        master.accept()
         d, f = d_new, f_new
-        for side in sides:
-            keep = side.weights > 0.0
-            side.atoms = side.atoms[:, keep]
-            side.points = side.points[keep]
-            side.weights = side.weights[keep]
     return f, it, lower
 
 
@@ -227,19 +447,19 @@ def project_onto_moment(
         raise ValueError(f"point has dimension {p.size}, expected {s.n}")
     if not np.all(np.isfinite(p)):
         raise ValueError("point has non-finite entries")
-    side = _Side(s, +1.0)
+    master = _Master([_Side(s, +1.0)], p)
     # The dual bound of the single side is <u, p> - h(u) for u = -d/|d|, the
     # unit direction from the iterate to p: every z in the set has
     # |p - z| >= <u, p - z> >= <u, p> - h(u).
     f, iterations, lower = _minimize(
-        [side], p, tol, max_iter,
+        master, tol, max_iter,
         certify=lambda d, f, lower: math.sqrt(f) - lower <= tol,
     )
     distance = math.sqrt(max(f, 0.0))
     lower = 0.0 if f <= tol * tol else max(0.0, lower)
     return ProjectionResult(
         distance=distance,
-        witness=side.witness(),
+        witness=master.witness(0),
         iterations=iterations,
         converged=distance - lower <= tol,
         lower=lower,
@@ -302,8 +522,7 @@ def moments_intersect(
     """
     if v.n != w.n:
         raise ValueError("subspaces live in different ambient dimensions")
-    side_v = _Side(v, +1.0)
-    side_w = _Side(w, -1.0)
+    master = _Master([_Side(v, +1.0), _Side(w, -1.0)], np.zeros(v.n))
     separation = []
 
     def certify(d: np.ndarray, f: float, lower: float) -> bool:
@@ -317,12 +536,12 @@ def moments_intersect(
             separation.append((u, margin))
         return bool(separation)
 
-    f, iterations, _ = _minimize([side_v, side_w], np.zeros(v.n), tol, max_iter, certify)
+    f, iterations, _ = _minimize(master, tol, max_iter, certify)
     gap = math.sqrt(max(f, 0.0))
     if gap <= tol:
         status = IntersectionStatus.INTERSECT
-        witness_y = side_v.witness()
-        witness_x = side_w.witness()
+        witness_y = master.witness(0)
+        witness_x = master.witness(1)
         common = 0.5 * (np.real(np.diagonal(witness_y)) + np.real(np.diagonal(witness_x)))
         fields = dict(witness_y=witness_y, witness_x=witness_x, common=common)
     elif separation:

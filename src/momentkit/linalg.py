@@ -48,11 +48,13 @@ def as_complex_matrix(a) -> np.ndarray:
 
 
 def require_hermitian(a) -> np.ndarray:
-    """Validate hermiticity (max entrywise |A - A*| at most HERMITIAN_ATOL)
-    and return the symmetrized matrix (A + A*)/2."""
+    """Validate a nonempty square matrix for hermiticity (max entrywise
+    |A - A*| at most HERMITIAN_ATOL) and return the symmetrized (A + A*)/2."""
     a = as_complex_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is not square: shape {a.shape}")
+    if not a.size:
+        raise ValueError("matrix is empty")
     defect = float(np.max(np.abs(a - a.conj().T), initial=0.0))
     if defect > HERMITIAN_ATOL:
         raise NonHermitianError(defect, HERMITIAN_ATOL)
@@ -96,17 +98,21 @@ def compressed_top_eigh(table: np.ndarray, directions) -> tuple[np.ndarray, np.n
 
     ``table`` is ``Subspace.compression_table``, the (n, r, r) products
     conj(q_i)^T q_i of the rows q_i of Q, so each compression is one real
-    matmul of c against it.  ``eigh`` reads only the lower triangle and the
-    real part of the diagonal, so the compression is not symmetrized.
+    matmul of c against it.  A (k, n, r, r) stack of tables pairs one table
+    with each direction; every row comes out bitwise as from its own call.
+    ``eigh`` reads only the lower triangle and the real part of the
+    diagonal, so the compression is not symmetrized.
     """
-    n, r = table.shape[:2]
+    n, r = table.shape[-3:-1]
     d = np.asarray(directions, dtype=np.float64)
     peak = abs(d).max(initial=0.0)
-    if d.ndim != 2 or d.shape[1] != n or not peak <= _FLOAT_MAX:
+    if (d.ndim != 2 or d.shape[1] != n or table.ndim == 4 and len(table) != len(d)
+            or not peak <= _FLOAT_MAX):
         raise ValueError(f"directions must be finite real rows of dimension {n}")
     # Row by row (a stacked matmul, not one GEMM), so that a row's compression
     # does not depend on the rows stacked with it.
-    real_table = table.reshape(n, -1).view(np.float64)
+    real_table = (table.reshape(n, -1) if table.ndim == 3
+                  else table.reshape(len(table), n, -1)).view(np.float64)
     if peak > _FLOAT_MAX / 2:
         # The entries are at most max |c_i| up to roundoff, so only a
         # direction this close to the float limit can overflow them.

@@ -442,13 +442,18 @@ SCIPY_FREE = {
     "jnr-boundary": "main(['jnr-boundary', '--subspace', {v!r}, '--directions', 'fibonacci:64',"
                     " '--out', {out!r}])",
     "hausdorff": "main(['hausdorff', '--subspace-v', {v!r}, '--subspace-w', {w!r}, '--out', {out!r}])",
+    "intersect": "main(['intersect', '--subspace-v', {pv!r}, '--subspace-w', {pw!r}, '--out', {out!r}])",
+    "minimal-check": "main(['minimal-check', '--matrix', {m!r}, '--out', {out!r}])",
 }
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    # scipy is imported only by the solvers' NNLS step: loading the CLI and
-    # the n >= 4 direction schedules (here n = 8, the hausdorff command with
-    # its default fibonacci:500) must not load it.  One fresh child each.
+    # No command loads scipy: not the CLI import, not the n >= 4 direction
+    # schedules (here n = 8, the hausdorff command with its default
+    # fibonacci:500), and not the solvers.  The intersect pair (W spanned by
+    # D_k x_k for diagonal unitaries D_k) and the nested minimal-check matrix
+    # both take Frank-Wolfe steps, so they reach the master solve.  One fresh
+    # child each.
     import momentkit
 
     rng = np.random.default_rng(8)
@@ -457,6 +462,14 @@ def test_cli_import_loads_no_scipy(tmp_path):
                              rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8)), 8)
         for name in "vw"
     }
+    x = np.linalg.qr(rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)))[0].T
+    spans["pv"] = write_subspace(tmp_path / "pv.json", x, 5)
+    spans["pw"] = write_subspace(tmp_path / "pw.json", x * np.exp(2j * np.pi * rng.random((2, 5))), 5)
+    frame, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+    y = (frame[:, 0] + 1j * frame[:, 1]) / np.sqrt(2.0)
+    nested = (np.outer(y, y.conj()) - np.outer(y.conj(), y)
+              - np.outer(frame[:, 2], frame[:, 2]) + 0.5 * np.outer(frame[:, 3], frame[:, 3]))
+    spans["m"] = write_matrix(tmp_path / "m.json", nested)
     src = str(Path(momentkit.__file__).resolve().parents[1])
     loaded = {}
     for case, run in SCIPY_FREE.items():
@@ -471,4 +484,6 @@ def test_cli_import_loads_no_scipy(tmp_path):
             check=True,
         )
         loaded[case] = proc.stdout.splitlines()[-1]
+    assert json.loads((tmp_path / "intersect.out").read_text())["iterations"] >= 1
+    assert json.loads((tmp_path / "minimal-check.out").read_text())["certificate"]["iterations"] >= 1
     assert loaded == dict.fromkeys(SCIPY_FREE, "[]")

@@ -253,3 +253,50 @@ class TestEngineInvariants:
             with pytest.raises(ValueError, match="max_iter must be finite and nonnegative"):
                 call()
         assert moments_intersect(v, w, max_iter=0).iterations == 0
+
+
+class TestMaster:
+    """The active-set master on the degenerate instances it must survive."""
+
+    def test_ratio_step_blocks_at_zero_without_dividing(self):
+        # The entering atom has w = z = 0: its ratio is 0, not 0/0.
+        assert feasibility._ratio_step([0.5, 0.5, 0.0], [1.2, -0.2, 0.0]) == [0.5, 0.5, 0.0]
+        assert feasibility._ratio_step([0.5, 0.5], [1.5, -0.5]) == [1.0, 0.0]
+
+    def test_rank_one_side_nested_pair_intersects(self):
+        # V = span{x} lies in W = span{conj(x), f}, so the moment point of V
+        # is in m_W.  Every atom of the rank-1 side V has the same point, so
+        # each oracle atom of V duplicates the active one and is not admitted.
+        frame, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+        x = (frame[:, 0] + 1j * frame[:, 1]) / np.sqrt(2.0)
+        v = subspace_from_spanning([x])
+        w = subspace_from_spanning([np.conj(x), frame[:, 2]])
+        cert = moments_intersect(v, w)
+        assert cert.status is IntersectionStatus.INTERSECT
+        assert cert.iterations >= 1
+        gap = np.real(np.diagonal(cert.witness_y)) - np.real(np.diagonal(cert.witness_x))
+        assert np.linalg.norm(gap) <= feasibility.DEFAULT_TOL
+
+    def test_duplicate_start_atoms(self):
+        # Both coefficient unit vectors of this basis have the moment point
+        # (1/2, 1/2, 0, 0), so the start atoms are dependent and the master
+        # starts again from the oracle atom.  m_S is the segment from e_1 to
+        # e_2.
+        s = subspace_from_spanning([(1, 1, 0, 0), (1, -1, 0, 0)])
+        member = project_onto_moment(s, [1.0, 0.0, 0.0, 0.0])
+        assert member.distance <= 1e-7
+        res = project_onto_moment(s, [0.8, 0.0, 0.2, 0.0])
+        assert res.distance == pytest.approx(np.sqrt(0.06), abs=1e-9)
+        assert np.real(np.diagonal(res.witness)) == pytest.approx([0.9, 0.1, 0.0, 0.0], abs=1e-8)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_diagonal_unitary_pair_intersects(self, seed):
+        # W = span{D_k x_k} with diagonal unitaries D_k, n = 5, r = 2: the
+        # moment sets share every full-rank mixture of the |x_k|^2.
+        rng = np.random.default_rng(seed)
+        x = np.linalg.qr(rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)))[0].T
+        v = subspace_from_spanning(x)
+        w = subspace_from_spanning(x * np.exp(2j * np.pi * rng.random((2, 5))))
+        cert = moments_intersect(v, w)
+        assert cert.status is IntersectionStatus.INTERSECT
+        assert cert.gap <= feasibility.DEFAULT_TOL

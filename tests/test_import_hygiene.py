@@ -1,6 +1,5 @@
-"""Static check that scipy stays off the import path: the library source
-imports it in exactly one place, the solvers' NNLS step, and never at module
-level, so loading ``momentkit`` or running a sweep does not pay for it."""
+"""Static check that the library source imports no scipy at all: numpy is its
+only dependency, so no command or solver pays for scipy's import."""
 import ast
 from pathlib import Path
 
@@ -9,32 +8,20 @@ import momentkit
 SOURCES = sorted(Path(momentkit.__file__).parent.glob("*.py"))
 
 
-def _scipy_imports(path: Path) -> list[tuple[str, str, str]]:
-    """(module, enclosing scope, imported name) of each scipy import in a file;
-    the scope is a dotted path of classes and functions, '' at module level."""
+def _scipy_imports(path: Path) -> list[tuple[str, str]]:
+    """(module, imported name) of each scipy import in a file, at any scope."""
     found = []
-
-    def visit(node: ast.AST, scope: list[str]) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                names = [f"{child.module}.{alias.name}" for alias in child.names]
-            else:
-                names = []
-            found.extend((path.stem, ".".join(scope), name)
-                         for name in names if name.split(".")[0] == "scipy")
-            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, scope + [child.name] if named else scope)
-
-    visit(ast.parse(path.read_text(), filename=str(path)), [])
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [(path.stem, name) for name in names if name.split(".")[0] == "scipy"]
     return found
 
 
-def test_no_module_level_scipy_import():
-    assert [imp for path in SOURCES for imp in _scipy_imports(path) if not imp[1]] == []
-
-
-def test_only_scipy_import_is_the_nnls_step():
-    imports = [imp for path in SOURCES for imp in _scipy_imports(path)]
-    assert imports == [("feasibility", "_reweight", "scipy.optimize.nnls")]
+def test_no_scipy_import():
+    assert SOURCES
+    assert [imp for path in SOURCES for imp in _scipy_imports(path)] == []

@@ -42,6 +42,10 @@ class TestHermitianEig:
             hermitian_eig(bad)
         assert err.value.asymmetry == pytest.approx(1.0)
 
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValueError, match="matrix is empty"):
+            hermitian_eig(np.zeros((0, 0)))
+
     def test_reconstruction_and_shift(self):
         rng = np.random.default_rng(42)
         for n in range(2, 9):
@@ -113,6 +117,21 @@ class TestCompressedEigh:
                 value, vector = compressed_top_eigh(table, c[None])
                 assert np.array_equal(values[i], value[0])
                 assert np.array_equal(vectors[i], vector[0])
+
+    def test_table_stack_matches_separate_calls_bitwise(self):
+        # One table per direction, as the paired oracle of two equal-rank
+        # sides calls it: each row is bitwise the row of its own call.
+        rng = np.random.default_rng(15)
+        for n, r in [(5, 2), (8, 3), (12, 4), (1, 1)]:
+            tables = np.stack([random_subspace(rng, n, r).compression_table for _ in range(3)])
+            dirs = rng.standard_normal((3, n))
+            values, vectors = compressed_top_eigh(tables, dirs)
+            for table, c, value, vector in zip(tables, dirs, values, vectors):
+                alone = compressed_top_eigh(table, c[None])
+                assert np.array_equal(value, alone[0][0])
+                assert np.array_equal(vector, alone[1][0])
+        with pytest.raises(ValueError, match="finite real rows"):
+            compressed_top_eigh(tables, dirs[:2])
 
     def test_matches_hermitian_eig_of_explicit_compression(self):
         rng = np.random.default_rng(13)
@@ -224,6 +243,7 @@ class TestProjector:
 class TestSpectralNorm:
     def test_zero(self):
         assert spectral_norm(np.zeros((3, 3))) == 0.0
+        assert spectral_norm(np.zeros((0, 0))) == 0.0
 
     def test_pauli(self):
         assert spectral_norm(PAULI_Y) == pytest.approx(1.0, abs=1e-12)

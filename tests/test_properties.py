@@ -1,8 +1,9 @@
-"""Property tests: the solver never overclaims, and support values are exact.
+"""Property tests: the solver never overclaims, its master solve is exact,
+and support values are exact.
 
-Shapes run over n = 1..10 and r = 1..n, r = n and n = 1 included.  Every
-example is rebuilt from a numpy seed, so a failure replays from the printed
-arguments.
+Shapes run over n = 1..10 and r = 1..n, r = n and n = 1 included (the
+master runs to n = 12).  Every example is rebuilt from a numpy seed, so a
+failure replays from the printed arguments.
 """
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from momentkit import (
     subspace_from_spanning,
     support_moment,
 )
-from momentkit.feasibility import DEFAULT_TOL, SEPARATION_MARGIN, separation_margin
+from momentkit.feasibility import (
+    DEFAULT_TOL,
+    SEPARATION_MARGIN,
+    _Master,
+    _Side,
+    separation_margin,
+)
 
 from conftest import random_subspace
 
@@ -95,3 +102,107 @@ def test_support_bounds_moment_points_and_is_attained(shape, seed):
     sup = support_moment(s, c)
     assert np.max(sample_moment(s, 64, seed) @ c) <= sup.value + 1e-12
     assert sup.value == pytest.approx(c @ np.abs(sup.maximizer) ** 2, abs=1e-12)
+
+
+@st.composite
+def master_cases(draw):
+    """(n, ranks, kind, seed) for the master: one or two sides with n <= 12.
+    ``kind`` "duplicate" feeds atoms the store already holds, and "zero"
+    gives a residual that reaches 0: a target on the moment set, or a pair
+    W = span{D_k x_k} of the same rank."""
+    n = draw(st.integers(1, 12))
+    ranks = tuple(draw(st.integers(1, n)) for _ in range(draw(st.integers(1, 2))))
+    kind = draw(st.sampled_from(["oracle", "duplicate", "zero"]))
+    if kind == "zero":
+        ranks = ranks[:1] * len(ranks)
+    return n, ranks, kind, draw(seeds)
+
+
+def _master_steps(n, ranks, kind, seed, steps=4):
+    """Run a master for a few steps, as ``_minimize`` does until the residual
+    is within tolerance; yield it after each step, with the residual it
+    returned, before the step is accepted."""
+    rng = np.random.default_rng(seed)
+    v = random_subspace(rng, n, ranks[0])
+    spaces = [v]
+    if len(ranks) == 2:
+        x = v.basis.T
+        spaces.append(subspace_from_spanning(x * np.exp(2j * np.pi * rng.random(x.shape)))
+                      if kind == "zero" else random_subspace(rng, n, ranks[1]))
+        target = np.zeros(n)
+    elif kind == "zero":
+        u = rng.standard_normal(ranks[0]) + 1j * rng.standard_normal(ranks[0])
+        target = np.abs(v.basis @ u) ** 2 / np.vdot(u, u).real
+    else:
+        target = rng.standard_normal(n)
+    sides = [_Side(space, sign) for space, sign in zip(spaces, (1.0, -1.0))]
+    master = _Master(sides, target)
+    d = master.residual()
+    for _ in range(steps):
+        if d @ d <= DEFAULT_TOL ** 2:
+            return
+        fw = master.oracle(d)
+        if kind == "duplicate":
+            # The first coefficient unit vector: a start atom, held again.
+            fw = [(np.eye(len(u))[0].astype(complex), np.abs(side.q[:, 0]) ** 2)
+                  for side, (u, _) in zip(sides, fw)]
+        d_new = master.step(fw)
+        assert d_new is not None
+        yield master, d_new
+        if not d_new @ d_new < d @ d:
+            return
+        master.accept()
+        d = d_new
+
+
+def _live(master):
+    """Signed points, sides and weights (0 when inactive) of the live atoms."""
+    points = master.points[:master.m]
+    sides = np.array([s for s, _ in master.atoms])
+    weights = np.zeros(master.m)
+    weights[:master.q] = master.x[len(master.sides):]
+    return points, sides, weights
+
+
+@given(case=master_cases())
+@example(case=(1, (1,), "oracle", 0))
+@example(case=(5, (2, 2), "zero", 1))
+@example(case=(4, (1, 2), "duplicate", 2))
+@example(case=(12, (4, 4), "zero", 3))
+def test_master_weights_are_kkt_optimal(case):
+    for master, d in _master_steps(*case):
+        points, sides, w = _live(master)
+        assert np.all(w >= 0.0)
+        assert np.all(w[:master.q] > 0.0)
+        for s in range(len(master.sides)):
+            assert abs(w[sides == s].sum() - 1.0) <= 1e-15 * master.m
+        assert np.allclose(w @ points - master.target, d, rtol=0.0, atol=1e-14)
+        # The multiplier a_j . d + nu_s of every live atom, with nu_s from
+        # the active atoms of its side (where it is 0): nonnegative on the
+        # atoms left at zero weight.
+        slopes = points @ d
+        for s in range(len(master.sides)):
+            mine = sides == s
+            nu = -slopes[mine & (w > 0.0)].mean()
+            assert np.all(slopes[mine & (w == 0.0)] + nu >= -1e-12)
+
+
+@given(case=master_cases())
+@example(case=(6, (3,), "oracle", 4))
+@example(case=(8, (2, 3), "oracle", 5))
+def test_master_objective_matches_scipy_nnls(case):
+    # scipy's nnls on the augmented system (a penalty row per side for the
+    # unit sums), renormalized per side, over the same atoms: a feasible
+    # point, so the exact master can only be lower.
+    nnls = pytest.importorskip("scipy.optimize").nnls
+    penalty = 1e5
+    for master, d in _master_steps(*case):
+        points, sides, _ = _live(master)
+        n_sides = len(master.sides)
+        a = np.vstack([points.T, penalty * (sides == np.arange(n_sides)[:, None])])
+        b = np.concatenate([master.target, np.full(n_sides, penalty)])
+        x, _ = nnls(a, b, maxiter=50 * a.shape[1])
+        for s in range(n_sides):
+            x[sides == s] /= x[sides == s].sum()
+        reference = x @ points - master.target
+        assert d @ d <= reference @ reference + 1e-12
