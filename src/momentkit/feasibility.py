@@ -7,14 +7,17 @@ decomposition; Holloway 1974, Lacoste-Julien & Jaggi 2015):
 * ``project_onto_moment`` - distance from a real vector to the moment set,
 * ``moments_intersect``  - feasibility of m_V and m_W sharing a point.
 
-A density matrix M over the coefficient space C^r maps linearly to the moment
-coordinates y = diag(Q M Q*) in R^n, and the linear minimization oracle over
-the density set is the bottom eigenvector of the r x r gradient compression,
-the top one of the negated gradient (``linalg.compressed_top_eigh``, which
-also gives every support value), so every step costs one small eigensolve;
-two sides of one dimension share one call.  Iterates are explicit convex
-combinations of rank-one atoms |Q u|^2.  Each iteration adds the oracle atom
-of every side and re-solves all weights exactly (``_Master``): a
+Both run one master, sign +1 on side 0 and -1 on side 1 of the residual
+sum_s sign_s y_s - target: y - p for a projection, y_V - y_W for an
+intersection.  A density matrix M over the coefficient space C^r maps
+linearly to the moment coordinates y = diag(Q M Q*) in R^n, and the linear
+minimization oracle over the density set is the bottom eigenvector of the
+r x r gradient compression, the top one of the negated gradient
+(``linalg.compressed_top_eigh``, which also gives every support value), so
+every step costs one small eigensolve; sides of one rank share one call on
+their stacked tables, a lone side as a stack of one.  Iterates are explicit
+convex combinations of rank-one atoms |Q u|^2.  Each iteration adds the
+oracle atom of every side and re-solves all weights exactly (``_Master``): a
 Lawson-Hanson active-set solve of the least-squares master with one equality
 row per side for its unit sum, and no penalty row, warm-started at the
 current weights.  Each of its passes is one ``np.linalg.solve`` of the KKT
@@ -57,6 +60,9 @@ DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 50_000
 #: Strict support-function margin required to certify disjointness.
 SEPARATION_MARGIN = 1e-9
+#: Largest Euclidean norm of a point to project: the squared residual, at
+#: most (|p| + 1)^2, stays below the float limit of about 1.8e308.
+POINT_MAX = 1e154
 
 #: An atom enters the active set only when its Schur complement in the KKT
 #: matrix, the squared distance from its point to the affine span of the
@@ -74,32 +80,6 @@ def check_nonnegative(name: str, value: float) -> None:
     """Reject a tolerance or iteration limit that is negative or not finite."""
     if not 0.0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and nonnegative (got {value})")
-
-
-class _Side:
-    """One moment-set factor of the product feasible set: its basis and
-    compression table, and the sign of its moment point in the residual."""
-
-    def __init__(self, subspace: Subspace, sign: float):
-        self.q = subspace.basis
-        self.table = subspace.compression_table
-        self.sign = float(sign)
-
-    def probes(self) -> np.ndarray:
-        """Coefficient vectors (rows) of the principal standard vectors: the
-        principal vertices of the moment set."""
-        coeffs = self.q.conj()
-        norms = np.linalg.norm(coeffs, axis=1)
-        keep = norms > 1e-12
-        return coeffs[keep] / norms[keep, None]
-
-    def witness(self, atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """The n x n density matrix Q M Q* of a convex combination of atoms
-        (rows), M its r x r density matrix."""
-        m = (atoms.T * weights) @ atoms.conj()
-        m = 0.5 * (m + m.conj().T)
-        witness = self.q @ m @ self.q.conj().T
-        return 0.5 * (witness + witness.conj().T)
 
 
 def _ratio_step(w: list[float], z: list[float]) -> list[float]:
@@ -121,11 +101,16 @@ def _ratio_step(w: list[float], z: list[float]) -> list[float]:
 class _Master:
     """The atoms of every side, their weights, and the exact reweighting.
 
-    An atom is a unit coefficient vector u of a side s, with column
+    ``_Master(spaces, target)`` takes one subspace or two, with signs +1
+    and -1.  An atom is a unit coefficient vector u of a side s, with column
     a = sign_s |Q_s u|^2 of the master problem; the iterate is A w with the
     weights of each side on its unit simplex.  It starts at the centroid of
     every side, weight 1/r on each coefficient unit vector, with the
-    principal vertices beside them at zero weight.
+    principal vertices beside them at zero weight.  These probes make each
+    principal vertex, an extremal point of the moment set, an exact atom the
+    first step reaches, where the oracle only approaches it.  Likewise the
+    multiplier ``lam`` of a lone entering atom is read off the last solve,
+    so that atom needs no unit column.
 
     ``step`` adds one oracle atom per side and solves
     min |A w - target|^2 over w >= 0 with unit sum per side exactly, by the
@@ -159,18 +144,18 @@ class _Master:
     a swap with the last one of the block.
     """
 
-    def __init__(self, sides: list[_Side], target: np.ndarray):
-        self.sides = sides
+    def __init__(self, spaces: list[Subspace], target: np.ndarray):
+        self.bases = [space.basis for space in spaces]
+        self.tables = [space.compression_table for space in spaces]
+        # Python floats: the per-step products stay scalar ones.
+        self.signs = [1.0, -1.0][:len(spaces)]
         self.target = target
-        self.signs = np.array([side.sign for side in sides])
+        # The oracle minimizes <sign * d, z>: the top eigenpair of -sign * d.
+        self.flips = -np.array(self.signs)[:, None]
         # Side rows of the oracle atoms, one per side in side order.
-        self.eye = np.eye(len(sides))
-        # Sides of one dimension share one eigensolve call in the oracle.
-        tables = [side.table for side in sides]
-        if len(tables) == 1:
-            self.table = tables[0]
-        else:
-            self.table = np.stack(tables) if len({t.shape for t in tables}) == 1 else None
+        self.eye = np.eye(len(spaces))
+        # Sides of one rank, a lone side included, share one eigensolve call.
+        self.table = np.stack(self.tables) if len({t.shape for t in self.tables}) == 1 else None
         self.kkt = None
         self.iterate = None
         self.dual_tol = -_DUAL_RTOL * (1.0 + float(abs(target).max(initial=0.0)))
@@ -178,34 +163,45 @@ class _Master:
     def oracle(self, d: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """The oracle atom (u, z) of every side: z = |Q u|^2 minimizes
         <sign * d, z> over the side's moment set."""
-        directions = -self.signs[:, None] * d
+        directions = self.flips * d
         if self.table is None:
-            us = [compressed_top_eigh(side.table, c[None])[1][0]
-                  for side, c in zip(self.sides, directions)]
+            us = [compressed_top_eigh(table, c[None])[1][0]
+                  for table, c in zip(self.tables, directions)]
         else:
             us = compressed_top_eigh(self.table, directions)[1]
-        return [(u, abs(side.q @ u) ** 2) for side, u in zip(self.sides, us)]
+        return [(u, abs(q @ u) ** 2) for q, u in zip(self.bases, us)]
 
     def residual(self) -> np.ndarray:
         """Residual of the starting iterate, the centroid of every side."""
-        return sum(side.sign * (abs(side.q) ** 2).mean(axis=1) for side in self.sides) - self.target
+        return sum(sign * (abs(q) ** 2).mean(axis=1)
+                   for q, sign in zip(self.bases, self.signs)) - self.target
 
     def witness(self, s: int) -> np.ndarray:
-        side = self.sides[s]
-        r = side.q.shape[1]
+        """The n x n density matrix Q M Q* of side s at the iterate, M the
+        r x r density matrix of the convex combination of its atoms."""
+        q = self.bases[s]
         if self.iterate is None:
-            return side.witness(np.eye(r), np.full(r, 1.0 / r))
-        weights, atoms = self.iterate
-        mine = [i for i, (t, _) in enumerate(atoms) if t == s]
-        return side.witness(np.array([atoms[i][1] for i in mine]), weights[mine])
+            r = q.shape[1]
+            atoms, weights = np.eye(r), np.full(r, 1.0 / r)
+        else:
+            weights, live = self.iterate
+            mine = [i for i, (t, _) in enumerate(live) if t == s]
+            atoms, weights = np.array([live[i][1] for i in mine]), weights[mine]
+        m = (atoms.T * weights) @ atoms.conj()
+        m = 0.5 * (m + m.conj().T)
+        witness = q @ m @ q.conj().T
+        return 0.5 * (witness + witness.conj().T)
 
     def _build(self, fw) -> list[float]:
         """Storage for every atom a solve can hold at once, filled with the
         oracle atoms fw, the unit vectors of all sides and the probes, in
         that order; return the weights of the first two groups."""
-        n_sides, n = len(self.sides), self.target.size
-        units = [np.eye(side.q.shape[1], dtype=np.complex128) for side in self.sides]
-        probes = [side.probes() for side in self.sides]
+        n_sides, n = len(self.signs), self.target.size
+        units = [np.eye(q.shape[1], dtype=np.complex128) for q in self.bases]
+        # The probes: coefficient rows of the principal standard vectors,
+        # the principal vertices of the moment set.
+        norms = [np.linalg.norm(q, axis=1) for q in self.bases]
+        probes = [q[k > 1e-12].conj() / k[k > 1e-12, None] for q, k in zip(self.bases, norms)]
         cap = sum(len(u) + len(p) for u, p in zip(units, probes)) + n + 2 * n_sides
         self.points = np.zeros((cap, n))
         self.kkt = np.zeros((n_sides + cap, n_sides + cap + 1))
@@ -215,10 +211,10 @@ class _Master:
         # the dual check.
         self.atoms = []
         groups = ([(s, u[None], z[None]) for s, (u, z) in enumerate(fw)]
-                  + [(s, u, abs(side.q.T) ** 2) for s, (side, u) in enumerate(zip(self.sides, units))]
-                  + [(s, p, abs(p @ side.q.T) ** 2) for s, (side, p) in enumerate(zip(self.sides, probes))])
+                  + [(s, u, abs(q.T) ** 2) for s, (q, u) in enumerate(zip(self.bases, units))]
+                  + [(s, p, abs(p @ q.T) ** 2) for s, (q, p) in enumerate(zip(self.bases, probes))])
         for s, atoms, points in groups:
-            self.points[len(self.atoms):len(self.atoms) + len(atoms)] = self.sides[s].sign * points
+            self.points[len(self.atoms):len(self.atoms) + len(atoms)] = self.signs[s] * points
             self.atoms += [(s, u) for u in atoms]
         self.m = len(self.atoms)
         self.rejected = [False] * self.m
@@ -228,7 +224,7 @@ class _Master:
     def _border(self, lo: int, side_rows: np.ndarray) -> None:
         """Border the KKT matrix with the atoms at positions lo..m-1, whose
         side rows (one-hot columns) are given."""
-        n_sides, hi, k = len(self.sides), self.m, self.kkt
+        n_sides, hi, k = len(self.signs), self.m, self.kkt
         points = self.points[:hi]
         border = points @ points[lo:].T
         rows = slice(n_sides + lo, n_sides + hi)
@@ -240,7 +236,7 @@ class _Master:
 
     def _swap(self, a: int, b: int) -> None:
         """Exchange live positions a and b."""
-        n_sides, k = len(self.sides), self.kkt
+        n_sides, k = len(self.signs), self.kkt
         i, j = n_sides + a, n_sides + b
         k[i], k[j] = k[j].copy(), k[i].copy()
         k[:, i], k[:, j] = k[:, j].copy(), k[:, i].copy()
@@ -271,7 +267,7 @@ class _Master:
         else:
             lo = self.m
             for s, (u, z) in enumerate(fw):
-                self.points[lo + s] = self.sides[s].sign * z
+                self.points[lo + s] = self.signs[s] * z
                 self.atoms.append((s, u))
                 self.rejected.append(False)
             self.m += len(fw)
@@ -282,14 +278,14 @@ class _Master:
                 lam = float(row[:len(fw) + lo] @ self.x - row[-1])
         if not self._solve(w, lam):
             return None
-        return self.x[len(self.sides):] @ self.points[:self.q] - self.target
+        return self.x[len(self.signs):] @ self.points[:self.q] - self.target
 
     def accept(self) -> None:
         """Make the weights of the last ``step`` the iterate and free the
         atoms they leave at zero."""
         self.m = q = self.q
         del self.atoms[q:], self.rejected[q:]
-        self.iterate = (self.x[len(self.sides):], self.atoms[:])
+        self.iterate = (self.x[len(self.signs):], self.atoms[:])
 
     def _solve(self, w: list[float], lam: float | None = None) -> bool:
         """Lawson-Hanson from the feasible weights w of the q active atoms and
@@ -297,7 +293,7 @@ class _Master:
         entering atom at the KKT solution of the others, when known.  On
         success the active atoms are the leading positions, with KKT solution
         ``x`` = [nu, weights]."""
-        n_sides, k, q = len(self.sides), self.kkt, self.q
+        n_sides, k, q = len(self.signs), self.kkt, self.q
         # Every pass admits or drops an atom; the bound only ends cycling
         # in roundoff, as a failed solve.
         for _ in range(4 * len(self.points)):
@@ -399,7 +395,7 @@ def _minimize(master: _Master, tol: float, max_iter: int, certify) -> tuple[floa
         if f <= tol_sq:
             break
         fw = master.oracle(d)
-        vertex = sum(side.sign * z for side, (_, z) in zip(master.sides, fw))
+        vertex = sum(sign * z for sign, (_, z) in zip(master.signs, fw))
         lower = float(d @ (vertex - target)) / math.sqrt(f)
         if certify(d, f, lower) or it == max_iter:
             break
@@ -447,7 +443,9 @@ def project_onto_moment(
         raise ValueError(f"point has dimension {p.size}, expected {s.n}")
     if not np.all(np.isfinite(p)):
         raise ValueError("point has non-finite entries")
-    master = _Master([_Side(s, +1.0)], p)
+    if not math.hypot(*p) <= POINT_MAX:
+        raise ValueError(f"point norm exceeds {POINT_MAX:.0e}: the squared residual would overflow")
+    master = _Master([s], p)
     # The dual bound of the single side is <u, p> - h(u) for u = -d/|d|, the
     # unit direction from the iterate to p: every z in the set has
     # |p - z| >= <u, p - z> >= <u, p> - h(u).
@@ -522,7 +520,7 @@ def moments_intersect(
     """
     if v.n != w.n:
         raise ValueError("subspaces live in different ambient dimensions")
-    master = _Master([_Side(v, +1.0), _Side(w, -1.0)], np.zeros(v.n))
+    master = _Master([v, w], np.zeros(v.n))
     separation = []
 
     def certify(d: np.ndarray, f: float, lower: float) -> bool:

@@ -113,20 +113,23 @@ def cone_membership(s: Subspace, x) -> ConeMembership:
     The cone of W equals the cone of the moment set, so x belongs exactly when
     x is zero or x normalized to coordinate sum one lies in m_S (within
     CONE_TOL); the returned scaling is that coordinate sum, ``inf`` when it
-    exceeds the float range.
+    exceeds the float range.  The answer does not depend on the scale of x:
+    only the zero vector counts as zero, and a negative coordinate is
+    tolerated, and read as 0, down to -1e-12 times the largest |x_i|.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.size != s.n:
         raise ValueError(f"vector has dimension {x.size}, expected {s.n}")
     if not np.isfinite(x).all():
         raise ValueError("vector has non-finite entries")
-    if np.min(x) < -1e-12:
-        raise ValueError(f"vector has negative coordinate {float(np.min(x)):.3e}")
     # Scale by the largest coordinate first, so that the sum cannot overflow.
-    top = float(np.max(x))
-    y = x / top if top > 0.0 else np.zeros_like(x)
-    total = top * float(y.sum())
-    if total <= 1e-15:
+    top = float(abs(x).max())
+    if top == 0.0:
         return ConeMembership(member=True, scaling=0.0, moment_distance=0.0)
+    y = x / top
+    if y.min() < -1e-12:
+        raise ValueError(f"vector has negative coordinate {float(np.min(x)):.3e}")
+    y = np.maximum(y, 0.0)
+    total = top * float(y.sum())
     distance = project_onto_moment(s, y / y.sum()).distance
     return ConeMembership(member=distance <= CONE_TOL, scaling=total, moment_distance=distance)

@@ -222,6 +222,25 @@ class TestSliceAndCone:
         assert result.scaling == np.inf
         assert result.moment_distance <= 1e-12
 
+    @pytest.mark.parametrize("scale", [5e-324, 1e-300, 1e-16, 1e-10, 1.0, 1e300])
+    def test_cone_membership_is_scale_invariant(self, scale):
+        # Any coordinate sum up to 1e-15 counted as the zero vector:
+        # (1e-16, 0, 0) was a member at scaling 0, (1e-10, 0, 0) was not.
+        s = subspace_from_spanning([(1, 1, 0)])
+        inside = cone_membership(s, [scale, scale, 0.0])
+        assert inside.member and inside.scaling == 2.0 * scale
+        outside = cone_membership(s, [scale, 0.0, 0.0])
+        assert not outside.member and outside.scaling == scale
+        assert outside.moment_distance == pytest.approx(np.sqrt(0.5), abs=1e-12)
+
+    def test_cone_negative_tolerance_is_relative(self):
+        s = subspace_from_spanning([(1, 1, 0)])
+        # An absolute tolerance let -1e-13 through, normalized to -1000.
+        with pytest.raises(ValueError, match="negative"):
+            cone_membership(s, [1e-16, -1e-13, 0.0])
+        tolerated = cone_membership(s, [1.0, 1.0, -1e-13])
+        assert tolerated.member and tolerated.scaling == 2.0
+
     @pytest.mark.parametrize("x", [[np.inf, 0.0, 0.0], [np.nan, 1.0, 1.0]])
     def test_cone_rejects_non_finite(self, example_v, x):
         # inf / inf warned and nan passed the sign check.

@@ -1,5 +1,6 @@
-"""Property tests: the solver never overclaims, its master solve is exact,
-and support values are exact.
+"""Property tests: the solver never overclaims, its verdicts do not depend
+on the coordinate frame, its master solve is exact, and support values are
+exact.
 
 Shapes run over n = 1..10 and r = 1..n, r = n and n = 1 included (the
 master runs to n = 12).  Every example is rebuilt from a numpy seed, so a
@@ -22,7 +23,6 @@ from momentkit.feasibility import (
     DEFAULT_TOL,
     SEPARATION_MARGIN,
     _Master,
-    _Side,
     separation_margin,
 )
 
@@ -104,6 +104,51 @@ def test_support_bounds_moment_points_and_is_attained(shape, seed):
     assert sup.value == pytest.approx(c @ np.abs(sup.maximizer) ** 2, abs=1e-12)
 
 
+def _reframed(rng, spaces):
+    """The spaces in another coordinate frame, and its permutation: one
+    permutation of the coordinates for all, and an independent diagonal
+    unitary for each space.  Moment sets permute with the coordinates and
+    ignore the unitaries, so every verdict must carry over."""
+    n = spaces[0].n
+    perm = rng.permutation(n)
+    moved = [subspace_from_spanning((np.exp(2j * np.pi * rng.random(n))[:, None] * s.basis)[perm].T)
+             for s in spaces]
+    return moved, perm
+
+
+@given(shape=shapes(sides=2), seed=seeds)
+@example(shape=(1, 1, 1), seed=0)
+@example(shape=(6, 2, 3), seed=8)
+def test_intersection_verdict_is_frame_invariant(shape, seed):
+    n, r_v, r_w = shape
+    rng = np.random.default_rng(seed)
+    spaces = [random_subspace(rng, n, r_v), random_subspace(rng, n, r_w)]
+    moved, _ = _reframed(rng, spaces)
+    a, b = (moments_intersect(v, w, max_iter=MAX_ITER) for v, w in (spaces, moved))
+    for one, other in ((a, b), (b, a)):
+        if one.status is IntersectionStatus.INTERSECT and other.status is IntersectionStatus.DISJOINT:
+            assert other.margin <= DEFAULT_TOL
+
+
+@given(shape=shapes(), seed=seeds, on_simplex=st.booleans())
+@example(shape=(1, 1), seed=0, on_simplex=False)
+@example(shape=(7, 3), seed=9, on_simplex=True)
+def test_projection_is_frame_invariant(shape, seed, on_simplex):
+    n, r = shape
+    rng = np.random.default_rng(seed)
+    s = random_subspace(rng, n, r)
+    p = rng.dirichlet(np.ones(n)) if on_simplex else rng.standard_normal(n)
+    (moved,), perm = _reframed(rng, [s])
+    a = project_onto_moment(s, p, max_iter=MAX_ITER)
+    b = project_onto_moment(moved, p[perm], max_iter=MAX_ITER)
+    if a.converged and b.converged:
+        assert abs(a.distance - b.distance) <= DEFAULT_TOL
+    # Each lower bound holds for the true distance, which the other frame's
+    # witness bounds from above.
+    assert a.lower <= b.distance + 1e-12
+    assert b.lower <= a.distance + 1e-12
+
+
 @st.composite
 def master_cases(draw):
     """(n, ranks, kind, seed) for the master: one or two sides with n <= 12.
@@ -135,8 +180,7 @@ def _master_steps(n, ranks, kind, seed, steps=4):
         target = np.abs(v.basis @ u) ** 2 / np.vdot(u, u).real
     else:
         target = rng.standard_normal(n)
-    sides = [_Side(space, sign) for space, sign in zip(spaces, (1.0, -1.0))]
-    master = _Master(sides, target)
+    master = _Master(spaces, target)
     d = master.residual()
     for _ in range(steps):
         if d @ d <= DEFAULT_TOL ** 2:
@@ -144,8 +188,8 @@ def _master_steps(n, ranks, kind, seed, steps=4):
         fw = master.oracle(d)
         if kind == "duplicate":
             # The first coefficient unit vector: a start atom, held again.
-            fw = [(np.eye(len(u))[0].astype(complex), np.abs(side.q[:, 0]) ** 2)
-                  for side, (u, _) in zip(sides, fw)]
+            fw = [(np.eye(len(u))[0].astype(complex), np.abs(space.basis[:, 0]) ** 2)
+                  for space, (u, _) in zip(spaces, fw)]
         d_new = master.step(fw)
         assert d_new is not None
         yield master, d_new
@@ -160,7 +204,7 @@ def _live(master):
     points = master.points[:master.m]
     sides = np.array([s for s, _ in master.atoms])
     weights = np.zeros(master.m)
-    weights[:master.q] = master.x[len(master.sides):]
+    weights[:master.q] = master.x[len(master.signs):]
     return points, sides, weights
 
 
@@ -174,14 +218,14 @@ def test_master_weights_are_kkt_optimal(case):
         points, sides, w = _live(master)
         assert np.all(w >= 0.0)
         assert np.all(w[:master.q] > 0.0)
-        for s in range(len(master.sides)):
+        for s in range(len(master.signs)):
             assert abs(w[sides == s].sum() - 1.0) <= 1e-15 * master.m
         assert np.allclose(w @ points - master.target, d, rtol=0.0, atol=1e-14)
         # The multiplier a_j . d + nu_s of every live atom, with nu_s from
         # the active atoms of its side (where it is 0): nonnegative on the
         # atoms left at zero weight.
         slopes = points @ d
-        for s in range(len(master.sides)):
+        for s in range(len(master.signs)):
             mine = sides == s
             nu = -slopes[mine & (w > 0.0)].mean()
             assert np.all(slopes[mine & (w == 0.0)] + nu >= -1e-12)
@@ -198,7 +242,7 @@ def test_master_objective_matches_scipy_nnls(case):
     penalty = 1e5
     for master, d in _master_steps(*case):
         points, sides, _ = _live(master)
-        n_sides = len(master.sides)
+        n_sides = len(master.signs)
         a = np.vstack([points.T, penalty * (sides == np.arange(n_sides)[:, None])])
         b = np.concatenate([master.target, np.full(n_sides, penalty)])
         x, _ = nnls(a, b, maxiter=50 * a.shape[1])
