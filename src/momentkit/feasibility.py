@@ -13,19 +13,19 @@ intersection.  A density matrix M over the coefficient space C^r maps
 linearly to the moment coordinates y = diag(Q M Q*) in R^n, and the linear
 minimization oracle over the density set is the bottom eigenvector of the
 r x r gradient compression, the top one of the negated gradient
-(``linalg.compressed_top_eigh``, which also gives every support value), so
-every step costs one small eigensolve; sides of one rank share one call on
-their stacked tables, a lone side as a stack of one.  Iterates are explicit
-convex combinations of rank-one atoms |Q u|^2.  Each iteration adds the
-oracle atom of every side and re-solves all weights exactly (``_Master``): a
-Lawson-Hanson active-set solve of the least-squares master with one equality
-row per side for its unit sum, and no penalty row, warm-started at the
-current weights.  Each of its passes is one ``np.linalg.solve`` of the KKT
-system of the active atoms; a step takes one pass when no atom leaves and
-one more per atom that leaves or enters.  A step is kept only when it
-strictly lowers the objective, and atoms left at zero weight are dropped.
-Every moment point of a side sums to +-1, so at most n + S - 1 atoms stay
-active, S the number of sides.
+(``linalg.compressed_top_eigh``, which also gives every support value of
+``moment`` and ``jnr``), so every step costs one small eigensolve; sides of
+one rank share one call on their stacked tables, a lone side as a stack of
+one.  Iterates are explicit convex combinations of rank-one atoms |Q u|^2.
+Each iteration adds the oracle atom of every side and re-solves all weights
+exactly (``_Master``): a Lawson-Hanson active-set solve of the least-squares
+master with one equality row per side for its unit sum, and no penalty row,
+warm-started at the current weights.  Each of its passes is one
+``np.linalg.solve`` of the KKT system of the active atoms; a step takes one
+pass when no atom leaves and one more per atom that leaves or enters.  A
+step is kept only when it strictly lowers the objective, and atoms left at
+zero weight are dropped.  Every moment point of a side sums to +-1, so at
+most n + S - 1 atoms stay active, S the number of sides.
 
 The oracle's atoms also give, at every iterate, the Wolfe dual bound
 lower = <d, sum_s sign_s z_s - target> / |d| on the optimal residual norm
@@ -36,7 +36,8 @@ It is the solver's only certificate and its only stopping test:
   exact bound <u, p> - h(u) of the direction u from the iterate to p;
 * an intersection is declared DISJOINT at the first iterate whose bound
   reaches ``SEPARATION_MARGIN``: -d/|d| is then a separating direction, and
-  its margin is confirmed once by ``separation_margin``.  Disjointness is
+  its margin is confirmed once by ``separation_margin``, from two top
+  eigenvalues alone (``linalg.compressed_top_eigvalsh``).  Disjointness is
   never declared otherwise.
 
 (The usual Frank-Wolfe stopping quantity -2 <d, sum_s sign_s (z_s - y_s)>
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import compressed_top_eigh
+from .linalg import compressed_top_eigh, compressed_top_eigvalsh
 from .subspace import Subspace
 
 #: Diagonal-difference norm below which the sets are declared intersecting.
@@ -497,11 +498,17 @@ def separation_margin(v: Subspace, w: Subspace, u) -> float:
     """Support gap min over m_W of <u, .> minus max over m_V of <u, .>.
 
     Positive exactly when the hyperplane normal to u strictly separates the
-    moment sets with m_V on the lower side.
+    moment sets with m_V on the lower side.  Both support values are top
+    eigenvalues alone (``linalg.compressed_top_eigvalsh``), of u for m_V and
+    of -u for m_W, one call each.
     """
-    u = np.reshape(u, (1, -1))
-    top_v = float(compressed_top_eigh(v.compression_table, u)[0][0])
-    bottom_w = -float(compressed_top_eigh(w.compression_table, -u)[0][0])
+    if v.n != w.n:
+        raise ValueError("subspaces live in different ambient dimensions")
+    u = np.asarray(u, dtype=np.float64).reshape(-1)
+    if u.size != v.n:
+        raise ValueError(f"direction has dimension {u.size}, expected {v.n}")
+    top_v = float(compressed_top_eigvalsh(v.compression_table, u[None])[0])
+    bottom_w = -float(compressed_top_eigvalsh(w.compression_table, -u[None])[0])
     return bottom_w - top_v
 
 

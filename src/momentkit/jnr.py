@@ -92,9 +92,9 @@ def jnr_support(s: Subspace, c) -> JNRSupport:
 def jnr_boundary(s: Subspace, directions) -> list[JNRPoint]:
     """Supporting points |P x|^2 of W for each direction (boundary sweep)."""
     directions = np.asarray(directions, dtype=np.float64)
-    _, vectors, floored = _supporting_vectors(s, directions)
-    if not np.all(np.any(directions, axis=1)):
+    if directions.ndim == 2 and not directions.any(axis=1).all():
         raise ValueError("directions must be nonzero")
+    _, vectors, floored = _supporting_vectors(s, directions)
     points = np.where(floored[:, None], 0.0, np.abs(vectors) ** 2)
     witnesses = vectors[:, :, None] * vectors.conj()[:, None, :]
     return [JNRPoint(x=x, witness=w) for x, w in zip(points, witnesses)]

@@ -1,6 +1,8 @@
 """Dense complex matrix primitives: hermitian eigensolves, the batched
-top eigenpair of the compressions behind every support value,
-orthonormalization, projectors and spectral norms.
+top eigenpair of the compressions behind every support value, the same
+top eigenvalue alone for callers that use no eigenvector (Hausdorff
+sweeps, separation margins), orthonormalization, projectors and spectral
+norms.
 
 Every routine is a pure function on small dense arrays (the intended regime is
 ambient dimension up to a few dozen).  Results are deterministic for a fixed
@@ -90,18 +92,12 @@ def hermitian_eig(a) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=_fix_phases(v.T).T)
 
 
-def compressed_top_eigh(table: np.ndarray, directions) -> tuple[np.ndarray, np.ndarray]:
-    """Top eigenvalue and top eigenvector, phase-fixed as in
-    ``hermitian_eig``, of Q* diag(c) Q for each row c of a (k, n) stack of
-    real directions: (k,) values and (k, r) vectors.  The bottom eigenpair
-    of Q* diag(c) Q is the top one of -c, with the value negated.
-
-    ``table`` is ``Subspace.compression_table``, the (n, r, r) products
-    conj(q_i)^T q_i of the rows q_i of Q, so each compression is one real
-    matmul of c against it.  A (k, n, r, r) stack of tables pairs one table
-    with each direction; every row comes out bitwise as from its own call.
-    ``eigh`` reads only the lower triangle and the real part of the
-    diagonal, so the compression is not symmetrized.
+def _compressions(table: np.ndarray, directions) -> np.ndarray:
+    """The (k, r, r) compressions Q* diag(c) Q of the rows c of a (k, n)
+    stack of finite real directions, each one real matmul of c against
+    ``table``; a compression that overflows raises ``ValueError``.
+    ``eigh`` and ``eigvalsh`` read only the lower triangle and the real part
+    of the diagonal, so the compression is not symmetrized.
     """
     n, r = table.shape[-3:-1]
     d = np.asarray(directions, dtype=np.float64)
@@ -120,8 +116,32 @@ def compressed_top_eigh(table: np.ndarray, directions) -> tuple[np.ndarray, np.n
             if not np.isfinite(d[:, None, :] @ real_table).all():
                 raise ValueError("directions are too large: the compression overflows")
     m = d[:, None, :] @ real_table
-    w, v = np.linalg.eigh(m.view(np.complex128).reshape(-1, r, r))
+    return m.view(np.complex128).reshape(-1, r, r)
+
+
+def compressed_top_eigh(table: np.ndarray, directions) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvalue and top eigenvector, phase-fixed as in
+    ``hermitian_eig``, of Q* diag(c) Q for each row c of a (k, n) stack of
+    real directions: (k,) values and (k, r) vectors.  The bottom eigenpair
+    of Q* diag(c) Q is the top one of -c, with the value negated.
+
+    ``table`` is ``Subspace.compression_table``, the (n, r, r) products
+    conj(q_i)^T q_i of the rows q_i of Q, so each compression is one real
+    matmul of c against it.  A (k, n, r, r) stack of tables pairs one table
+    with each direction; every row comes out bitwise as from its own call.
+    """
+    w, v = np.linalg.eigh(_compressions(table, directions))
     return w[:, -1], _fix_phases(v[:, :, -1])
+
+
+def compressed_top_eigvalsh(table: np.ndarray, directions) -> np.ndarray:
+    """The (k,) top eigenvalues of the compressions of
+    ``compressed_top_eigh``, from the same table and directions, by a
+    value-only solve (``eigvalsh``).  For callers that use no eigenvector;
+    the values can differ from ``compressed_top_eigh``'s in the last bits.
+    Every row comes out bitwise as from its own call.
+    """
+    return np.linalg.eigvalsh(_compressions(table, directions))[:, -1]
 
 
 def orthonormalize(vectors) -> np.ndarray:

@@ -23,7 +23,7 @@ from .feasibility import (
     check_nonnegative,
     moments_intersect,
 )
-from .linalg import compressed_top_eigh, hermitian_eig, require_hermitian, spectral_norm
+from .linalg import compressed_top_eigvalsh, hermitian_eig, require_hermitian, spectral_norm
 from .subspace import ORTHOGONAL_TOL, Subspace, mutually_orthogonal
 
 #: Relative width (times ||M||) of the eigenvalue cluster taken as the
@@ -196,11 +196,11 @@ def hausdorff_moments(v: Subspace, w: Subspace, directions) -> HausdorffResult:
     directions = np.asarray(directions, dtype=np.float64)
     if directions.ndim == 2 and len(directions) == 0:
         raise ValueError("at least one direction is required")
-    top_v = compressed_top_eigh(v.compression_table, directions)[0]
-    top_w = compressed_top_eigh(w.compression_table, directions)[0]
-    scale = abs(directions).max(axis=1)
-    if np.any(scale == 0.0):
+    if directions.ndim == 2 and not directions.any(axis=1).all():
         raise ValueError("directions must be nonzero")
+    top_v = compressed_top_eigvalsh(v.compression_table, directions)
+    top_w = compressed_top_eigvalsh(w.compression_table, directions)
+    scale = abs(directions).max(axis=1)
     # Support functions are positively homogeneous: h(c / |c|) = h(c) / |c|.
     # Dividing by max |c_i| first keeps every quantity in the float range.
     norms = np.linalg.norm(directions / scale[:, None], axis=1)

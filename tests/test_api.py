@@ -45,7 +45,8 @@ SIGNATURES = """
     feasibility.moments_intersect(v,w,tol,max_iter) feasibility.project_onto_moment(s,p,tol,max_iter)
     feasibility.separation_margin(v,w,u) jnr.cone_membership(s,x) jnr.delta_map(s,rho)
     jnr.jnr_boundary(s,directions) jnr.jnr_support(s,c) jnr.validate_density(rho)
-    linalg.as_complex_matrix(a) linalg.compressed_top_eigh(table,directions) linalg.hermitian_eig(a)
+    linalg.as_complex_matrix(a) linalg.compressed_top_eigh(table,directions)
+    linalg.compressed_top_eigvalsh(table,directions) linalg.hermitian_eig(a)
     linalg.orthonormalize(vectors) linalg.projector(q) linalg.require_hermitian(a)
     linalg.require_orthonormal(q) linalg.spectral_norm(a)
     minimality.check_minimal(m,eig_tol,feas_tol,max_iter)

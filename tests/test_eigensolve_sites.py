@@ -1,7 +1,7 @@
 """Static check that every eigensolve goes through ``linalg``: the library
-calls ``eigh`` only there, and ``eigvalsh`` only in the PSD check of
-``jnr.validate_density``, so no module grows its own copy of the compressed
-eigensolve."""
+calls ``eigh`` only there, and ``eigvalsh`` only in its value-only
+compressed eigensolve and the PSD check of ``jnr.validate_density``, so no
+module grows its own copy of the compressed eigensolve."""
 import ast
 from pathlib import Path
 
@@ -35,5 +35,6 @@ def test_eigensolves_live_in_linalg():
     assert sites == [
         ("jnr", "validate_density", "eigvalsh"),
         ("linalg", "compressed_top_eigh", "eigh"),
+        ("linalg", "compressed_top_eigvalsh", "eigvalsh"),
         ("linalg", "hermitian_eig", "eigh"),
     ]

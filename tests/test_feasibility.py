@@ -199,16 +199,16 @@ class TestIntersection:
 
     def test_coordinate_half_pair_certified_at_first_iterate(self, monkeypatch):
         # The oracle's dual bound at the starting iterate already separates a
-        # coordinate-half pair: two oracle eigensolves plus the two of the
+        # coordinate-half pair: one oracle eigensolve on the stacked tables
+        # of the two equal-rank sides plus the two value-only calls of the
         # confirming separation_margin, no corrective step.
         calls = []
-        original = feasibility.compressed_top_eigh
+        for name in ("compressed_top_eigh", "compressed_top_eigvalsh"):
+            def counted(*args, name=name, original=getattr(feasibility, name)):
+                calls.append(name)
+                return original(*args)
 
-        def counted(*args):
-            calls.append(1)
-            return original(*args)
-
-        monkeypatch.setattr(feasibility, "compressed_top_eigh", counted)
+            monkeypatch.setattr(feasibility, name, counted)
         rng = np.random.default_rng(8)
         for n, r in ((6, 2), (8, 3), (10, 2), (12, 4)):
             sv, sw = coordinate_half_pair(rng, n, r)
@@ -216,8 +216,33 @@ class TestIntersection:
             cert = moments_intersect(sv, sw)
             assert cert.status is IntersectionStatus.DISJOINT
             assert cert.iterations == 0
-            assert len(calls) <= 4
+            assert calls == ["compressed_top_eigh", "compressed_top_eigvalsh",
+                             "compressed_top_eigvalsh"]
             assert separation_margin(sv, sw, cert.direction) >= feasibility.SEPARATION_MARGIN
+
+    def test_separation_margin_checks_dimensions(self, monkeypatch):
+        # Rejected before any eigensolve, with moments_intersect's message.
+        def forbidden(*args):
+            raise AssertionError("eigensolve called")
+
+        monkeypatch.setattr(feasibility, "compressed_top_eigvalsh", forbidden)
+        rng = np.random.default_rng(9)
+        v, w = random_subspace(rng, 4, 2), random_subspace(rng, 5, 2)
+        with pytest.raises(ValueError, match="different ambient dimensions"):
+            separation_margin(v, w, np.ones(4))
+        with pytest.raises(ValueError, match="direction has dimension 5, expected 4"):
+            separation_margin(v, random_subspace(rng, 4, 1), np.ones(5))
+
+    @pytest.mark.parametrize("r_v, r_w", [(2, 2), (1, 3), (3, 2)])
+    def test_separation_margin_matches_explicit_supports(self, r_v, r_w):
+        # Equal and unequal ranks, against eigenvalues of explicit compressions.
+        rng = np.random.default_rng(10 * r_v + r_w)
+        v, w = random_subspace(rng, 6, r_v), random_subspace(rng, 6, r_w)
+        for u in rng.standard_normal((10, 6)):
+            u /= np.linalg.norm(u)
+            top_v = np.linalg.eigvalsh(v.basis.conj().T @ (u[:, None] * v.basis))[-1]
+            bottom_w = np.linalg.eigvalsh(w.basis.conj().T @ (u[:, None] * w.basis))[0]
+            assert separation_margin(v, w, u) == pytest.approx(bottom_w - top_v, abs=1e-14)
 
     def test_tangent_case_indeterminate(self):
         angle = np.pi / 4 + 1e-10

@@ -13,6 +13,7 @@ from momentkit import (
     support_moment,
     whole_space,
 )
+from momentkit import jnr
 from momentkit.directions import fibonacci_directions
 from momentkit.jnr import validate_density
 from momentkit.linalg import hermitian_eig, spectral_norm
@@ -156,6 +157,16 @@ class TestBoundary:
         dirs = fibonacci_directions(3, 8)
         dirs[3] = row
         with pytest.raises(ValueError):
+            jnr_boundary(example_v, dirs)
+
+    def test_rejects_zero_direction_before_solving(self, monkeypatch, example_v):
+        def forbidden(*args):
+            raise AssertionError("eigensolve called")
+
+        monkeypatch.setattr(jnr, "compressed_top_eigh", forbidden)
+        dirs = fibonacci_directions(3, 8)
+        dirs[3] = 0.0
+        with pytest.raises(ValueError, match="nonzero"):
             jnr_boundary(example_v, dirs)
 
     def test_points_are_delta_map_of_witness(self, example_v):

@@ -6,6 +6,7 @@ from momentkit.linalg import (
     NonHermitianError,
     _fix_phases,
     compressed_top_eigh,
+    compressed_top_eigvalsh,
     hermitian_eig,
     orthonormalize,
     projector,
@@ -17,6 +18,10 @@ from momentkit.subspace import Subspace
 from conftest import P_V_REFERENCE, SPAN_V, random_hermitian, random_subspace
 
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
+
+#: Both compressed eigensolves, each giving a tuple of arrays with one row
+#: per direction: (values, vectors) and (values,).
+PRIMITIVES = [compressed_top_eigh, lambda table, dirs: (compressed_top_eigvalsh(table, dirs),)]
 
 
 class TestHermitianEig:
@@ -110,13 +115,12 @@ class TestCompressedEigh:
         for n, r in [(4, 2), (8, 3), (16, 5), (5, 5), (3, 1), (32, 4), (12, 6), (1, 1)]:
             table = random_subspace(rng, n, r).compression_table
             dirs = rng.standard_normal((40, n))
-            values, vectors = compressed_top_eigh(table, dirs)
-            assert values.shape == (40,)
-            assert vectors.shape == (40, r)
-            for i, c in enumerate(dirs):
-                value, vector = compressed_top_eigh(table, c[None])
-                assert np.array_equal(values[i], value[0])
-                assert np.array_equal(vectors[i], vector[0])
+            for solve in PRIMITIVES:
+                stacked = solve(table, dirs)
+                assert [a.shape for a in stacked] == [(40,), (40, r)][:len(stacked)]
+                for i, c in enumerate(dirs):
+                    for rows, alone in zip(stacked, solve(table, c[None])):
+                        assert np.array_equal(rows[i], alone[0])
 
     def test_table_stack_matches_separate_calls_bitwise(self):
         # One table per direction, as the paired oracle of two equal-rank
@@ -125,13 +129,14 @@ class TestCompressedEigh:
         for n, r in [(5, 2), (8, 3), (12, 4), (1, 1)]:
             tables = np.stack([random_subspace(rng, n, r).compression_table for _ in range(3)])
             dirs = rng.standard_normal((3, n))
-            values, vectors = compressed_top_eigh(tables, dirs)
-            for table, c, value, vector in zip(tables, dirs, values, vectors):
-                alone = compressed_top_eigh(table, c[None])
-                assert np.array_equal(value, alone[0][0])
-                assert np.array_equal(vector, alone[1][0])
-        with pytest.raises(ValueError, match="finite real rows"):
-            compressed_top_eigh(tables, dirs[:2])
+            for solve in PRIMITIVES:
+                stacked = solve(tables, dirs)
+                for i, (table, c) in enumerate(zip(tables, dirs)):
+                    for rows, alone in zip(stacked, solve(table, c[None])):
+                        assert np.array_equal(rows[i], alone[0])
+        for solve in PRIMITIVES:
+            with pytest.raises(ValueError, match="finite real rows"):
+                solve(tables, dirs[:2])
 
     def test_matches_hermitian_eig_of_explicit_compression(self):
         rng = np.random.default_rng(13)
@@ -142,6 +147,17 @@ class TestCompressedEigh:
                 values, vectors = compressed_top_eigh(s.compression_table, c[None])
                 assert abs(values[0] - dec.eigenvalues[-1]) <= 1e-14
                 assert np.max(np.abs(vectors[0] - dec.eigenvectors[:, -1])) <= 1e-14
+
+    def test_values_match_eigh(self):
+        # The value-only solve agrees with the eigenpair solve to roundoff
+        # on unit directions.
+        rng = np.random.default_rng(16)
+        for n, r in [(4, 1), (4, 2), (8, 3), (16, 3), (16, 5), (32, 4), (6, 6)]:
+            table = random_subspace(rng, n, r).compression_table
+            dirs = rng.standard_normal((200, n))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            values = compressed_top_eigvalsh(table, dirs)
+            assert np.max(np.abs(values - compressed_top_eigh(table, dirs)[0])) <= 1e-14
 
     def test_bottom_eigenvalue_through_negated_direction(self):
         rng = np.random.default_rng(14)
@@ -159,23 +175,24 @@ class TestCompressedEigh:
     )
     def test_rejects_bad_directions(self, dirs):
         table = random_subspace(np.random.default_rng(0), 3, 2).compression_table
-        with pytest.raises(ValueError, match="finite real rows"):
-            compressed_top_eigh(table, dirs)
+        for solve in PRIMITIVES:
+            with pytest.raises(ValueError, match="finite real rows"):
+                solve(table, dirs)
 
     def test_rejects_overflowing_compression(self):
         # The compression of a direction near the float limit stays finite:
         # 1e308 times the support at (1, 1, 0).
         table = Subspace(orthonormalize(SPAN_V)).compression_table
-        values, _ = compressed_top_eigh(table, [[1e308, 1e308, 0.0]])
-        assert values[0] == 9.999999999999998e307
-        assert values[0] == pytest.approx(1e308 * compressed_top_eigh(table, [[1, 1, 0]])[0][0],
-                                          rel=1e-15)
         # A basis column 1e-11 above unit norm (within the orthonormality
         # tolerance) takes the largest float past the limit: rejected, with
         # no floating-point warning on the way.
-        table = Subspace(np.array([[1.0 + 1e-11]])).compression_table
-        with pytest.raises(ValueError, match="overflows"):
-            compressed_top_eigh(table, [[np.finfo(np.float64).max]])
+        past = Subspace(np.array([[1.0 + 1e-11]])).compression_table
+        for solve in PRIMITIVES:
+            values = solve(table, [[1e308, 1e308, 0.0]])[0]
+            assert values[0] == 9.999999999999998e307
+            assert values[0] == pytest.approx(1e308 * solve(table, [[1, 1, 0]])[0][0], rel=1e-15)
+            with pytest.raises(ValueError, match="overflows"):
+                solve(past, [[np.finfo(np.float64).max]])
 
 
 class TestOrthonormalize:

@@ -13,6 +13,7 @@ from momentkit import (
     spectral_norm,
     subspace_from_spanning,
 )
+from momentkit import minimality
 from momentkit.directions import fibonacci_directions
 from momentkit.linalg import orthonormalize
 from momentkit.subspace import mutually_orthogonal
@@ -270,6 +271,16 @@ class TestHausdorff:
         dirs = fibonacci_directions(3, 8)
         dirs[3] = row
         with pytest.raises(ValueError):
+            hausdorff_moments(example_v, example_w, dirs)
+
+    def test_rejects_zero_direction_before_solving(self, monkeypatch, example_v, example_w):
+        def forbidden(*args):
+            raise AssertionError("eigensolve called")
+
+        monkeypatch.setattr(minimality, "compressed_top_eigvalsh", forbidden)
+        dirs = fibonacci_directions(3, 8)
+        dirs[3] = 0.0
+        with pytest.raises(ValueError, match="nonzero"):
             hausdorff_moments(example_v, example_w, dirs)
 
     def test_overflowing_direction_norm(self):
