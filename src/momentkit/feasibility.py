@@ -40,10 +40,9 @@ It is the solver's only certificate and its only stopping test:
   eigenvalues alone (``linalg.compressed_top_eigvalsh``).  Disjointness is
   never declared otherwise.
 
-(The usual Frank-Wolfe stopping quantity -2 <d, sum_s sign_s (z_s - y_s)>
-equals 2 |d| (|d| - lower), so it adds no test.)  A solve stops in exactly
-four cases: the residual is within ``tol``, the dual bound is accepted,
-``max_iter`` steps are taken, or the corrective step stalls.
+A solve stops in exactly four cases: the residual is within ``tol``, the
+dual bound is accepted, ``max_iter`` steps are taken, or the corrective
+step stalls.
 """
 from __future__ import annotations
 
@@ -65,13 +64,12 @@ SEPARATION_MARGIN = 1e-9
 #: most (|p| + 1)^2, stays below the float limit of about 1.8e308.
 POINT_MAX = 1e154
 
-#: An atom enters the active set only when its Schur complement in the KKT
-#: matrix, the squared distance from its point to the affine span of the
-#: active points of its side (shifted by the other sides), exceeds this
-#: fraction of its squared norm.  The Gram matrix resolves that distance only
-#: to about sqrt(eps) of the norm; below it the atom adds nothing the active
-#: ones do not already reach, and admitting it makes the system singular.
-_ADMIT_RTOL = 1e-13
+#: Admission threshold of an entering atom's Schur complement, relative to
+#: its squared norm |a|^2 (``_Master``).  The Gram matrix resolves a Schur
+#: complement to about eps |a|^2, so this sits about 45 eps above roundoff:
+#: atoms that approach an exposed point by chords still enter, and one that
+#: would make the KKT system singular does not.
+_ADMIT_RTOL = 1e-14
 #: An inactive atom enters only when its KKT multiplier is below
 #: -_DUAL_RTOL * (1 + max |target|), the roundoff of computing it.
 _DUAL_RTOL = 1e-14
@@ -131,18 +129,20 @@ class _Master:
     active, so a step whose atoms all stay takes one pass.
 
     An entering atom is admitted only when its Schur complement in the KKT
-    matrix is above ``_ADMIT_RTOL`` of its squared norm.  A lone one that
-    fails is rejected for the step, as the active atoms already reach it; of
-    several, those that fail wait for the dual check.  Start atoms that
-    depend on each other make the first step start again from the oracle
-    atom of every side alone.
+    matrix, the squared distance from its point to the affine span of the
+    active points of its side (shifted by the other sides), is above
+    ``_ADMIT_RTOL`` of its squared norm.  A lone one that fails, or that
+    enters and gains no weight, adds nothing the active atoms do not already
+    reach and is evicted from the store; of several, those that fail wait
+    for the dual check.  Start atoms that depend on each other make the
+    first step start again from the oracle atom of every side alone.
 
     Storage is built by the first step, with fixed capacity: ``kkt`` holds
-    the KKT matrix of the ``m`` live atoms, side rows first and the
+    the KKT matrix of the live atoms ``atoms``, side rows first and the
     right-hand side as its last column, and ``points`` their columns a.
     The ``q`` active atoms come first, so a pass solves a leading block.  A
-    new atom borders the Gram matrix with one product, and an atom leaves by
-    a swap with the last one of the block.
+    new atom borders the Gram matrix with one product; an atom leaves the
+    block, or an evicted one the store, by a swap with its last atom.
     """
 
     def __init__(self, spaces: list[Subspace], target: np.ndarray):
@@ -207,9 +207,7 @@ class _Master:
         self.points = np.zeros((cap, n))
         self.kkt = np.zeros((n_sides + cap, n_sides + cap + 1))
         self.kkt[:n_sides, -1] = 1.0
-        # By position: (side, coefficient vector) of each live atom, and
-        # whether the active atoms already reach it, which keeps it out of
-        # the dual check.
+        # By position: (side, coefficient vector) of each live atom.
         self.atoms = []
         groups = ([(s, u[None], z[None]) for s, (u, z) in enumerate(fw)]
                   + [(s, u, abs(q.T) ** 2) for s, (q, u) in enumerate(zip(self.bases, units))]
@@ -217,15 +215,13 @@ class _Master:
         for s, atoms, points in groups:
             self.points[len(self.atoms):len(self.atoms) + len(atoms)] = self.signs[s] * points
             self.atoms += [(s, u) for u in atoms]
-        self.m = len(self.atoms)
-        self.rejected = [False] * self.m
         self._border(0, np.arange(n_sides)[:, None] == [s for s, _ in self.atoms])
         return [0.0] * n_sides + [1.0 / len(u) for u in units for _ in u]
 
     def _border(self, lo: int, side_rows: np.ndarray) -> None:
-        """Border the KKT matrix with the atoms at positions lo..m-1, whose
-        side rows (one-hot columns) are given."""
-        n_sides, hi, k = len(self.signs), self.m, self.kkt
+        """Border the KKT matrix with the live atoms from position lo on,
+        whose side rows (one-hot columns) are given."""
+        n_sides, hi, k = len(self.signs), len(self.atoms), self.kkt
         points = self.points[:hi]
         border = points @ points[lo:].T
         rows = slice(n_sides + lo, n_sides + hi)
@@ -242,8 +238,7 @@ class _Master:
         k[i], k[j] = k[j].copy(), k[i].copy()
         k[:, i], k[:, j] = k[:, j].copy(), k[:, i].copy()
         self.points[a], self.points[b] = self.points[b].copy(), self.points[a].copy()
-        for store in (self.atoms, self.rejected):
-            store[a], store[b] = store[b], store[a]
+        self.atoms[a], self.atoms[b] = self.atoms[b], self.atoms[a]
 
     def _leave(self, w: list[float], positions: list[int]) -> None:
         """Take the atoms at the given ascending positions out of the block
@@ -254,6 +249,13 @@ class _Master:
                 self._swap(i, len(w) - 1)
                 w[i] = w[-1]
             w.pop()
+
+    def _evict(self, w: list[float]) -> None:
+        """Pop the lone entering atom, the last of w, and its weight, after a
+        swap with the last live atom."""
+        w.pop()
+        self._swap(len(w), len(self.atoms) - 1)
+        self.atoms.pop()
 
     def step(self, fw) -> np.ndarray | None:
         """Add the oracle atoms (u, z) of every side and re-solve all weights.
@@ -266,12 +268,10 @@ class _Master:
             self.q = 0
             w = self._build(fw)
         else:
-            lo = self.m
+            lo = len(self.atoms)
             for s, (u, z) in enumerate(fw):
                 self.points[lo + s] = self.signs[s] * z
                 self.atoms.append((s, u))
-                self.rejected.append(False)
-            self.m += len(fw)
             self._border(lo, self.eye)
             w = self.w + [0.0] * len(fw)
             if len(fw) == 1:
@@ -284,8 +284,7 @@ class _Master:
     def accept(self) -> None:
         """Make the weights of the last ``step`` the iterate and free the
         atoms they leave at zero."""
-        self.m = q = self.q
-        del self.atoms[q:], self.rejected[q:]
+        del self.atoms[self.q:]
         self.iterate = (self.x[len(self.signs):], self.atoms[:])
 
     def _solve(self, w: list[float], lam: float | None = None) -> bool:
@@ -332,22 +331,19 @@ class _Master:
                         # Start atoms depend on each other: start again from
                         # the oracle atoms, which lead the first step.
                         w = [1.0] * n_sides
+                    elif e == 1:
+                        self._evict(w)
                     else:
-                        if e == 1:
-                            self.rejected[q] = True
                         self._leave(w, [q + i for i in bad])
                     continue
             z = sol[n_sides:].tolist()
             if min(z) > 0.0:
                 q, w = len(w), z
-                if q == self.m:
+                if q == len(self.atoms):
                     break
                 # The dual check over the inactive atoms.
-                live = slice(n_sides + q, n_sides + self.m)
+                live = slice(n_sides + q, n_sides + len(self.atoms))
                 mult = (k[live, :n_sides + q] @ sol - k[live, -1]).tolist()
-                for i, rejected in enumerate(self.rejected[q:]):
-                    if rejected:
-                        mult[i] = math.inf
                 j = min(range(len(mult)), key=mult.__getitem__)
                 if not mult[j] < self.dual_tol:
                     break
@@ -357,8 +353,7 @@ class _Master:
                 continue
             if e == 1 and z[-1] <= 0.0:
                 # A lone entering atom that gains no weight adds nothing.
-                self.rejected[q] = True
-                w.pop()
+                self._evict(w)
                 continue
             w = _ratio_step(w, z)
             self._leave(w, [i for i, wi in enumerate(w) if not wi > 0.0])

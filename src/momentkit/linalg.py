@@ -57,10 +57,14 @@ def require_hermitian(a) -> np.ndarray:
         raise ValueError(f"matrix is not square: shape {a.shape}")
     if not a.size:
         raise ValueError("matrix is empty")
-    defect = float(np.max(np.abs(a - a.conj().T), initial=0.0))
+    # Halves first, so that entries up to the float limit do not overflow;
+    # scaling by 0.5 and 2 is exact in the normal range, so the result is
+    # bitwise (A + A*)/2 there.
+    half = 0.5 * a
+    defect = 2.0 * float(np.max(np.abs(half - half.conj().T), initial=0.0))
     if defect > HERMITIAN_ATOL:
         raise NonHermitianError(defect, HERMITIAN_ATOL)
-    return 0.5 * (a + a.conj().T)
+    return half + half.conj().T
 
 
 def _fix_phases(rows: np.ndarray) -> np.ndarray:
@@ -94,21 +98,22 @@ def hermitian_eig(a) -> EigenDecomposition:
 
 def _compressions(table: np.ndarray, directions) -> np.ndarray:
     """The (k, r, r) compressions Q* diag(c) Q of the rows c of a (k, n)
-    stack of finite real directions, each one real matmul of c against
-    ``table``; a compression that overflows raises ``ValueError``.
+    stack of finite real directions, each one real matmul of c against its
+    table; a compression that overflows raises ``ValueError``.
     ``eigh`` and ``eigvalsh`` read only the lower triangle and the real part
     of the diagonal, so the compression is not symmetrized.
     """
     n, r = table.shape[-3:-1]
+    # Every table as a (tables, n, 2 r^2) real stack: a lone table is a
+    # stack of one, which the matmul broadcasts over the directions.
+    real_table = table.reshape(-1, n, r * r).view(np.float64)
     d = np.asarray(directions, dtype=np.float64)
     peak = abs(d).max(initial=0.0)
-    if (d.ndim != 2 or d.shape[1] != n or table.ndim == 4 and len(table) != len(d)
+    if (d.ndim != 2 or d.shape[1] != n or len(real_table) not in (1, len(d))
             or not peak <= _FLOAT_MAX):
         raise ValueError(f"directions must be finite real rows of dimension {n}")
     # Row by row (a stacked matmul, not one GEMM), so that a row's compression
     # does not depend on the rows stacked with it.
-    real_table = (table.reshape(n, -1) if table.ndim == 3
-                  else table.reshape(len(table), n, -1)).view(np.float64)
     if peak > _FLOAT_MAX / 2:
         # The entries are at most max |c_i| up to roundoff, so only a
         # direction this close to the float limit can overflow them.
@@ -128,7 +133,8 @@ def compressed_top_eigh(table: np.ndarray, directions) -> tuple[np.ndarray, np.n
     ``table`` is ``Subspace.compression_table``, the (n, r, r) products
     conj(q_i)^T q_i of the rows q_i of Q, so each compression is one real
     matmul of c against it.  A (k, n, r, r) stack of tables pairs one table
-    with each direction; every row comes out bitwise as from its own call.
+    with each direction, and a lone table is a stack of one, shared by all
+    of them; every row comes out bitwise as from its own call.
     """
     w, v = np.linalg.eigh(_compressions(table, directions))
     return w[:, -1], _fix_phases(v[:, :, -1])
@@ -150,7 +156,7 @@ def orthonormalize(vectors) -> np.ndarray:
     Modified Gram-Schmidt with a second re-orthogonalization pass; a vector is
     dropped when its residual falls below RANK_DROP_TOL times the largest input
     norm, so rank-deficient input yields fewer columns.  All-zero input yields
-    an ``(n, 0)`` array.
+    an ``(n, 0)`` array.  Inputs of any finite scale are accepted.
     """
     cols = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
     if not cols:
@@ -158,8 +164,14 @@ def orthonormalize(vectors) -> np.ndarray:
     n = cols[0].size
     if any(c.size != n for c in cols):
         raise ValueError("vectors have inconsistent dimensions")
-    if any(not np.all(np.isfinite(c)) for c in cols):
+    parts = np.array(cols).view(np.float64)
+    if not np.all(np.isfinite(parts)):
         raise ValueError("vector has non-finite entries")
+    # One exact power of two brings the largest real or imaginary part into
+    # [0.5, 1), so no norm below overflows or underflows.  The basis and the
+    # rank decisions (RANK_DROP_TOL is relative) do not change.
+    _, exponent = np.frexp(abs(parts).max(initial=0.0))
+    cols = np.ldexp(parts, -exponent).view(np.complex128)
     scale = max(float(np.linalg.norm(c)) for c in cols)
     basis: list[np.ndarray] = []
     for v in cols:

@@ -160,8 +160,9 @@ def construct_minimal(parts: MinimalMatrixParts) -> tuple[np.ndarray, Minimality
         raise ValueError(
             f"moment sets do not certifiably intersect (status {certificate.status.value})"
         )
-    m = parts.lam * (parts.v.projector - parts.w.projector) + rmat
-    m = 0.5 * (m + m.conj().T)
+    # Halves first, so that lam up to the float limit does not overflow.
+    half = 0.5 * parts.lam * (parts.v.projector - parts.w.projector) + 0.5 * rmat
+    m = half + half.conj().T
     report = MinimalityReport(
         norm=spectral_norm(m),
         symmetric=True,

@@ -157,6 +157,15 @@ class TestMinimalCheck:
         assert main(["minimal-check", "--matrix", mat, f"--eig-tol={eig_tol}"]) == 3
         assert "eig_tol" in capsys.readouterr().err
 
+    def test_entries_up_to_float_limit(self, tmp_path, capsys):
+        # Symmetrizing overflowed: overflow warnings, then "matrix has
+        # non-finite entries" and exit 3.
+        mat = write_matrix(tmp_path / "m.json", [[0, 1e308], [1e308, 0]])
+        assert main(["minimal-check", "--matrix", mat]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["norm"] == pytest.approx(1e308, rel=1e-15)
+        assert captured.err == ""
+
     def test_non_hermitian_exit_three(self, tmp_path, capsys):
         mat = write_matrix(tmp_path / "m.json", [[0, 1], [0, 0]])
         assert main(["minimal-check", "--matrix", mat]) == 3
@@ -235,6 +244,51 @@ class TestIntersectAndFriends:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("case", [
+        "unreadable", "missing-key", "not-square", "empty-vectors", "short-row", "zero-span",
+        "direction-text", "non-finite-directions", "zero-direction", "coordinate-range",
+    ])
+    def test_input_errors_exit_three(self, tmp_path, v_file, capsys, case):
+        def file(text):
+            path = tmp_path / "input.json"
+            path.write_text(text)
+            return str(path)
+
+        def boundary(directions):
+            return ["jnr-boundary", "--subspace", v_file, "--directions", file(directions),
+                    "--out", str(tmp_path / "b.csv")]
+
+        argv, message = {
+            "unreadable": (lambda: ["centroid", "--subspace", str(tmp_path / "missing.json")],
+                           "cannot read"),
+            "missing-key": (lambda: ["centroid", "--subspace", file('{"n": 3}')],
+                            "expected an object with keys 'n' and 'vectors'"),
+            "not-square": (lambda: ["minimal-check", "--matrix",
+                                    file('{"n": 3, "entries": [[[1, 0], [0, 0], [0, 0]]]}')],
+                           "'entries' must be an 3 x 3 nested list"),
+            "empty-vectors": (lambda: ["centroid", "--subspace", file('{"n": 3, "vectors": []}')],
+                              "'vectors' must be a non-empty list"),
+            "short-row": (lambda: ["centroid", "--subspace",
+                                   file('{"n": 3, "vectors": [[[1, 0], [0, 0]]]}')],
+                          "vectors[0] must have 3 entries"),
+            "zero-span": (lambda: ["centroid", "--subspace",
+                                   write_subspace(tmp_path / "z.json", [(0, 0, 0)], 3)],
+                          "the span is the zero subspace"),
+            "direction-text": (lambda: ["support", "--subspace", v_file, "--direction=a,b,c"],
+                               "--direction must be comma-separated numbers"),
+            "non-finite-directions": (lambda: boundary("[[1e999, 0, 0]]"),
+                                      "directions must be finite and nonzero"),
+            "zero-direction": (lambda: boundary("[[1, 0, 0], [0, 0, 0]]"),
+                               "directions must be finite and nonzero"),
+            "coordinate-range": (lambda: ["curve", "--subspace", v_file, "-j", "1", "-k", "4",
+                                          "--out", str(tmp_path / "c.csv")],
+                                 "coordinates must lie in 1..3"),
+        }[case]
+        assert main(argv()) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
     def test_support_direction_length_mismatch(self, tmp_path, v_file, capsys):
         assert main(["support", "--subspace", v_file, "--direction", "1,0"]) == 3
         assert "expected 3" in capsys.readouterr().err
@@ -304,6 +358,26 @@ class TestIntersectAndFriends:
         out = tmp_path / "b.csv"
         assert main(["jnr-boundary", "--subspace", v_file, "--directions", str(dirs), "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 4
+
+    def test_directions_file_object_form(self, tmp_path, v_file):
+        rows = [[1, 0, 0], [0, 1, 0], [1, 1, 1]]
+        csv = {}
+        for form, payload in (("list", rows), ("object", {"directions": rows})):
+            dirs = tmp_path / f"{form}.json"
+            dirs.write_text(json.dumps(payload))
+            out = tmp_path / f"{form}.csv"
+            assert main(["jnr-boundary", "--subspace", v_file, "--directions", str(dirs),
+                         "--out", str(out)]) == 0
+            csv[form] = out.read_bytes()
+        assert csv["object"] == csv["list"]
+
+    def test_spans_of_any_finite_scale(self, tmp_path, capsys):
+        # The norms of the raw vectors underflowed: "empty basis", exit 3.
+        sub = write_subspace(tmp_path / "tiny.json", [(1e-200, 3e-200), (1e-200, 0)], 2)
+        assert main(["centroid", "--subspace", sub]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["r"] == 2
+        assert payload["centroid"] == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
 class TestRunReport:

@@ -31,3 +31,16 @@ def test_rows_match_ndtri_schedule(n):
     reference = g / np.linalg.norm(g, axis=1, keepdims=True)
     assert np.max(np.abs(rows - reference)) <= 1e-15
 
+
+
+@pytest.mark.parametrize("n, count, match", [
+    (3, 0, "count must be at least 1"),
+    (0, 5, "dimension must be at least 1"),
+])
+def test_rejects_empty_schedule(n, count, match):
+    with pytest.raises(ValueError, match=match):
+        fibonacci_directions(n, count)
+
+
+def test_line_schedule_alternates():
+    assert np.array_equal(fibonacci_directions(1, 5), [[1.0], [-1.0], [1.0], [-1.0], [1.0]])

@@ -61,6 +61,10 @@ class TestDeltaMap:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             delta_map(example_v, np.diag([1.5, -0.5, 0.0]))
 
+    def test_rejects_state_of_other_dimension(self, example_v):
+        with pytest.raises(ValueError, match="state has dimension 2, expected 3"):
+            delta_map(example_v, np.eye(2) / 2)
+
     def test_sum_in_unit_interval(self, example_v):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -251,6 +255,10 @@ class TestSliceAndCone:
             cone_membership(s, [1e-16, -1e-13, 0.0])
         tolerated = cone_membership(s, [1.0, 1.0, -1e-13])
         assert tolerated.member and tolerated.scaling == 2.0
+
+    def test_cone_rejects_vector_of_other_dimension(self, example_v):
+        with pytest.raises(ValueError, match="vector has dimension 2, expected 3"):
+            cone_membership(example_v, [1.0, 1.0])
 
     @pytest.mark.parametrize("x", [[np.inf, 0.0, 0.0], [np.nan, 1.0, 1.0]])
     def test_cone_rejects_non_finite(self, example_v, x):

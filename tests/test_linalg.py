@@ -10,6 +10,7 @@ from momentkit.linalg import (
     hermitian_eig,
     orthonormalize,
     projector,
+    require_hermitian,
     spectral_norm,
 )
 
@@ -50,6 +51,26 @@ class TestHermitianEig:
     def test_rejects_empty_matrix(self):
         with pytest.raises(ValueError, match="matrix is empty"):
             hermitian_eig(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("a, match", [
+        (np.ones(3), "expected a matrix"),
+        ([[1.0, np.nan], [np.nan, 1.0]], "non-finite"),
+        (np.ones((2, 3)), "not square"),
+    ], ids=["vector", "non-finite", "not-square"])
+    def test_rejects_malformed_matrix(self, a, match):
+        with pytest.raises(ValueError, match=match):
+            hermitian_eig(a)
+
+    def test_entries_up_to_float_limit(self):
+        # A - A* and A + A* overflowed past about 8.99e307, which raised an
+        # overflow warning and then "non-finite entries".
+        big = np.array([[0.0, 1.7e308], [1.7e308, 0.0]])
+        assert np.array_equal(require_hermitian(big), big)
+        assert np.allclose(hermitian_eig(big).eigenvalues, [-1.7e308, 1.7e308], rtol=1e-15, atol=0)
+        with pytest.raises(NonHermitianError):
+            require_hermitian([[0.0, 1.7e308], [-1.7e308, 0.0]])
+        with pytest.raises(NonHermitianError):
+            require_hermitian([[0.0, 1.7e308], [1.6e308, 0.0]])
 
     def test_reconstruction_and_shift(self):
         rng = np.random.default_rng(42)
@@ -214,6 +235,27 @@ class TestOrthonormalize:
     def test_all_zero_input(self):
         q = orthonormalize([(0, 0, 0)])
         assert q.shape == (3, 0)
+
+    @pytest.mark.parametrize("vectors, match", [
+        ([], "no vectors"),
+        ([(1, 0), (1, 0, 0)], "inconsistent dimensions"),
+        ([(1, 0), (np.inf, 0)], "non-finite"),
+    ], ids=["empty", "ragged", "non-finite"])
+    def test_rejects_malformed_input(self, vectors, match):
+        with pytest.raises(ValueError, match=match):
+            orthonormalize(vectors)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+    def test_span_of_any_finite_scale(self, scale):
+        # The norms of the raw vectors overflowed or underflowed, which
+        # dropped every column ("empty basis").
+        for span, unit in [(SPAN_V, P_V_REFERENCE), ([(1, 1)], np.full((2, 2), 0.5)),
+                           ([(1, 3), (1, 0)], np.eye(2))]:
+            p = projector(orthonormalize(np.multiply(scale, span)))
+            assert np.max(np.abs(p - unit)) < 1e-15
+        # A power of two changes no bit of the basis.
+        exact = 2.0 ** round(np.log2(scale))
+        assert np.array_equal(orthonormalize(np.multiply(exact, SPAN_V)), orthonormalize(SPAN_V))
 
     def test_rank_collapse_under_tolerance(self):
         q = orthonormalize([(1, 0), (1, 1e-15)])

@@ -75,6 +75,12 @@ class TestCheckMinimal:
         with pytest.raises(ValueError, match="zero matrix"):
             check_minimal(np.zeros((2, 2)))
 
+    def test_entries_up_to_float_limit(self):
+        # Symmetrizing overflowed past about 8.99e307 and warned.
+        report = check_minimal(np.array([[0.0, 1.7e308], [1.7e308, 0.0]]))
+        assert report.verdict is Verdict.MINIMAL
+        assert report.norm == pytest.approx(1.7e308, rel=1e-15)
+
     @pytest.mark.parametrize(
         "m, eig_tol",
         [
@@ -191,6 +197,38 @@ class TestConstructMinimal:
         with pytest.raises(ValueError, match="intersect"):
             construct_minimal(parts)
 
+    def test_lam_up_to_float_limit(self):
+        v = subspace_from_spanning([CONJUGATE_X])
+        w = subspace_from_spanning([CONJUGATE_XBAR])
+        m, report = construct_minimal(MinimalMatrixParts(lam=1e308, v=v, w=w, r=np.zeros((2, 2))))
+        assert np.allclose(m, 1e308 * PAULI_Y, rtol=1e-15, atol=0)
+        assert report.norm == pytest.approx(1e308, rel=1e-15)
+
+    @pytest.mark.parametrize("case, match", [
+        ("lam", "must be positive"),
+        ("dimension", "different ambient dimensions"),
+        ("shape", "wrong shape"),
+        ("annihilate-v", "does not annihilate V"),
+        ("annihilate-w", "does not annihilate W"),
+    ])
+    def test_rejects_bad_parts(self, case, match):
+        # V and W: conjugate lines in the first two coordinates of C^3.
+        v = subspace_from_spanning([(*CONJUGATE_X, 0)])
+        w = subspace_from_spanning([(*CONJUGATE_XBAR, 0)])
+        fields = dict(lam=1.0, v=v, w=w, r=np.zeros((3, 3)))
+        if case == "lam":
+            fields["lam"] = 0.0
+        elif case == "dimension":
+            fields["w"] = subspace_from_spanning([CONJUGATE_XBAR])
+        elif case == "shape":
+            fields["r"] = np.zeros((2, 2))
+        elif case == "annihilate-v":
+            fields["r"] = 0.5 * v.projector
+        else:
+            fields["r"] = 0.5 * w.projector
+        with pytest.raises(ValueError, match=match):
+            construct_minimal(MinimalMatrixParts(**fields))
+
     def test_rejects_non_orthogonal(self):
         v = subspace_from_spanning([(1, 0)])
         w = subspace_from_spanning([(1, 1)])
@@ -296,6 +334,11 @@ class TestHausdorff:
         unit = hausdorff_moments(v, w, [[1.0, -1.0, 0.0]]).estimate
         huge = hausdorff_moments(v, w, [[1.7e308, -1.7e308, 0.0]]).estimate
         assert huge == pytest.approx(unit, rel=1e-12)
+
+    def test_rejects_different_ambient_dimensions(self, example_v):
+        line = subspace_from_spanning([CONJUGATE_X])
+        with pytest.raises(ValueError, match="different ambient dimensions"):
+            hausdorff_moments(example_v, line, [[1.0, 0.0, 0.0]])
 
     def test_rejects_empty_directions(self):
         # A maximum over no directions is undefined, not 0: with [[1, 0, 0]]

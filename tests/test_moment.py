@@ -34,6 +34,8 @@ class TestMomentOfVector:
             moment_of_vector(example_v, np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="not normalized"):
             moment_of_vector(example_v, 2 * V1_REFERENCE)
+        with pytest.raises(ValueError, match="vector has dimension 2, expected 3"):
+            moment_of_vector(example_v, [1.0, 0.0])
 
 
 class TestSampling:
@@ -41,6 +43,10 @@ class TestSampling:
         s = subspace_from_spanning([np.eye(3)[0]])
         pts = sample_moment(s, 50, seed=1)
         assert np.allclose(pts, np.tile([1, 0, 0], (50, 1)), atol=1e-15)
+
+    def test_rejects_empty_count(self, example_v):
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            sample_unit_vectors(example_v, 0, seed=1)
 
     def test_whole_plane_segment(self):
         pts = sample_moment(whole_space(2), 200, seed=2)

@@ -201,9 +201,9 @@ def _master_steps(n, ranks, kind, seed, steps=4):
 
 def _live(master):
     """Signed points, sides and weights (0 when inactive) of the live atoms."""
-    points = master.points[:master.m]
+    points = master.points[:len(master.atoms)]
     sides = np.array([s for s, _ in master.atoms])
-    weights = np.zeros(master.m)
+    weights = np.zeros(len(master.atoms))
     weights[:master.q] = master.x[len(master.signs):]
     return points, sides, weights
 
@@ -219,7 +219,7 @@ def test_master_weights_are_kkt_optimal(case):
         assert np.all(w >= 0.0)
         assert np.all(w[:master.q] > 0.0)
         for s in range(len(master.signs)):
-            assert abs(w[sides == s].sum() - 1.0) <= 1e-15 * master.m
+            assert abs(w[sides == s].sum() - 1.0) <= 1e-15 * len(master.atoms)
         assert np.allclose(w @ points - master.target, d, rtol=0.0, atol=1e-14)
         # The multiplier a_j . d + nu_s of every live atom, with nu_s from
         # the active atoms of its side (where it is 0): nonnegative on the

@@ -112,6 +112,11 @@ class TestPrincipalVectors:
         with pytest.raises(NotGenericAtCoordinate):
             principal_vector(s, 1)
 
+    @pytest.mark.parametrize("j", [-1, 3])
+    def test_index_out_of_range(self, example_v, j):
+        with pytest.raises(IndexError, match="out of range for ambient dimension 3"):
+            principal_vector(example_v, j)
+
     def test_phase_and_membership(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -230,6 +235,10 @@ class TestCentroidAlgebra:
         comp = orthogonal_complement(example_v)
         assert centroid_residual(comp, plus=[whole_space(3)], minus=[example_v]) < 1e-10
         assert np.allclose(centroid(comp), [1 / 3, 1 / 3, 1 / 3], atol=1e-10)
+
+    def test_whole_space_has_no_complement(self):
+        with pytest.raises(ValueError, match="trivial complement"):
+            orthogonal_complement(whole_space(3))
 
     def test_nested_difference(self):
         rng = np.random.default_rng(8)
