@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import compressed_top_eigh, compressed_top_eigvalsh
+from .linalg import _real_directions, compressed_top_eigh, compressed_top_eigvalsh
 from .subspace import Subspace
 
 #: Diagonal-difference norm below which the sets are declared intersecting.
@@ -499,7 +499,7 @@ def separation_margin(v: Subspace, w: Subspace, u) -> float:
     """
     if v.n != w.n:
         raise ValueError("subspaces live in different ambient dimensions")
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
+    u = _real_directions(u, v.n).reshape(-1)
     if u.size != v.n:
         raise ValueError(f"direction has dimension {u.size}, expected {v.n}")
     top_v = float(compressed_top_eigvalsh(v.compression_table, u[None])[0])

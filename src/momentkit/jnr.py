@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feasibility import project_onto_moment
-from .linalg import compressed_top_eigh, require_hermitian
+from .linalg import _real_directions, compressed_top_eigh, require_hermitian
 from .subspace import Subspace, orthogonal_complement
 
 #: PSD slack and trace tolerance for density-matrix validation.
@@ -85,13 +85,13 @@ def jnr_support(s: Subspace, c) -> JNRSupport:
     proper subspace (A(c) annihilates the orthogonal complement, so zero
     belongs to W); the witness is the rank-one state attaining it.
     """
-    values, vectors, _ = _supporting_vectors(s, np.reshape(c, (1, -1)))
+    values, vectors, _ = _supporting_vectors(s, np.asarray(c).reshape(1, -1))
     return JNRSupport(value=float(values[0]), witness=np.outer(vectors[0], vectors[0].conj()))
 
 
 def jnr_boundary(s: Subspace, directions) -> list[JNRPoint]:
     """Supporting points |P x|^2 of W for each direction (boundary sweep)."""
-    directions = np.asarray(directions, dtype=np.float64)
+    directions = _real_directions(directions, s.n)
     if directions.ndim == 2 and not directions.any(axis=1).all():
         raise ValueError("directions must be nonzero")
     _, vectors, floored = _supporting_vectors(s, directions)

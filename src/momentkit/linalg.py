@@ -8,6 +8,9 @@ Every routine is a pure function on small dense arrays (the intended regime is
 ambient dimension up to a few dozen).  Results are deterministic for a fixed
 input: eigenvalues are returned in ascending order and every eigenvector is
 phase-normalized so that its first nonzero component is real and positive.
+Rank-one compressions are solved in closed form, bitwise LAPACK's n = 1
+result: the real part of the entry, and the eigenvector 1.  Directions are
+real: a complex direction is rejected, not truncated to its real part.
 """
 from __future__ import annotations
 
@@ -70,9 +73,16 @@ def require_hermitian(a) -> np.ndarray:
 def _fix_phases(rows: np.ndarray) -> np.ndarray:
     """Rotate each (unit) row of a matrix so its first component above
     _PHASE_TOL is real > 0."""
-    first = (np.abs(rows) > _PHASE_TOL).argmax(axis=1)
-    pivot = rows[np.arange(len(rows)), first, None]
-    return rows * (pivot.conj() / abs(pivot))
+    mag = np.abs(rows)
+    first = (mag > _PHASE_TOL).argmax(axis=1)
+    if len(rows) == 1:
+        # Basic slices of the one row: the same values as the gathers below.
+        j = first[0]
+        pivot, size = rows[:, j:j + 1], mag[:, j:j + 1]
+    else:
+        pivot = rows[np.arange(len(rows)), first, None]
+        size = abs(pivot)
+    return rows * (pivot.conj() / size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +106,15 @@ def hermitian_eig(a) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=_fix_phases(v.T).T)
 
 
+def _real_directions(directions, n: int) -> np.ndarray:
+    """The directions as a float64 array; a complex array is rejected rather
+    than cast to its real part."""
+    d = np.asarray(directions)
+    if d.dtype.kind == "c":
+        raise ValueError(f"directions must be finite real rows of dimension {n}")
+    return d.astype(np.float64, copy=False)
+
+
 def _compressions(table: np.ndarray, directions) -> np.ndarray:
     """The (k, r, r) compressions Q* diag(c) Q of the rows c of a (k, n)
     stack of finite real directions, each one real matmul of c against its
@@ -107,7 +126,7 @@ def _compressions(table: np.ndarray, directions) -> np.ndarray:
     # Every table as a (tables, n, 2 r^2) real stack: a lone table is a
     # stack of one, which the matmul broadcasts over the directions.
     real_table = table.reshape(-1, n, r * r).view(np.float64)
-    d = np.asarray(directions, dtype=np.float64)
+    d = _real_directions(directions, n)
     peak = abs(d).max(initial=0.0)
     if (d.ndim != 2 or d.shape[1] != n or len(real_table) not in (1, len(d))
             or not peak <= _FLOAT_MAX):
@@ -135,8 +154,15 @@ def compressed_top_eigh(table: np.ndarray, directions) -> tuple[np.ndarray, np.n
     matmul of c against it.  A (k, n, r, r) stack of tables pairs one table
     with each direction, and a lone table is a stack of one, shared by all
     of them; every row comes out bitwise as from its own call.
+
+    A rank-one compression is its own eigenvalue: for r = 1 the value is the
+    real part of the entry and the vector is 1, bitwise what LAPACK's n = 1
+    path returns (``W(1) = DBLE(A(1,1))``, ``Z = CONE``), with no solve.
     """
-    w, v = np.linalg.eigh(_compressions(table, directions))
+    m = _compressions(table, directions)
+    if m.shape[1] == 1:
+        return m[:, 0, 0].real, np.ones((len(m), 1), dtype=np.complex128)
+    w, v = np.linalg.eigh(m)
     return w[:, -1], _fix_phases(v[:, :, -1])
 
 
@@ -145,9 +171,13 @@ def compressed_top_eigvalsh(table: np.ndarray, directions) -> np.ndarray:
     ``compressed_top_eigh``, from the same table and directions, by a
     value-only solve (``eigvalsh``).  For callers that use no eigenvector;
     the values can differ from ``compressed_top_eigh``'s in the last bits.
-    Every row comes out bitwise as from its own call.
+    Every row comes out bitwise as from its own call, and rank-one
+    compressions are solved in closed form as there.
     """
-    return np.linalg.eigvalsh(_compressions(table, directions))[:, -1]
+    m = _compressions(table, directions)
+    if m.shape[1] == 1:
+        return m[:, 0, 0].real
+    return np.linalg.eigvalsh(m)[:, -1]
 
 
 def orthonormalize(vectors) -> np.ndarray:

@@ -23,7 +23,13 @@ from .feasibility import (
     check_nonnegative,
     moments_intersect,
 )
-from .linalg import compressed_top_eigvalsh, hermitian_eig, require_hermitian, spectral_norm
+from .linalg import (
+    _real_directions,
+    compressed_top_eigvalsh,
+    hermitian_eig,
+    require_hermitian,
+    spectral_norm,
+)
 from .subspace import ORTHOGONAL_TOL, Subspace, mutually_orthogonal
 
 #: Relative width (times ||M||) of the eigenvalue cluster taken as the
@@ -194,7 +200,7 @@ def hausdorff_moments(v: Subspace, w: Subspace, directions) -> HausdorffResult:
     directions, with the distances of their projectors."""
     if v.n != w.n:
         raise ValueError("subspaces live in different ambient dimensions")
-    directions = np.asarray(directions, dtype=np.float64)
+    directions = _real_directions(directions, v.n)
     if directions.ndim == 2 and len(directions) == 0:
         raise ValueError("at least one direction is required")
     if directions.ndim == 2 and not directions.any(axis=1).all():

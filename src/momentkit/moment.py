@@ -75,7 +75,7 @@ def support_moment(s: Subspace, c) -> MomentSupport:
     max over unit x in S of sum_i c_i |x_i|^2 is the top eigenvalue of the
     compression Q* diag(c) Q; the maximizer is Q times its top eigenvector.
     """
-    values, vectors = compressed_top_eigh(s.compression_table, np.reshape(c, (1, -1)))
+    values, vectors = compressed_top_eigh(s.compression_table, np.asarray(c).reshape(1, -1))
     return MomentSupport(value=float(values[0]), maximizer=s.basis @ vectors[0])
 
 

@@ -390,3 +390,95 @@ class TestMaster:
         cert = moments_intersect(v, w)
         assert cert.status is IntersectionStatus.INTERSECT
         assert cert.gap <= feasibility.DEFAULT_TOL
+
+
+class FailingSolves:
+    """``np.linalg.solve`` made to raise ``LinAlgError`` in every master step
+    after the first ``after`` for the right-hand sides ``which`` selects,
+    with a log of each ``_Master._solve``: what it returned, how many
+    solves it made, and its pass bound."""
+
+    def __init__(self, monkeypatch, after: int, which):
+        real_solve, real_step, real_inner = (
+            np.linalg.solve, feasibility._Master.step, feasibility._Master._solve)
+        self.steps, self.solves, self.calls = 0, [], 0
+
+        def solve(a, b):
+            self.calls += 1
+            if self.steps > after and which(b):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        def step(master, fw):
+            self.steps += 1
+            return real_step(master, fw)
+
+        def inner(master, w, lam=None):
+            self.calls = 0
+            ok = real_inner(master, w, lam)
+            self.solves.append((ok, self.calls, 4 * len(master.points)))
+            return ok
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        monkeypatch.setattr(feasibility._Master, "step", step)
+        monkeypatch.setattr(feasibility._Master, "_solve", inner)
+
+    def check_failed_exit(self, exit_):
+        ok, calls, bound = self.solves[-1]
+        assert not ok
+        # A singular solve of the active atoms alone fails at once; a step
+        # that restarts on every pass runs out of passes.
+        assert calls == bound if exit_ == "pass bound" else calls < bound
+
+
+# (exit, which right-hand sides fail, steps before the failing one).  A 1-D
+# right-hand side is the solve of the active atoms (and of a lone entering
+# atom whose multiplier is known), so its failure reaches the exit with no
+# entering atom.  Failing every solve of the first step restarts it from
+# the oracle atoms again and again, until the pass bound; in a later step
+# the entering atoms have no weight, so they are evicted instead and the
+# first exit is reached.
+FAILURES = [("singular active atoms", lambda b: b.ndim == 1, 0),
+            ("singular active atoms", lambda b: b.ndim == 1, 1),
+            ("pass bound", lambda b: True, 0)]
+FAILURE_IDS = ["active-first-step", "active-second-step", "pass-bound"]
+
+
+class TestFailedSolve:
+    """A KKT solve that fails ends the run at the last accepted iterate:
+    a projection reports it unconverged with its lower bound, and an
+    intersection is INDETERMINATE.  No natural input is known to make the
+    KKT matrix singular, so ``np.linalg.solve`` is made to raise."""
+
+    @pytest.mark.parametrize("exit_, which, after", FAILURES, ids=FAILURE_IDS)
+    def test_projection_is_unconverged_at_last_iterate(self, monkeypatch, exit_, which, after):
+        s = random_subspace(np.random.default_rng(0), 6, 2)
+        p = np.eye(6)[0]
+        # Unfailed, this projection takes 6 steps: stopping after `after`
+        # steps gives the answer a failure in the next one must keep.
+        stopped = project_onto_moment(s, p, max_iter=after)
+        assert not stopped.converged
+        failing = FailingSolves(monkeypatch, after, which)
+        res = project_onto_moment(s, p)
+        failing.check_failed_exit(exit_)
+        assert failing.steps == after + 1
+        assert not res.converged
+        assert 0.0 < res.lower <= res.distance
+        assert res.iterations == after
+        assert (res.distance, res.lower) == (stopped.distance, stopped.lower)
+        assert np.array_equal(res.witness, stopped.witness)
+
+    @pytest.mark.parametrize("exit_, which, after", FAILURES, ids=FAILURE_IDS)
+    def test_intersection_is_indeterminate(self, monkeypatch, exit_, which, after):
+        # The pair intersects after 2 steps; a failed solve before then
+        # certifies neither INTERSECT nor DISJOINT.
+        rng = np.random.default_rng(2)
+        v, w = random_subspace(rng, 4, 2), random_subspace(rng, 4, 2)
+        assert moments_intersect(v, w).status is IntersectionStatus.INTERSECT
+        stopped = moments_intersect(v, w, max_iter=after)
+        failing = FailingSolves(monkeypatch, after, which)
+        cert = moments_intersect(v, w)
+        failing.check_failed_exit(exit_)
+        assert cert.status is IntersectionStatus.INDETERMINATE
+        assert cert.direction is None and cert.witness_y is None
+        assert (cert.gap, cert.iterations) == (stopped.gap, after)

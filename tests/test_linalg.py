@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from momentkit import hausdorff_moments, jnr_boundary, jnr_support, support_moment
+from momentkit.feasibility import separation_margin
 from momentkit.linalg import (
     EigenDecomposition,
     NonHermitianError,
+    _compressions,
     _fix_phases,
     compressed_top_eigh,
     compressed_top_eigvalsh,
@@ -23,6 +26,12 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]])
 #: Both compressed eigensolves, each giving a tuple of arrays with one row
 #: per direction: (values, vectors) and (values,).
 PRIMITIVES = [compressed_top_eigh, lambda table, dirs: (compressed_top_eigvalsh(table, dirs),)]
+
+
+def assert_bitwise(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
 
 
 class TestHermitianEig:
@@ -214,6 +223,51 @@ class TestCompressedEigh:
             assert values[0] == pytest.approx(1e308 * solve(table, [[1, 1, 0]])[0][0], rel=1e-15)
             with pytest.raises(ValueError, match="overflows"):
                 solve(past, [[np.finfo(np.float64).max]])
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_rank_one_closed_form_is_lapack_bitwise(self, n):
+        # For r = 1 neither primitive calls LAPACK.  Its n = 1 path returns
+        # the real part of the entry and the vector 1 (W(1) = DBLE(A(1,1)),
+        # Z = CONE); the closed form must give the same bits as eigh and
+        # eigvalsh of the same 1 x 1 compressions, down to the sign of the
+        # vector's zero imaginary part.
+        rng = np.random.default_rng(17)
+        table = random_subspace(rng, n, 1).compression_table
+        base = rng.standard_normal((200, n))
+        stacks = [base, abs(base), -abs(base), np.zeros((200, n)), np.full((200, n), -0.0),
+                  base * 1e307 / abs(base).max(), base * 1e-310, abs(base) * 5e-324]
+        for dirs in stacks:
+            m = _compressions(table, dirs)
+            w, v = np.linalg.eigh(m)
+            values, vectors = compressed_top_eigh(table, dirs)
+            assert_bitwise(values, w[:, -1])
+            assert_bitwise(vectors, v[:, :, -1])
+            assert_bitwise(vectors, _fix_phases(v[:, :, -1]))
+            assert_bitwise(compressed_top_eigvalsh(table, dirs), np.linalg.eigvalsh(m)[:, -1])
+            for c in dirs[::40]:
+                w, v = np.linalg.eigh(_compressions(table, c[None]))
+                values, vectors = compressed_top_eigh(table, c[None])
+                assert_bitwise(values, w[:, -1])
+                assert_bitwise(vectors, v[:, :, -1])
+                assert_bitwise(compressed_top_eigvalsh(table, c[None]), w[:, -1])
+
+
+@pytest.mark.parametrize("direction", [[1 + 5j, 0.0, 0.0], np.array([1.0, 0.0, 0.0], dtype=complex)])
+@pytest.mark.parametrize("call", [
+    lambda v, w, c: support_moment(v, c),
+    lambda v, w, c: jnr_support(v, c),
+    lambda v, w, c: jnr_boundary(v, [c]),
+    lambda v, w, c: hausdorff_moments(v, w, [c]),
+    lambda v, w, c: separation_margin(v, w, c),
+    lambda v, w, c: compressed_top_eigh(v.compression_table, [c]),
+    lambda v, w, c: compressed_top_eigvalsh(v.compression_table, [c]),
+], ids=["support_moment", "jnr_support", "jnr_boundary", "hausdorff_moments",
+        "separation_margin", "compressed_top_eigh", "compressed_top_eigvalsh"])
+def test_complex_directions_rejected(example_v, example_w, call, direction):
+    # A complex direction is rejected, also with a zero imaginary part; it
+    # was cast to its real part, so (1 + 5j, 0, 0) read as (1, 0, 0).
+    with pytest.raises(ValueError, match="directions must be finite real rows of dimension 3"):
+        call(example_v, example_w, direction)
 
 
 class TestOrthonormalize:
