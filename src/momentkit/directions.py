@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .linalg import _integer
+
 
 def _kronecker_sequence(dim: int, count: int) -> np.ndarray:
     """Low-discrepancy points in [0, 1)^dim from the generalized golden ratio."""
@@ -27,10 +29,7 @@ def _kronecker_sequence(dim: int, count: int) -> np.ndarray:
 
 def fibonacci_directions(n: int, count: int) -> np.ndarray:
     """``count`` unit vectors in R^n, rows, deterministic in (n, count)."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
+    count, n = _integer(count, "count", 1), _integer(n, "dimension", 1)
     if n == 1:
         return np.array([[1.0 if i % 2 == 0 else -1.0] for i in range(count)])
     if n == 2:

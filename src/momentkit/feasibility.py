@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _real_directions, compressed_top_eigh, compressed_top_eigvalsh
+from .linalg import _integer, _numbers, compressed_top_eigh, compressed_top_eigvalsh
 from .subspace import Subspace
 
 #: Diagonal-difference norm below which the sets are declared intersecting.
@@ -380,8 +380,7 @@ def _minimize(master: _Master, tol: float, max_iter: int, certify) -> tuple[floa
     point unless it is within ``tol``.
     """
     check_nonnegative("tol", tol)
-    check_nonnegative("max_iter", max_iter)
-    max_iter = int(max_iter)
+    check_nonnegative("max_iter", _integer(max_iter, "max_iter"))
     tol_sq = tol * tol
     target = master.target
     d = master.residual()
@@ -434,11 +433,7 @@ def project_onto_moment(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> ProjectionResult:
     """Euclidean distance from the real vector p to the moment set of s."""
-    p = np.asarray(p, dtype=np.float64).reshape(-1)
-    if p.size != s.n:
-        raise ValueError(f"point has dimension {p.size}, expected {s.n}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("point has non-finite entries")
+    p = _numbers(p, "point must have real entries", n=s.n, what="point")
     if not math.hypot(*p) <= POINT_MAX:
         raise ValueError(f"point norm exceeds {POINT_MAX:.0e}: the squared residual would overflow")
     master = _Master([s], p)
@@ -499,9 +494,8 @@ def separation_margin(v: Subspace, w: Subspace, u) -> float:
     """
     if v.n != w.n:
         raise ValueError("subspaces live in different ambient dimensions")
-    u = _real_directions(u, v.n).reshape(-1)
-    if u.size != v.n:
-        raise ValueError(f"direction has dimension {u.size}, expected {v.n}")
+    u = _numbers(u, f"directions must be finite real rows of dimension {v.n}", n=v.n,
+                 what="direction")
     top_v = float(compressed_top_eigvalsh(v.compression_table, u[None])[0])
     bottom_w = -float(compressed_top_eigvalsh(w.compression_table, -u[None])[0])
     return bottom_w - top_v

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feasibility import project_onto_moment
-from .linalg import _real_directions, compressed_top_eigh, require_hermitian
+from .linalg import _numbers, compressed_top_eigh, require_hermitian
 from .subspace import Subspace, orthogonal_complement
 
 #: PSD slack and trace tolerance for density-matrix validation.
@@ -91,7 +91,7 @@ def jnr_support(s: Subspace, c) -> JNRSupport:
 
 def jnr_boundary(s: Subspace, directions) -> list[JNRPoint]:
     """Supporting points |P x|^2 of W for each direction (boundary sweep)."""
-    directions = _real_directions(directions, s.n)
+    directions = _numbers(directions, f"directions must be finite real rows of dimension {s.n}")
     if directions.ndim == 2 and not directions.any(axis=1).all():
         raise ValueError("directions must be nonzero")
     _, vectors, floored = _supporting_vectors(s, directions)
@@ -117,11 +117,7 @@ def cone_membership(s: Subspace, x) -> ConeMembership:
     only the zero vector counts as zero, and a negative coordinate is
     tolerated, and read as 0, down to -1e-12 times the largest |x_i|.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.size != s.n:
-        raise ValueError(f"vector has dimension {x.size}, expected {s.n}")
-    if not np.isfinite(x).all():
-        raise ValueError("vector has non-finite entries")
+    x = _numbers(x, "vector must have real entries", n=s.n)
     # Scale by the largest coordinate first, so that the sum cannot overflow.
     top = float(abs(x).max())
     if top == 0.0:

@@ -9,8 +9,8 @@ ambient dimension up to a few dozen).  Results are deterministic for a fixed
 input: eigenvalues are returned in ascending order and every eigenvector is
 phase-normalized so that its first nonzero component is real and positive.
 Rank-one compressions are solved in closed form, bitwise LAPACK's n = 1
-result: the real part of the entry, and the eigenvector 1.  Directions are
-real: a complex direction is rejected, not truncated to its real part.
+result: the real part of the entry, and the eigenvector 1.  Array arguments
+pass ``_numbers``: booleans, strings, objects and complex directions fail.
 """
 from __future__ import annotations
 
@@ -42,12 +42,39 @@ class NonHermitianError(ValueError):
         )
 
 
+def _numbers(x, message: str, real: bool = True, n: int | None = None,
+             what: str = "vector") -> np.ndarray:
+    """``x`` as a float64 array, or complex128 when not ``real``; entries
+    other than integers, floats and (when not ``real``) complex numbers raise
+    ``ValueError(message)``.  With ``n``, ``x`` must be a finite n-vector."""
+    a = np.asarray(x)
+    if a.dtype.kind not in ("iuf" if real else "iufc"):
+        raise ValueError(message)
+    a = a.astype(np.float64 if real else np.complex128, copy=False)
+    if n is not None:
+        a = a.reshape(-1)
+        if a.size != n:
+            raise ValueError(f"{what} has dimension {a.size}, expected {n}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"{what} has non-finite entries")
+    return a
+
+
+def _integer(value, name: str, least: int | None = None) -> int:
+    """An integer argument, not a boolean, as an int of at least ``least``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer (got {value!r})")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return int(value)
+
+
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-d complex128 array."""
-    a = np.asarray(a, dtype=np.complex128)
+    a = _numbers(a, "matrix entries must be numbers", real=False)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
 
@@ -106,15 +133,6 @@ def hermitian_eig(a) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=_fix_phases(v.T).T)
 
 
-def _real_directions(directions, n: int) -> np.ndarray:
-    """The directions as a float64 array; a complex array is rejected rather
-    than cast to its real part."""
-    d = np.asarray(directions)
-    if d.dtype.kind == "c":
-        raise ValueError(f"directions must be finite real rows of dimension {n}")
-    return d.astype(np.float64, copy=False)
-
-
 def _compressions(table: np.ndarray, directions) -> np.ndarray:
     """The (k, r, r) compressions Q* diag(c) Q of the rows c of a (k, n)
     stack of finite real directions, each one real matmul of c against its
@@ -126,11 +144,12 @@ def _compressions(table: np.ndarray, directions) -> np.ndarray:
     # Every table as a (tables, n, 2 r^2) real stack: a lone table is a
     # stack of one, which the matmul broadcasts over the directions.
     real_table = table.reshape(-1, n, r * r).view(np.float64)
-    d = _real_directions(directions, n)
+    message = f"directions must be finite real rows of dimension {n}"
+    d = _numbers(directions, message)
     peak = abs(d).max(initial=0.0)
     if (d.ndim != 2 or d.shape[1] != n or len(real_table) not in (1, len(d))
             or not peak <= _FLOAT_MAX):
-        raise ValueError(f"directions must be finite real rows of dimension {n}")
+        raise ValueError(message)
     # Row by row (a stacked matmul, not one GEMM), so that a row's compression
     # does not depend on the rows stacked with it.
     if peak > _FLOAT_MAX / 2:
@@ -188,7 +207,7 @@ def orthonormalize(vectors) -> np.ndarray:
     norm, so rank-deficient input yields fewer columns.  All-zero input yields
     an ``(n, 0)`` array.  Inputs of any finite scale are accepted.
     """
-    cols = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
+    cols = [_numbers(v, "vector entries must be numbers", real=False).reshape(-1) for v in vectors]
     if not cols:
         raise ValueError("no vectors given")
     n = cols[0].size

@@ -23,13 +23,8 @@ from .feasibility import (
     check_nonnegative,
     moments_intersect,
 )
-from .linalg import (
-    _real_directions,
-    compressed_top_eigvalsh,
-    hermitian_eig,
-    require_hermitian,
-    spectral_norm,
-)
+from .linalg import (_integer, _numbers, compressed_top_eigvalsh, hermitian_eig, require_hermitian,
+                     spectral_norm)
 from .subspace import ORTHOGONAL_TOL, Subspace, mutually_orthogonal
 
 #: Relative width (times ||M||) of the eigenvalue cluster taken as the
@@ -81,7 +76,7 @@ def check_minimal(
     """
     check_nonnegative("eig_tol", eig_tol)
     check_nonnegative("feas_tol", feas_tol)
-    check_nonnegative("max_iter", max_iter)
+    check_nonnegative("max_iter", _integer(max_iter, "max_iter"))
     dec = hermitian_eig(m)
     norm = float(np.max(np.abs(dec.eigenvalues)))
     if norm == 0.0:
@@ -200,7 +195,7 @@ def hausdorff_moments(v: Subspace, w: Subspace, directions) -> HausdorffResult:
     directions, with the distances of their projectors."""
     if v.n != w.n:
         raise ValueError("subspaces live in different ambient dimensions")
-    directions = _real_directions(directions, v.n)
+    directions = _numbers(directions, f"directions must be finite real rows of dimension {v.n}")
     if directions.ndim == 2 and len(directions) == 0:
         raise ValueError("at least one direction is required")
     if directions.ndim == 2 and not directions.any(axis=1).all():

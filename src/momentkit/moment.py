@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import compressed_top_eigh
+from .linalg import _integer, _numbers, compressed_top_eigh
 from .subspace import PrincipalVector, Subspace, principal_vector
 
 #: Linear-independence margin for a pair of principal vectors: independence of
@@ -32,9 +32,7 @@ class DegenerateCurve(ValueError):
 def moment_of_vector(s: Subspace, x) -> np.ndarray:
     """Moment point |x|^2 of a unit vector x of the subspace (norm and
     membership checked within MEMBERSHIP_TOL)."""
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if x.size != s.n:
-        raise ValueError(f"vector has dimension {x.size}, expected {s.n}")
+    x = _numbers(x, "vector entries must be numbers", real=False, n=s.n)
     norm_defect = abs(np.linalg.norm(x) - 1.0)
     if norm_defect > MEMBERSHIP_TOL:
         raise ValueError(f"vector is not normalized: | ||x|| - 1 | = {norm_defect:.3e}")
@@ -47,9 +45,8 @@ def moment_of_vector(s: Subspace, x) -> np.ndarray:
 def sample_unit_vectors(s: Subspace, count: int, seed: int) -> np.ndarray:
     """Rows are unit vectors of the subspace, uniform with respect to the
     rotation-invariant measure (normalized complex Gaussian coefficients)."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    rng = np.random.default_rng(seed)
+    count = _integer(count, "count", 1)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     z = rng.standard_normal((count, s.r)) + 1j * rng.standard_normal((count, s.r))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     return z @ s.basis.T
@@ -189,7 +186,6 @@ def dominating_t(s: Subspace, j: int, k: int, x) -> float:
     |x_k| <= |curve_k(t)|: it is the angle between x and v^j.
     """
     frame = curve_frame(s, j, k)
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    moment_of_vector(s, x)  # validates unit norm and membership
+    moment_of_vector(s, x)  # validates x: a unit vector of the subspace
     return math.acos(min(abs(np.vdot(frame.vj.v, x)), 1.0))
 

@@ -13,7 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import hermitian_eig, orthonormalize, projector, require_orthonormal, spectral_norm
+from .linalg import (_numbers, hermitian_eig, orthonormalize, projector, require_orthonormal,
+                     spectral_norm)
 
 #: Projector diagonal entries at or below this threshold are not generic.
 GENERIC_TOL = 1e-10
@@ -80,7 +81,7 @@ class Subspace:
 
     def membership_residual(self, x) -> float:
         """Norm of (P x - x); zero iff x lies in the subspace."""
-        x = np.asarray(x, dtype=np.complex128).reshape(-1)
+        x = _numbers(x, "vector entries must be numbers", real=False, n=self.n)
         return float(np.linalg.norm(self.projector @ x - x))
 
 

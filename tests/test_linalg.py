@@ -1,25 +1,52 @@
 import numpy as np
 import pytest
 
-from momentkit import hausdorff_moments, jnr_boundary, jnr_support, support_moment
+from momentkit import (
+    MinimalMatrixParts,
+    check_minimal,
+    cone_membership,
+    construct_minimal,
+    delta_map,
+    dominating_t,
+    fibonacci_directions,
+    hausdorff_moments,
+    jnr_boundary,
+    jnr_support,
+    moment_of_vector,
+    moments_intersect,
+    project_onto_moment,
+    sample_moment,
+    subspace_from_spanning,
+    support_moment,
+)
 from momentkit.feasibility import separation_margin
+from momentkit.jnr import validate_density
 from momentkit.linalg import (
     EigenDecomposition,
     NonHermitianError,
     _compressions,
     _fix_phases,
+    as_complex_matrix,
     compressed_top_eigh,
     compressed_top_eigvalsh,
     hermitian_eig,
     orthonormalize,
     projector,
     require_hermitian,
+    require_orthonormal,
     spectral_norm,
 )
 
 from momentkit.subspace import Subspace
 
-from conftest import P_V_REFERENCE, SPAN_V, random_hermitian, random_subspace
+from conftest import (
+    CONJUGATE_X,
+    CONJUGATE_XBAR,
+    P_V_REFERENCE,
+    SPAN_V,
+    random_hermitian,
+    random_subspace,
+)
 
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
 
@@ -252,7 +279,12 @@ class TestCompressedEigh:
                 assert_bitwise(compressed_top_eigvalsh(table, c[None]), w[:, -1])
 
 
-@pytest.mark.parametrize("direction", [[1 + 5j, 0.0, 0.0], np.array([1.0, 0.0, 0.0], dtype=complex)])
+@pytest.mark.parametrize("direction", [
+    [1 + 5j, 0.0, 0.0],
+    np.array([1.0, 0.0, 0.0], dtype=complex),
+    ["1", "0", "0"],
+    [True, False, False],
+])
 @pytest.mark.parametrize("call", [
     lambda v, w, c: support_moment(v, c),
     lambda v, w, c: jnr_support(v, c),
@@ -265,9 +297,102 @@ class TestCompressedEigh:
         "separation_margin", "compressed_top_eigh", "compressed_top_eigvalsh"])
 def test_complex_directions_rejected(example_v, example_w, call, direction):
     # A complex direction is rejected, also with a zero imaginary part; it
-    # was cast to its real part, so (1 + 5j, 0, 0) read as (1, 0, 0).
+    # was cast to its real part, so (1 + 5j, 0, 0) read as (1, 0, 0).  So
+    # are strings and booleans, which were cast to the numbers they spell.
     with pytest.raises(ValueError, match="directions must be finite real rows of dimension 3"):
         call(example_v, example_w, direction)
+
+
+#: span{e_1, e_2} of C^3, the unit vector e_1 in it, and a state on it.
+PLANE = [(1, 0, 0), (0, 1, 0)]
+E1 = [1, 0, 0]
+STATE = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+#: A minimal 2 x 2 matrix, the identity, and a zero 2 x 2 matrix.
+SWAP = [[0, 1], [1, 0]]
+EYE = [[1, 0], [0, 1]]
+ZERO = [[0, 0], [0, 0]]
+
+
+def _parts(r):
+    v, w = (subspace_from_spanning([x]) for x in (CONJUGATE_X, CONJUGATE_XBAR))
+    return MinimalMatrixParts(lam=1.0, v=v, w=w, r=r)
+
+
+#: (call on the plane and an argument, a valid argument of 0s and 1s, and
+#: whether its entries must be real).
+NUMBER_ENTRY_POINTS = {
+    "project_onto_moment": (lambda s, x: project_onto_moment(s, x), E1, True),
+    "cone_membership": (lambda s, x: cone_membership(s, x), E1, True),
+    "moment_of_vector": (lambda s, x: moment_of_vector(s, x), E1, False),
+    "dominating_t": (lambda s, x: dominating_t(s, 0, 1, x), E1, False),
+    "membership_residual": (lambda s, x: s.membership_residual(x), E1, False),
+    "orthonormalize": (lambda s, x: orthonormalize([x]), E1, False),
+    "subspace_from_spanning": (lambda s, x: subspace_from_spanning([x]), E1, False),
+    "as_complex_matrix": (lambda s, x: as_complex_matrix(x), SWAP, False),
+    "require_hermitian": (lambda s, x: require_hermitian(x), SWAP, False),
+    "hermitian_eig": (lambda s, x: hermitian_eig(x), SWAP, False),
+    "spectral_norm": (lambda s, x: spectral_norm(x), SWAP, False),
+    "check_minimal": (lambda s, x: check_minimal(x), SWAP, False),
+    "require_orthonormal": (lambda s, x: require_orthonormal(x), EYE, False),
+    "projector": (lambda s, x: projector(x), EYE, False),
+    "Subspace": (lambda s, x: Subspace(x), EYE, False),
+    "validate_density": (lambda s, x: validate_density(x), STATE, False),
+    "delta_map": (lambda s, x: delta_map(s, x), STATE, False),
+    "construct_minimal": (lambda s, x: construct_minimal(_parts(x)), ZERO, False),
+}
+#: Each form of a valid argument that is no (real) number.
+FORMS = {
+    "string": lambda a: np.array(a).astype(str).tolist(),
+    "boolean": lambda a: np.array(a, dtype=bool).tolist(),
+    "object": lambda a: np.array(a, dtype=object),
+    "complex": lambda a: np.array(a, dtype=complex),
+}
+
+
+@pytest.mark.parametrize("name, form", [
+    (name, form) for name, (_, _, real) in NUMBER_ENTRY_POINTS.items()
+    for form in FORMS if real or form != "complex"
+])
+def test_non_numbers_rejected(name, form):
+    # Each argument was cast by np.asarray(x, dtype=...): "1" and True read
+    # as 1, and a complex point as its real part, so every call answered.
+    call, valid, real = NUMBER_ENTRY_POINTS[name]
+    plane = subspace_from_spanning(PLANE)
+    call(plane, valid)
+    with pytest.raises(ValueError, match="must have real entries" if real else "must be numbers"):
+        call(plane, FORMS[form](valid))
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: fibonacci_directions(4, 2.5),
+    lambda s: fibonacci_directions(1, 2.5),
+    lambda s: fibonacci_directions(3, True),
+    lambda s: fibonacci_directions(2.0, 3),
+    lambda s: fibonacci_directions(True, 3),
+    lambda s: sample_moment(s, 2.5, 0),
+    lambda s: sample_moment(s, "3", 0),
+    lambda s: sample_moment(s, True, 0),
+    lambda s: sample_moment(s, 3, 1.5),
+    lambda s: sample_moment(s, 3, "0"),
+    lambda s: moments_intersect(s, s, max_iter=0.5),
+    lambda s: project_onto_moment(s, E1, max_iter=True),
+    lambda s: check_minimal(SWAP, max_iter=2.5),
+], ids=["fibonacci-count-float", "fibonacci-line-count-float", "fibonacci-count-bool",
+        "fibonacci-n-float", "fibonacci-n-bool", "sample-count-float", "sample-count-str",
+        "sample-count-bool", "sample-seed-float", "sample-seed-str", "intersect-max_iter-float",
+        "project-max_iter-bool", "minimal-max_iter-float"])
+def test_non_integers_rejected(call):
+    # A count, dimension, seed or iteration limit is an integer, not a
+    # boolean: int(0.5) ran 0 steps, True 1, and count=2.5 gave 3 rows.
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(subspace_from_spanning(PLANE))
+
+
+def test_numpy_integers_accepted():
+    s = subspace_from_spanning(PLANE)
+    assert fibonacci_directions(np.int64(3), np.uint8(4)).shape == (4, 3)
+    assert sample_moment(s, np.int32(2), np.int64(7)).shape == (2, 3)
+    assert project_onto_moment(s, E1, max_iter=np.int64(3)).iterations <= 3
 
 
 class TestOrthonormalize:

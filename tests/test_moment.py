@@ -36,6 +36,9 @@ class TestMomentOfVector:
             moment_of_vector(example_v, 2 * V1_REFERENCE)
         with pytest.raises(ValueError, match="vector has dimension 2, expected 3"):
             moment_of_vector(example_v, [1.0, 0.0])
+        # A nan passed the norm and membership tests, which compare with ">".
+        with pytest.raises(ValueError, match="vector has non-finite entries"):
+            moment_of_vector(example_v, [np.nan, 0.0, 0.0])
 
 
 class TestSampling:
