@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _integer, _numbers, compressed_top_eigh, compressed_top_eigvalsh
+from .linalg import _integer, _numbers, _real, compressed_top_eigh, compressed_top_eigvalsh
 from .subspace import Subspace
 
 #: Diagonal-difference norm below which the sets are declared intersecting.
@@ -73,12 +73,6 @@ _ADMIT_RTOL = 1e-14
 #: An inactive atom enters only when its KKT multiplier is below
 #: -_DUAL_RTOL * (1 + max |target|), the roundoff of computing it.
 _DUAL_RTOL = 1e-14
-
-
-def check_nonnegative(name: str, value: float) -> None:
-    """Reject a tolerance or iteration limit that is negative or not finite."""
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and nonnegative (got {value})")
 
 
 def _ratio_step(w: list[float], z: list[float]) -> list[float]:
@@ -379,8 +373,7 @@ def _minimize(master: _Master, tol: float, max_iter: int, certify) -> tuple[floa
     also runs on the final iterate, so ``lower`` describes the returned
     point unless it is within ``tol``.
     """
-    check_nonnegative("tol", tol)
-    check_nonnegative("max_iter", _integer(max_iter, "max_iter"))
+    tol, max_iter = _real(tol, "tol", nonnegative=True), _integer(max_iter, "max_iter", 0)
     tol_sq = tol * tol
     target = master.target
     d = master.residual()

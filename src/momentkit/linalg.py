@@ -10,7 +10,8 @@ input: eigenvalues are returned in ascending order and every eigenvector is
 phase-normalized so that its first nonzero component is real and positive.
 Rank-one compressions are solved in closed form, bitwise LAPACK's n = 1
 result: the real part of the entry, and the eigenvector 1.  Array arguments
-pass ``_numbers``: booleans, strings, objects and complex directions fail.
+pass ``_numbers`` and scalars ``_integer`` or ``_real``: booleans, strings,
+objects, complex directions and scalars, and non-finite reals fail.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ ORTHONORMAL_TOL = 1e-10
 # Components below this threshold do not qualify as the "first nonzero" entry
 # when fixing eigenvector phases (unit columns always carry a larger one).
 _PHASE_TOL = 1e-9
-_FLOAT_MAX = np.finfo(np.float64).max
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 class NonHermitianError(ValueError):
@@ -65,8 +66,20 @@ def _integer(value, name: str, least: int | None = None) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer (got {value!r})")
     if least is not None and value < least:
-        raise ValueError(f"{name} must be at least {least}")
+        rule = "finite and nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {rule} (got {value})")
     return int(value)
+
+
+def _real(value, name: str, nonnegative: bool = False) -> float:
+    """A finite real argument, not a boolean, as a float (``nonnegative``: tolerances)."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number (got {value!r})")
+    x = value if isinstance(value, int) else float(value)  # ints compare exactly
+    if not -_FLOAT_MAX <= x <= _FLOAT_MAX or nonnegative and x < 0:
+        rule = "finite and nonnegative" if nonnegative else "finite"
+        raise ValueError(f"{name} must be {rule} (got {value})")
+    return float(x)
 
 
 def as_complex_matrix(a) -> np.ndarray:

@@ -20,11 +20,10 @@ from .feasibility import (
     DEFAULT_TOL,
     IntersectionCertificate,
     IntersectionStatus,
-    check_nonnegative,
     moments_intersect,
 )
-from .linalg import (_integer, _numbers, compressed_top_eigvalsh, hermitian_eig, require_hermitian,
-                     spectral_norm)
+from .linalg import (_integer, _numbers, _real, compressed_top_eigvalsh, hermitian_eig,
+                     require_hermitian, spectral_norm)
 from .subspace import ORTHOGONAL_TOL, Subspace, mutually_orthogonal
 
 #: Relative width (times ||M||) of the eigenvalue cluster taken as the
@@ -70,13 +69,13 @@ def check_minimal(
 
     The verdict follows the equivalence: minimal iff the extreme eigenvalues
     are opposite and the moment sets of their eigenspaces intersect.
-    ``eig_tol``, ``feas_tol`` and ``max_iter`` must be finite and
-    nonnegative, and ``eig_tol`` narrow enough that the two extreme clusters
-    of a symmetric spectrum share no eigenvalue.
+    ``eig_tol`` and ``feas_tol`` must be nonnegative reals, ``max_iter`` a
+    nonnegative integer, and ``eig_tol`` narrow enough that the two extreme
+    clusters of a symmetric spectrum share no eigenvalue.
     """
-    check_nonnegative("eig_tol", eig_tol)
-    check_nonnegative("feas_tol", feas_tol)
-    check_nonnegative("max_iter", _integer(max_iter, "max_iter"))
+    eig_tol = _real(eig_tol, "eig_tol", nonnegative=True)
+    feas_tol = _real(feas_tol, "feas_tol", nonnegative=True)
+    _integer(max_iter, "max_iter", 0)
     dec = hermitian_eig(m)
     norm = float(np.max(np.abs(dec.eigenvalues)))
     if norm == 0.0:
@@ -138,7 +137,7 @@ def construct_minimal(parts: MinimalMatrixParts) -> tuple[np.ndarray, Minimality
     Rejects any violated ingredient constraint (orthogonality and R P = 0
     within ORTHOGONAL_TOL) and DISJOINT (or unresolved) moment pairs.
     """
-    if parts.lam <= 0.0:
+    if _real(parts.lam, "lam") <= 0.0:
         raise ValueError("the extreme eigenvalue lam must be positive")
     if parts.v.n != parts.w.n:
         raise ValueError("subspaces live in different ambient dimensions")

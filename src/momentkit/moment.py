@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _integer, _numbers, compressed_top_eigh
+from .linalg import _integer, _numbers, _real, compressed_top_eigh
 from .subspace import PrincipalVector, Subspace, principal_vector
 
 #: Linear-independence margin for a pair of principal vectors: independence of
@@ -136,6 +136,7 @@ def curve_frame(s: Subspace, j: int, k: int) -> CurveFrame:
     ``DegenerateCurve`` when v^j and v^k are linearly dependent (equivalently
     v^j_j <= |v^k_j| within the independence margin).
     """
+    j, k = _integer(j, "j"), _integer(k, "k")
     if j == k:
         raise ValueError("curve endpoints must be distinct coordinates")
     vj = principal_vector(s, j)
@@ -159,6 +160,7 @@ def curve_point(frame: CurveFrame, t: float) -> CurveSample:
 
     At t = 0 this is v^j; at t = t_end it is phase * v^k.
     """
+    t = _real(t, "t")
     if not -1e-12 <= t <= math.pi / 2 + 1e-12:
         raise ValueError(f"curve parameter {t} outside [0, {math.pi / 2}]")
     t = min(max(t, 0.0), math.pi / 2)
@@ -187,5 +189,6 @@ def dominating_t(s: Subspace, j: int, k: int, x) -> float:
     """
     frame = curve_frame(s, j, k)
     moment_of_vector(s, x)  # validates x: a unit vector of the subspace
-    return math.acos(min(abs(np.vdot(frame.vj.v, x)), 1.0))
+    inner = np.vdot(frame.vj.v, x)
+    return math.atan2(float(np.linalg.norm(x - inner * frame.vj.v)), abs(inner))
 

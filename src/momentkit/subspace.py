@@ -13,8 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import (_numbers, hermitian_eig, orthonormalize, projector, require_orthonormal,
-                     spectral_norm)
+from .linalg import (_integer, _numbers, hermitian_eig, orthonormalize, projector,
+                     require_orthonormal, spectral_norm)
 
 #: Projector diagonal entries at or below this threshold are not generic.
 GENERIC_TOL = 1e-10
@@ -96,7 +96,7 @@ def subspace_from_spanning(vectors) -> Subspace:
 
 def whole_space(n: int) -> Subspace:
     """The full space C^n."""
-    return Subspace(np.eye(n, dtype=np.complex128))
+    return Subspace(np.eye(_integer(n, "n", 1), dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,7 @@ class PrincipalVector:
 
 def principal_vector(s: Subspace, j: int) -> PrincipalVector:
     """Principal standard vector v^j = P e_j / ||P e_j||, with v^j_j > 0."""
+    j = _integer(j, "j")
     if not 0 <= j < s.n:
         raise IndexError(f"coordinate {j} out of range for ambient dimension {s.n}")
     col = s.projector[:, j]

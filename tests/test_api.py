@@ -41,7 +41,7 @@ MOVED = """
 #: tolerances a caller sets are those of the solver and of check_minimal;
 #: every other threshold is a module constant.
 SIGNATURES = """
-    directions.fibonacci_directions(n,count) feasibility.check_nonnegative(name,value)
+    directions.fibonacci_directions(n,count)
     feasibility.moments_intersect(v,w,tol,max_iter) feasibility.project_onto_moment(s,p,tol,max_iter)
     feasibility.separation_margin(v,w,u) jnr.cone_membership(s,x) jnr.delta_map(s,rho)
     jnr.jnr_boundary(s,directions) jnr.jnr_support(s,c) jnr.validate_density(rho)

@@ -1,7 +1,9 @@
-"""Static check that arguments become arrays only in ``linalg``: outside it
-and the CLI's file parsers, no library call passes a dtype to ``np.asarray``
-or ``np.array``, which would cast strings, booleans and complex values to
-numbers.  ``linalg._numbers`` converts every array argument instead."""
+"""Static checks that arguments are read only in ``linalg``: outside it and
+the CLI's file parsers, no library call passes a dtype to ``np.asarray`` or
+``np.array``, which would cast strings, booleans and complex values to
+numbers; ``linalg._numbers`` converts every array argument instead.  And no
+other module words a rule of ``linalg._integer`` or ``linalg._real``, which
+check every scalar argument."""
 import ast
 from pathlib import Path
 
@@ -26,3 +28,13 @@ def _casting_sites(path: Path) -> list[tuple[str, int]]:
 def test_casts_live_in_linalg():
     sites = [site for path in SOURCES for site in _casting_sites(path)]
     assert [site for site in sites if site[0] not in ("linalg", "cli")] == []
+
+
+def test_scalar_rules_live_in_linalg():
+    # A module that checks a count or a tolerance itself says so in the
+    # words of these rules.
+    for path in SOURCES:
+        if path.stem != "linalg":
+            text = path.read_text()
+            assert "finite and nonnegative" not in text, path.stem
+            assert "must be an integer" not in text, path.stem

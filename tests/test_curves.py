@@ -112,9 +112,10 @@ class TestEllipse:
 
 class TestDominatingParameter:
     def test_principal_vector_maps_to_zero(self, example_v):
-        # arccos near 1 limits the recoverable parameter to ~sqrt(eps).
+        # arccos near 1 recovered only ~sqrt(eps) (2.1e-8 here); atan2 keeps
+        # every digit.
         t = dominating_t(example_v, 0, 1, principal_vector(example_v, 0).v)
-        assert t == pytest.approx(0.0, abs=1e-7)
+        assert t == pytest.approx(0.0, abs=1e-15)
 
     def test_phase_invariance_on_curve(self, example_v, frame):
         for t in (0.3, 0.9, 1.4):

@@ -1,11 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import momentkit.minimality
 from momentkit import (
+    IntersectionStatus,
     MinimalMatrixParts,
     check_minimal,
     cone_membership,
     construct_minimal,
+    curve_frame,
+    curve_point,
     delta_map,
     dominating_t,
     fibonacci_directions,
@@ -14,10 +20,12 @@ from momentkit import (
     jnr_support,
     moment_of_vector,
     moments_intersect,
+    principal_vector,
     project_onto_moment,
     sample_moment,
     subspace_from_spanning,
     support_moment,
+    whole_space,
 )
 from momentkit.feasibility import separation_margin
 from momentkit.jnr import validate_density
@@ -393,6 +401,75 @@ def test_numpy_integers_accepted():
     assert fibonacci_directions(np.int64(3), np.uint8(4)).shape == (4, 3)
     assert sample_moment(s, np.int32(2), np.int64(7)).shape == (2, 3)
     assert project_onto_moment(s, E1, max_iter=np.int64(3)).iterations <= 3
+
+
+#: Every public scalar parameter that is a real number or an integer: (its
+#: name, a call on the plane and an argument, a valid argument).
+SCALAR_PARAMETERS = {
+    "intersect-tol": ("tol", lambda s, x: moments_intersect(s, s, tol=x), 1e-7),
+    "project-tol": ("tol", lambda s, x: project_onto_moment(s, E1, tol=x), 1e-7),
+    "eig_tol": ("eig_tol", lambda s, x: check_minimal(SWAP, eig_tol=x), 1e-8),
+    "feas_tol": ("feas_tol", lambda s, x: check_minimal(SWAP, feas_tol=x), 1e-7),
+    "lam": ("lam", lambda s, x: construct_minimal(dataclasses.replace(_parts(ZERO), lam=x)), 1.0),
+    "t": ("t", lambda s, x: curve_point(curve_frame(s, 0, 1), x), 0.3),
+    "j": ("j", lambda s, x: principal_vector(s, x), 1),
+    "k": ("k", lambda s, x: curve_frame(s, 0, x), 1),
+    "dominating-k": ("k", lambda s, x: dominating_t(s, 0, x, E1), 1),
+    "n": ("n", lambda s, x: whole_space(x), 2),
+}
+#: Each form of a scalar that is no real number.
+SCALAR_FORMS = {"bool": True, "numpy-bool": np.True_, "string": "1e-7", "complex": 1e-7 + 0j,
+                "list": [1e-7], "none": None}
+
+
+@pytest.mark.parametrize("case, form", [
+    (case, form) for case in SCALAR_PARAMETERS for form in SCALAR_FORMS
+])
+def test_non_scalars_rejected(case, form):
+    # Each was read by comparison alone: a real parameter took True as 1
+    # (tol=True answered INTERSECT, curve_point returned t=True), and the
+    # other forms raised TypeError or IndexError from Python or numpy.
+    name, call, valid = SCALAR_PARAMETERS[case]
+    plane = subspace_from_spanning(PLANE)
+    call(plane, valid)
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call(plane, SCALAR_FORMS[form])
+
+
+def test_boolean_tol_no_longer_intersects():
+    # Lines apart by 45 degrees: tol=True ran with tol = 1 and answered
+    # INTERSECT, where the default tol answers DISJOINT.
+    v, w = subspace_from_spanning([(1, 0, 0)]), subspace_from_spanning([(1, 1, 0)])
+    assert moments_intersect(v, w).status is IntersectionStatus.DISJOINT
+    with pytest.raises(ValueError, match="^tol must be a real number"):
+        moments_intersect(v, w, tol=True)
+
+
+@pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan])
+def test_non_finite_lam_rejected_before_solving(lam, monkeypatch):
+    # lam = inf ran the whole intersection solve, warned, and only then
+    # failed on "matrix has non-finite entries".
+    monkeypatch.setattr(momentkit.minimality, "moments_intersect", None)
+    with pytest.raises(ValueError, match="^lam must be finite"):
+        construct_minimal(dataclasses.replace(_parts(ZERO), lam=lam))
+
+
+@pytest.mark.parametrize("t", [np.inf, np.nan, 10**400], ids=["inf", "nan", "huge-int"])
+def test_non_finite_t_rejected(t):
+    frame = curve_frame(subspace_from_spanning(PLANE), 0, 1)
+    with pytest.raises(ValueError, match="^t must be finite"):
+        curve_point(frame, t)
+
+
+def test_numpy_scalars_accepted():
+    plane = subspace_from_spanning(PLANE)
+    sample = curve_point(curve_frame(plane, np.int8(0), np.uint16(1)), np.float32(0.5))
+    assert type(sample.t) is float and sample.t == float(np.float32(0.5))
+    assert principal_vector(plane, np.int64(1)).index == 1
+    assert whole_space(np.int32(2)).n == 2
+    assert check_minimal(SWAP, eig_tol=np.float64(1e-8), feas_tol=0).verdict.value == "MINIMAL"
+    with pytest.raises(IndexError, match="out of range for ambient dimension 3"):
+        principal_vector(plane, np.int64(3))
 
 
 class TestOrthonormalize:
