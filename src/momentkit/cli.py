@@ -2,11 +2,14 @@
 
 Subcommands wrap the library operations one-to-one, read subspaces and
 hermitian matrices from JSON files (complex entries are always [re, im]
-pairs), and emit plot-ready CSV/JSON.  Each command returns its exit code and
-the files it wrote; ``main`` times the command and, when it wrote files, adds
-a RunReport sidecar describing the invocation.  Data outputs are
-byte-identical across repeated invocations with the same inputs, seed and
-tolerances; the sidecar additionally records wall time.
+pairs), and emit plot-ready CSV/JSON.  JSON payloads hold library arrays as
+they are; one encoder writes real entries as floats printed by ``repr`` and
+complex entries as [re, im] pairs, so every value round-trips exactly.  Every
+input-file error names the file.  Each command returns its exit code and the
+files it wrote; ``main`` times the command and, when it wrote files, adds a
+RunReport sidecar describing the invocation.  Data outputs are byte-identical
+across repeated invocations with the same inputs, seed and tolerances; the
+sidecar additionally records wall time.
 
 Exit codes: 0 success; for ``minimal-check`` and ``intersect`` the code maps
 the verdict (0 MINIMAL/INTERSECT, 1 NOT_MINIMAL/DISJOINT, 2 INDETERMINATE);
@@ -29,7 +32,7 @@ from . import __version__
 from .directions import fibonacci_directions
 from .feasibility import DEFAULT_MAX_ITER, DEFAULT_TOL, moments_intersect
 from .jnr import jnr_boundary, jnr_support
-from .linalg import NonHermitianError, require_hermitian
+from .linalg import require_hermitian
 from .minimality import DEFAULT_EIG_TOL, check_minimal, hausdorff_moments
 from .moment import (
     curve_frame,
@@ -49,7 +52,7 @@ _INPUT_FLAGS = ("subspace", "subspace_v", "subspace_w", "matrix")
 _TOLERANCE_FLAGS = ("eig_tol", "tol", "max_iter")
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Invalid or malformed input file / flag value."""
 
 
@@ -59,7 +62,7 @@ class InputError(Exception):
 def _load_json(path: str):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -81,13 +84,10 @@ def _complex_entry(value, where: str) -> complex:
     return complex(value[0], value[1])
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _complex_rows(path: str, key: str, square: bool) -> np.ndarray:
-    """The rows of complex n-vectors under ``key`` of a JSON object with an
-    ``n``: a non-empty list of them, or exactly n when ``square``."""
+def _complex_rows(path: str, key: str, square: bool, build):
+    """``build`` applied to the rows of complex n-vectors under ``key`` of a
+    JSON object with an ``n``: a non-empty list of them, or exactly n when
+    ``square``.  Every error names ``path``."""
     data = _load_json(path)
     if not isinstance(data, dict) or "n" not in data or key not in data:
         raise InputError(f"{path}: expected an object with keys 'n' and '{key}'")
@@ -106,23 +106,18 @@ def _complex_rows(path: str, key: str, square: bool) -> np.ndarray:
         parsed.append(
             [_complex_entry(z, f"{path}: {key}[{i}][{j}]") for j, z in enumerate(row)]
         )
-    return np.array(parsed, dtype=np.complex128)
-
-
-def load_subspace(path: str) -> Subspace:
-    rows = _complex_rows(path, "vectors", square=False)
     try:
-        return subspace_from_spanning(rows)
+        return build(np.array(parsed, dtype=np.complex128))
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
+def load_subspace(path: str) -> Subspace:
+    return _complex_rows(path, "vectors", False, subspace_from_spanning)
+
+
 def load_hermitian(path: str) -> np.ndarray:
-    rows = _complex_rows(path, "entries", square=True)
-    try:
-        return require_hermitian(rows)
-    except NonHermitianError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return _complex_rows(path, "entries", True, require_hermitian)
 
 
 def _parse_direction(text: str, n: int) -> np.ndarray:
@@ -168,8 +163,18 @@ def _write_csv(path: str, header: list[str], rows) -> list[str]:
     return [str(out)]
 
 
+def _plain(value):
+    """JSON form of a numpy array or scalar: nested lists of Python numbers,
+    each complex entry an [re, im] pair as in the input files."""
+    if not isinstance(value, (np.ndarray, np.generic)):
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    if np.iscomplexobj(value):
+        value = np.stack([value.real, value.imag], axis=-1)
+    return value.tolist()
+
+
 def _dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, default=_plain) + "\n"
 
 
 def _emit_json(payload: dict, out: str | None) -> list[str]:
@@ -229,18 +234,9 @@ def _cmd_curve(args) -> tuple[int, list[str]]:
     header = ["t", *[f"m{i + 1}" for i in range(s.n)], f"mod_{j + 1}", f"mod_{k + 1}"]
     outputs = _write_csv(args.out, header, rows)
     sidecar = Path(args.out + ".ellipse.json")
-    sidecar.write_text(
-        _dumps(
-            {
-                "j": j + 1,
-                "k": k + 1,
-                "a": [float(x) for x in ell.a],
-                "b": [float(x) for x in ell.b],
-                "t_end": float(ell.t_end),
-                "segment": ell.segment,
-            }
-        )
-    )
+    ellipse = {"j": j + 1, "k": k + 1, "a": ell.a, "b": ell.b, "t_end": ell.t_end,
+               "segment": ell.segment}
+    sidecar.write_text(_dumps(ellipse))
     return EXIT_OK, [*outputs, str(sidecar)]
 
 
@@ -254,35 +250,23 @@ def _indices(args, n: int) -> tuple[int, int]:
 
 
 def _certificate_payload(cert) -> dict:
-    payload = {
-        "status": cert.status.value,
-        "gap": cert.gap,
-        "iterations": cert.iterations,
-    }
-    if cert.common is not None:
-        payload["common"] = [float(x) for x in cert.common]
-    if cert.direction is not None:
-        payload["direction"] = [float(x) for x in cert.direction]
-        payload["margin"] = cert.margin
-    if cert.witness_y is not None:
-        payload["witness_y"] = [[_pair(z) for z in row] for row in cert.witness_y]
-        payload["witness_x"] = [[_pair(z) for z in row] for row in cert.witness_x]
-    return payload
+    fields = ("gap", "iterations", "common", "direction", "margin", "witness_y", "witness_x")
+    payload = {key: getattr(cert, key) for key in fields}
+    return {"status": cert.status.value, **{k: v for k, v in payload.items() if v is not None}}
 
 
 def _cmd_minimal_check(args) -> tuple[int, list[str]]:
     m = load_hermitian(args.matrix)
     report = check_minimal(m, eig_tol=args.eig_tol, feas_tol=args.tol, max_iter=args.max_iter)
+    cert = report.certificate
     payload = {
         "norm": report.norm,
         "symmetric": report.symmetric,
         "verdict": report.verdict.value,
         "boundary_ambiguous": report.boundary_ambiguous,
-        "eigenspace_pos": [[_pair(z) for z in row] for row in report.space_pos.basis],
-        "eigenspace_neg": [[_pair(z) for z in row] for row in report.space_neg.basis],
-        "certificate": _certificate_payload(report.certificate)
-        if report.certificate is not None
-        else None,
+        "eigenspace_pos": report.space_pos.basis,
+        "eigenspace_neg": report.space_neg.basis,
+        "certificate": None if cert is None else _certificate_payload(cert),
     }
     return _VERDICT_EXIT[report.verdict.value], _emit_json(payload, args.out)
 
@@ -300,9 +284,9 @@ def _cmd_support(args) -> tuple[int, list[str]]:
     moment_side = support_moment(s, c)
     jnr_side = jnr_support(s, c)
     payload = {
-        "direction": [float(x) for x in c],
+        "direction": c,
         "moment_support": moment_side.value,
-        "moment_maximizer": [_pair(z) for z in moment_side.maximizer],
+        "moment_maximizer": moment_side.maximizer,
         "jnr_support": jnr_side.value,
     }
     return EXIT_OK, _emit_json(payload, args.out)
@@ -319,11 +303,7 @@ def _cmd_jnr_boundary(args) -> tuple[int, list[str]]:
 
 def _cmd_centroid(args) -> tuple[int, list[str]]:
     s = load_subspace(args.subspace)
-    payload = {
-        "n": s.n,
-        "r": s.r,
-        "centroid": [float(x) for x in centroid(s)],
-    }
+    payload = {"n": s.n, "r": s.r, "centroid": centroid(s)}
     return EXIT_OK, _emit_json(payload, args.out)
 
 
@@ -336,7 +316,7 @@ def _cmd_hausdorff(args) -> tuple[int, list[str]]:
         "estimate": result.estimate,
         "spectral_distance": result.spectral_distance,
         "frobenius_distance": result.frobenius_distance,
-        "direction_count": int(directions.shape[0]),
+        "direction_count": directions.shape[0],
     }
     return EXIT_OK, _emit_json(payload, args.out)
 
@@ -425,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         code, outputs = args.func(args)
         if outputs:
             _write_report(args, outputs, started)
-    except (InputError, ValueError, OSError) as exc:  # library input errors are ValueErrors
+    except (ValueError, OSError) as exc:  # InputError and library input errors alike
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return code

@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from momentkit.cli import _write_csv, main
+from momentkit.cli import _dumps, _write_csv, load_hermitian, load_subspace, main
+from momentkit.feasibility import moments_intersect
+from momentkit.minimality import check_minimal
+from momentkit.moment import support_moment
 
 from conftest import SPAN_V, SPAN_W
 
@@ -49,6 +52,68 @@ def test_csv_rows_keep_17_digits(tmp_path):
     _write_csv(str(out), list("abcde"), [row, np.array(row)])
     line = ",".join(f"{x:.17g}" for x in row)
     assert out.read_text() == f"a,b,c,d,e\n{line}\n{line}\n"
+
+
+def _bits(a) -> bytes:
+    """Bytes of a float64 array; a complex array as its interleaved re, im."""
+    return np.ascontiguousarray(a).view(np.float64).tobytes()
+
+
+def _payload_bits(value) -> bytes:
+    return np.array(value, dtype=np.float64).tobytes()
+
+
+def test_json_payloads_keep_exact_bits(tmp_path, capsys):
+    row = np.array([-0.0, 5e-324, 1e308, 0.1, 1 / 3])
+    matrix = np.array([row, -row]) + 1j * np.array([row[::-1], row])
+    values = {"real": row, "complex": row[::-1] - 1j * row, "matrix": matrix,
+              "scalar": np.complex128(-0.0 + 5e-324j), "float": np.float64(-0.0)}
+    back = json.loads(_dumps({**values, "int": np.int64(-7), "bool": np.bool_(True),
+                              "false": np.False_}))
+    for key, value in values.items():
+        assert _payload_bits(back[key]) == _bits(value), key
+    assert back["int"] == -7 and type(back["int"]) is int
+    assert back["bool"] is True and back["false"] is False
+
+    # Every array of the intersect, minimal-check and support payloads, bit
+    # for bit against the library call with the same inputs.
+    x = np.array([1, 1j]) / np.sqrt(2)
+    pairs = {
+        "INTERSECT": (write_subspace(tmp_path / "a.json", [x], 2),
+                      write_subspace(tmp_path / "b.json", [np.conj(x)], 2)),
+        "DISJOINT": (write_subspace(tmp_path / "c.json", [(1, 0)], 2),
+                     write_subspace(tmp_path / "d.json", [(0, 1)], 2)),
+    }
+    for status, (va, vb) in pairs.items():
+        main(["intersect", "--subspace-v", va, "--subspace-w", vb])
+        payload = json.loads(capsys.readouterr().out)
+        cert = moments_intersect(load_subspace(va), load_subspace(vb))
+        assert payload["status"] == cert.status.value == status
+        keys = ["witness_y", "witness_x", "common"] if status == "INTERSECT" else ["direction"]
+        for key in keys:
+            assert _payload_bits(payload[key]) == _bits(getattr(cert, key)), key
+        assert payload["gap"] == cert.gap and payload["iterations"] == cert.iterations
+        assert ("margin" in payload) == (status == "DISJOINT")
+        if status == "DISJOINT":
+            assert payload["margin"] == cert.margin
+
+    mat = write_matrix(tmp_path / "m.json", [[0, -1j], [1j, 0]])
+    assert main(["minimal-check", "--matrix", mat]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    report = check_minimal(load_hermitian(mat))
+    assert _payload_bits(payload["eigenspace_pos"]) == _bits(report.space_pos.basis)
+    assert _payload_bits(payload["eigenspace_neg"]) == _bits(report.space_neg.basis)
+    for key in ("witness_y", "witness_x", "common"):
+        assert _payload_bits(payload["certificate"][key]) == _bits(getattr(report.certificate, key))
+
+    sub = write_subspace(tmp_path / "s.json", SPAN_W, 3)
+    assert main(["support", "--subspace", sub, "--direction", "0.1,-0.0,3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    c = np.array([0.1, -0.0, 3.0])
+    side = support_moment(load_subspace(sub), c)
+    assert _payload_bits(payload["direction"]) == _bits(c)
+    assert _payload_bits(payload["moment_maximizer"]) == _bits(side.maximizer)
+    assert payload["moment_support"] == side.value
 
 
 class TestMomentSample:
@@ -247,11 +312,17 @@ class TestIntersectAndFriends:
     @pytest.mark.parametrize("case", [
         "unreadable", "missing-key", "not-square", "empty-vectors", "short-row", "zero-span",
         "direction-text", "non-finite-directions", "zero-direction", "coordinate-range",
+        "non-finite-matrix", "undecodable",
     ])
     def test_input_errors_exit_three(self, tmp_path, v_file, capsys, case):
         def file(text):
             path = tmp_path / "input.json"
             path.write_text(text)
+            return str(path)
+
+        def raw(data):
+            path = tmp_path / "raw.json"
+            path.write_bytes(data)
             return str(path)
 
         def boundary(directions):
@@ -283,6 +354,14 @@ class TestIntersectAndFriends:
             "coordinate-range": (lambda: ["curve", "--subspace", v_file, "-j", "1", "-k", "4",
                                           "--out", str(tmp_path / "c.csv")],
                                  "coordinates must lie in 1..3"),
+            # Only the hermitian check's own error used to name the file.
+            "non-finite-matrix": (lambda: ["minimal-check", "--matrix",
+                                           file('{"n": 2, "entries": [[[1e999, 0], [0, 0]],'
+                                                ' [[0, 0], [1, 0]]]}')],
+                                  f"{tmp_path / 'input.json'}: matrix has non-finite entries"),
+            # Not UTF-8: the decode error used to name no file.
+            "undecodable": (lambda: ["centroid", "--subspace", raw(b'{"n": 1\xff}')],
+                            f"cannot read {tmp_path / 'raw.json'}: 'utf-8' codec"),
         }[case]
         assert main(argv()) == 3
         err = capsys.readouterr().err
@@ -465,7 +544,10 @@ class TestDeterminism:
             tmp_path / "b.csv.ellipse.json"
         ).read_bytes()
 
-    @pytest.mark.parametrize("case, code", [("intersect", 0), ("disjoint", 1), ("minimal", 0)])
+    @pytest.mark.parametrize("case, code", [
+        ("intersect", 0), ("disjoint", 1), ("minimal", 0),
+        ("support", 0), ("centroid", 0), ("jnr-boundary", 0), ("hausdorff", 0),
+    ])
     def test_verdict_outputs_byte_identical(self, tmp_path, v_file, w_file, case, code):
         if case == "minimal":
             # Nested pair: V = span{x} and W = span{conj(x), f2}, so m_V lies in m_W.
@@ -474,6 +556,14 @@ class TestDeterminism:
             m = (np.outer(x, x.conj()) - np.outer(x.conj(), x)
                  - np.outer(frame[:, 2], frame[:, 2]) + 0.5 * np.outer(frame[:, 3], frame[:, 3]))
             argv = ["minimal-check", "--matrix", write_matrix(tmp_path / "m.json", m)]
+        elif case == "support":
+            argv = ["support", "--subspace", w_file, "--direction", "0.1,-2,1e-3"]
+        elif case == "centroid":
+            argv = ["centroid", "--subspace", w_file]
+        elif case == "jnr-boundary":
+            argv = ["jnr-boundary", "--subspace", w_file, "--directions", "fibonacci:64"]
+        elif case == "hausdorff":
+            argv = ["hausdorff", "--subspace-v", v_file, "--subspace-w", w_file]
         else:
             if case == "disjoint":
                 w_file = write_subspace(tmp_path / "axis.json", [(1, 0, 0)], 3)
