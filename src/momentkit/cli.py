@@ -50,6 +50,8 @@ _VERDICT_EXIT = {"MINIMAL": 0, "INTERSECT": 0, "NOT_MINIMAL": 1, "DISJOINT": 1, 
 #: Flags naming input files, and the tolerances recorded in the RunReport.
 _INPUT_FLAGS = ("subspace", "subspace_v", "subspace_w", "matrix")
 _TOLERANCE_FLAGS = ("eig_tol", "tol", "max_iter")
+#: CSV rows formatted and written per block, so no output's text is held whole.
+_CSV_BLOCK = 1024
 
 
 class InputError(ValueError):
@@ -81,7 +83,10 @@ def _is_number(value) -> bool:
 def _complex_entry(value, where: str) -> complex:
     if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
         raise InputError(f"{where}: complex entries must be [re, im] pairs, got {value!r}")
-    return complex(value[0], value[1])
+    try:
+        return complex(value[0], value[1])
+    except OverflowError as exc:  # an integer beyond the float range
+        raise InputError(f"{where}: entry is beyond the float range") from exc
 
 
 def _complex_rows(path: str, key: str, square: bool, build):
@@ -127,6 +132,8 @@ def _parse_direction(text: str, n: int) -> np.ndarray:
         raise InputError(f"--direction must be comma-separated numbers: {exc}") from exc
     if c.size != n:
         raise InputError(f"--direction has {c.size} entries, expected {n}")
+    if not np.isfinite(c).all():
+        raise InputError(f"--direction must have finite entries (got {text!r})")
     return c
 
 
@@ -146,7 +153,10 @@ def _parse_directions(schedule: str, n: int) -> np.ndarray:
         isinstance(row, list) and len(row) == n and all(map(_is_number, row)) for row in data
     ):
         raise InputError(f"{schedule}: directions must be a list of {n}-vectors")
-    arr = np.array(data, dtype=np.float64)
+    try:
+        arr = np.array(data, dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise InputError(f"{schedule}: directions must be finite and nonzero") from exc
     if not np.all(np.isfinite(arr)) or np.any(np.all(arr == 0.0, axis=1)):
         raise InputError(f"{schedule}: directions must be finite and nonzero")
     return arr
@@ -156,10 +166,15 @@ def _parse_directions(schedule: str, n: int) -> np.ndarray:
 # Output helpers.
 
 def _write_csv(path: str, header: list[str], rows) -> list[str]:
-    line = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header), *(line % tuple(row) for row in np.asarray(rows, float).tolist())]
+    """Write the header and then ``_CSV_BLOCK`` rows at a time, each float
+    with 17 significant digits."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    rows = np.asarray(rows, float)
     out = Path(path)
-    out.write_text("\n".join(lines) + "\n")
+    with out.open("w") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, len(rows), _CSV_BLOCK):
+            f.write("".join(line % tuple(row) for row in rows[start:start + _CSV_BLOCK].tolist()))
     return [str(out)]
 
 
@@ -296,7 +311,7 @@ def _cmd_jnr_boundary(args) -> tuple[int, list[str]]:
     s = load_subspace(args.subspace)
     directions = _parse_directions(args.directions, s.n)
     points = jnr_boundary(s, directions)
-    rows = [[*direction, *point.x] for direction, point in zip(directions, points)]
+    rows = np.hstack([directions, [point.x for point in points]])
     header = [f"u{i + 1}" for i in range(s.n)] + [f"x{i + 1}" for i in range(s.n)]
     return EXIT_OK, _write_csv(args.out, header, rows)
 

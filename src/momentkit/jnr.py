@@ -11,10 +11,15 @@ W is never stored as a geometric object; it exists through its exact support
 oracle and through boundary points.  The support at c is the top eigenvalue of
 the same r x r compression Q* diag(c) Q that gives the support of m_S,
 floored at zero for a proper subspace; no n x n eigensolve is needed.
+
+Every support is attained by a pure state |Qu><Qu|, so a support row keeps
+the unit vector Qu of C^n as its ``maximizer`` and builds the n x n state
+``witness`` only when it is read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,20 +66,34 @@ def delta_map(s: Subspace, rho) -> JNRPoint:
 
 @dataclass(frozen=True, eq=False)
 class JNRSupport:
+    """The support ``value`` of W along a direction, the boundary point ``x``
+    attaining it, and the unit vector ``maximizer`` of C^n whose pure state
+    attains it: x = |maximizer|^2, or the origin when the value is floored
+    at zero and ``maximizer`` is a vector of the orthogonal complement."""
+
     value: float
-    witness: np.ndarray
+    x: np.ndarray
+    maximizer: np.ndarray
+
+    @cached_property
+    def witness(self) -> np.ndarray:
+        """The rank-one state |maximizer><maximizer|, built on first read."""
+        return np.outer(self.maximizer, self.maximizer.conj())
 
 
-def _supporting_vectors(s: Subspace, directions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Support values of W along each row, unit vectors of C^n attaining them
-    (Q u, u a top eigenvector of Q* diag(c) Q), and the rows where the value
-    is floored at zero and attained by a complement vector instead."""
+def _support_rows(s: Subspace, directions) -> list[JNRSupport]:
+    """The support of W along each row of directions.  The maximizer is Q u,
+    u a top eigenvector of Q* diag(c) Q; where the top value is negative on
+    a proper subspace, the value is floored at zero and attained by a
+    complement vector instead."""
     top, vectors = compressed_top_eigh(s.compression_table, directions)
     vectors = vectors @ s.basis.T
     floored = (top < 0.0) & (not s.is_whole_space)
     if floored.any():
         vectors[floored] = orthogonal_complement(s).basis[:, 0]
-    return np.where(floored, 0.0, top), vectors, floored
+    values = np.where(floored, 0.0, top).tolist()
+    points = np.where(floored[:, None], 0.0, np.abs(vectors) ** 2)
+    return [JNRSupport(value=v, x=x, maximizer=u) for v, x, u in zip(values, points, vectors)]
 
 
 def jnr_support(s: Subspace, c) -> JNRSupport:
@@ -83,21 +102,21 @@ def jnr_support(s: Subspace, c) -> JNRSupport:
     The maximum of tr(A(c) rho) over density matrices, A(c) = P diag(c) P, is
     the top eigenvalue of the compression Q* diag(c) Q, floored at zero for a
     proper subspace (A(c) annihilates the orthogonal complement, so zero
-    belongs to W); the witness is the rank-one state attaining it.
+    belongs to W); the maximizer is the unit vector whose pure state attains
+    it.
     """
-    values, vectors, _ = _supporting_vectors(s, np.asarray(c).reshape(1, -1))
-    return JNRSupport(value=float(values[0]), witness=np.outer(vectors[0], vectors[0].conj()))
+    return _support_rows(s, np.asarray(c).reshape(1, -1))[0]
 
 
-def jnr_boundary(s: Subspace, directions) -> list[JNRPoint]:
-    """Supporting points |P x|^2 of W for each direction (boundary sweep)."""
+def jnr_boundary(s: Subspace, directions) -> list[JNRSupport]:
+    """Supporting points of W for each direction (boundary sweep): one
+    ``jnr_support`` row per direction, x = |Q u|^2 or the origin where the
+    support is floored.  Only the unit vectors are stored; a row's n x n
+    ``witness`` is built when it is read."""
     directions = _numbers(directions, f"directions must be finite real rows of dimension {s.n}")
     if directions.ndim == 2 and not directions.any(axis=1).all():
         raise ValueError("directions must be nonzero")
-    _, vectors, floored = _supporting_vectors(s, directions)
-    points = np.where(floored[:, None], 0.0, np.abs(vectors) ** 2)
-    witnesses = vectors[:, :, None] * vectors.conj()[:, None, :]
-    return [JNRPoint(x=x, witness=w) for x, w in zip(points, witnesses)]
+    return _support_rows(s, directions)
 
 
 @dataclass(frozen=True)

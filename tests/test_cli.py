@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from momentkit.cli import _dumps, _write_csv, load_hermitian, load_subspace, main
+from momentkit.cli import _CSV_BLOCK, _dumps, _write_csv, load_hermitian, load_subspace, main
 from momentkit.feasibility import moments_intersect
 from momentkit.minimality import check_minimal
 from momentkit.moment import support_moment
@@ -36,6 +37,10 @@ def write_matrix(path, entries):
     return str(path)
 
 
+#: A JSON integer beyond the float range.
+HUGE = "1" + "0" * 400
+
+
 @pytest.fixture
 def v_file(tmp_path):
     return write_subspace(tmp_path / "V.json", SPAN_V, 3)
@@ -52,6 +57,41 @@ def test_csv_rows_keep_17_digits(tmp_path):
     _write_csv(str(out), list("abcde"), [row, np.array(row)])
     line = ",".join(f"{x:.17g}" for x in row)
     assert out.read_text() == f"a,b,c,d,e\n{line}\n{line}\n"
+
+
+def _joined_csv(header, rows) -> str:
+    """The whole CSV as one string, as ``_write_csv`` built it before it
+    wrote in blocks."""
+    line = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header), *(line % tuple(row) for row in np.asarray(rows, float).tolist())]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("count", [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1,
+                                   5 * _CSV_BLOCK // 2])
+def test_csv_blocks_keep_bytes(tmp_path, count):
+    rng = np.random.default_rng(count)
+    scales = [5e-324, -1e-300, 1e306, -1.0, 1 / 3]
+    rows = rng.standard_normal((count, 5)) * scales
+    rows[::7, 0] = -0.0
+    header = list("abcde")
+    out = tmp_path / "d.csv"
+    _write_csv(str(out), header, rows)
+    assert out.read_bytes() == _joined_csv(header, rows).encode()
+
+
+def test_csv_is_written_in_blocks(tmp_path):
+    # The rows as Python lists and then as one string peaked at 10.25 MB.
+    rows = np.random.default_rng(0).standard_normal((20_000, 8))
+    header = [f"x{i}" for i in range(8)]
+    tracemalloc.start()
+    try:
+        _write_csv(str(tmp_path / "d.csv"), header, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert len((tmp_path / "d.csv").read_text().splitlines()) == 20_001
 
 
 def _bits(a) -> bytes:
@@ -312,7 +352,8 @@ class TestIntersectAndFriends:
     @pytest.mark.parametrize("case", [
         "unreadable", "missing-key", "not-square", "empty-vectors", "short-row", "zero-span",
         "direction-text", "non-finite-directions", "zero-direction", "coordinate-range",
-        "non-finite-matrix", "undecodable",
+        "non-finite-matrix", "undecodable", "huge-integer-subspace", "huge-integer-directions",
+        "infinite-direction", "nan-direction",
     ])
     def test_input_errors_exit_three(self, tmp_path, v_file, capsys, case):
         def file(text):
@@ -362,6 +403,22 @@ class TestIntersectAndFriends:
             # Not UTF-8: the decode error used to name no file.
             "undecodable": (lambda: ["centroid", "--subspace", raw(b'{"n": 1\xff}')],
                             f"cannot read {tmp_path / 'raw.json'}: 'utf-8' codec"),
+            # An integer beyond the float range raised OverflowError, which
+            # exited 1: DISJOINT for intersect.
+            "huge-integer-subspace": (lambda: ["intersect", "--subspace-v",
+                                               file(f'{{"n": 2, "vectors": [[[1, 0], [{HUGE}, 0]]]}}'),
+                                               "--subspace-w", v_file],
+                                      f"{tmp_path / 'input.json'}: vectors[0][1]: "
+                                      "entry is beyond the float range"),
+            "huge-integer-directions": (lambda: boundary(f"[[1, 0, {HUGE}]]"),
+                                        f"{tmp_path / 'input.json'}: "
+                                        "directions must be finite and nonzero"),
+            # The library's "directions must be finite real rows" named no flag.
+            "infinite-direction": (lambda: ["support", "--subspace", v_file,
+                                            "--direction", "1e999,0,0"],
+                                   "--direction must have finite entries"),
+            "nan-direction": (lambda: ["support", "--subspace", v_file, "--direction", "nan,0,0"],
+                              "--direction must have finite entries"),
         }[case]
         assert main(argv()) == 3
         err = capsys.readouterr().err

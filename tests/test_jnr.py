@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,70 @@ class TestBoundary:
             if abs(point.x.sum() - 1.0) <= 1e-9:
                 x = delta_map(example_v, point.witness).x
                 assert project_onto_moment(example_v, x).distance <= 1e-6
+
+
+def _sweep_cases():
+    """Subspaces with direction stacks that floor some rows (-1 on a proper
+    subspace), including a line (r = 1) and the whole space."""
+    rng = np.random.default_rng(15)
+    cases = [(whole_space(4), rng.standard_normal((20, 4)))]
+    for n, r in [(3, 1), (6, 2), (8, 3), (32, 4)]:
+        s = random_subspace(rng, n, r)
+        cases.append((s, np.vstack([-np.ones(n), rng.standard_normal((40, n))])))
+    return cases
+
+
+class TestSupportRows:
+    def test_witness_is_built_on_read(self, example_v):
+        rows = [jnr_support(example_v, [1.0, -2.0, 0.5]), *jnr_boundary(example_v, -np.eye(3))]
+        for row in rows:
+            assert "witness" not in vars(row)
+            witness = row.witness
+            assert "witness" in vars(row) and row.witness is witness
+            expected = np.outer(row.maximizer, row.maximizer.conj())
+            assert witness.dtype == expected.dtype and witness.tobytes() == expected.tobytes()
+
+    def test_rows_attain_their_value(self):
+        floored = 0
+        for s, dirs in _sweep_cases():
+            for c, row in zip(dirs, jnr_boundary(s, dirs)):
+                assert np.linalg.norm(row.maximizer) == pytest.approx(1.0, abs=1e-12)
+                assert row.x @ c == pytest.approx(row.value, abs=1e-12)
+                if row.value == 0.0 and not row.x.any():
+                    floored += 1
+                    assert np.linalg.norm(s.projector @ row.maximizer) <= 1e-12
+                else:
+                    assert row.x.tobytes() == (np.abs(row.maximizer) ** 2).tobytes()
+        assert floored >= 4
+
+    def test_support_matches_boundary_row(self):
+        # Values and floored rows agree bit for bit.  Elsewhere a one-row
+        # matmul Q u takes another BLAS path than the stacked one, so the
+        # vectors may differ in the last bit.
+        for s, dirs in _sweep_cases():
+            for c, row in zip(dirs, jnr_boundary(s, dirs)):
+                one = jnr_support(s, c)
+                assert one.value == row.value
+                np.testing.assert_allclose(one.x, row.x, rtol=0.0, atol=1e-15)
+                np.testing.assert_allclose(one.maximizer, row.maximizer, rtol=0.0, atol=1e-15)
+                if not row.x.any():
+                    assert one.maximizer.tobytes() == row.maximizer.tobytes()
+                    assert not one.x.any()
+
+    def test_boundary_sweep_stores_no_states(self):
+        # The 500 n x n witnesses alone took 8.2 MB at n = 32.
+        rng = np.random.default_rng(16)
+        s = random_subspace(rng, 32, 4)
+        dirs = fibonacci_directions(32, 500)
+        jnr_boundary(s, dirs[:1])  # the cached compression table
+        tracemalloc.start()
+        try:
+            rows = jnr_boundary(s, dirs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 500
+        assert peak < 2 * 2**20
 
 
 class TestSliceAndCone:
