@@ -112,17 +112,27 @@ def require_hermitian(a) -> np.ndarray:
 
 def _fix_phases(rows: np.ndarray) -> np.ndarray:
     """Rotate each (unit) row of a matrix so its first component above
-    _PHASE_TOL is real > 0."""
-    mag = np.abs(rows)
-    first = (mag > _PHASE_TOL).argmax(axis=1)
+    _PHASE_TOL is real > 0: times conj(pivot) / |pivot|.
+
+    A lone row, the one-direction path of every support value, is fixed in
+    Python scalars, bitwise as the stacked gather: the sizes are numpy's own
+    ``np.abs`` (Python's ``abs`` of a complex can differ in the last bit),
+    and the phase is formed as numpy's complex / real division forms it,
+    term for term, so that its zero parts keep their signs.
+    """
     if len(rows) == 1:
-        # Basic slices of the one row: the same values as the gathers below.
-        j = first[0]
-        pivot, size = rows[:, j:j + 1], mag[:, j:j + 1]
-    else:
-        pivot = rows[np.arange(len(rows)), first, None]
-        size = abs(pivot)
-    return rows * (pivot.conj() / size)
+        sizes = np.abs(rows[0]).tolist()
+        for j, size in enumerate(sizes):
+            if size > _PHASE_TOL:
+                break
+        else:
+            j = 0  # as argmax of no qualifying entry
+        pivot = rows.item(j)
+        re, im, s = pivot.real, pivot.imag, 1.0 / sizes[j]
+        return rows * complex((re - im * 0.0) * s, (-im - re * 0.0) * s)
+    first = (np.abs(rows) > _PHASE_TOL).argmax(axis=1)
+    pivot = rows[np.arange(len(rows)), first, None]
+    return rows * (pivot.conj() / abs(pivot))
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,12 +167,14 @@ def _compressions(table: np.ndarray, directions) -> np.ndarray:
     # Every table as a (tables, n, 2 r^2) real stack: a lone table is a
     # stack of one, which the matmul broadcasts over the directions.
     real_table = table.reshape(-1, n, r * r).view(np.float64)
-    message = f"directions must be finite real rows of dimension {n}"
-    d = _numbers(directions, message)
-    peak = abs(d).max(initial=0.0)
-    if (d.ndim != 2 or d.shape[1] != n or len(real_table) not in (1, len(d))
-            or not peak <= _FLOAT_MAX):
-        raise ValueError(message)
+    # The message is built only on failure: this runs once per support value.
+    try:
+        d = _numbers(directions, "")
+    except ValueError:
+        d = None
+    if (d is None or d.ndim != 2 or d.shape[1] != n or len(real_table) not in (1, len(d))
+            or not (peak := abs(d).max(initial=0.0)) <= _FLOAT_MAX):
+        raise ValueError(f"directions must be finite real rows of dimension {n}")
     # Row by row (a stacked matmul, not one GEMM), so that a row's compression
     # does not depend on the rows stacked with it.
     if peak > _FLOAT_MAX / 2:

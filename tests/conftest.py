@@ -56,6 +56,14 @@ def example_w() -> Subspace:
     return subspace_from_spanning(SPAN_W)
 
 
+def assert_bitwise(a, b):
+    """Equal dtype, shape and bytes: unlike ``np.array_equal``, tells -0.0
+    from 0.0 and compares nan payloads."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
 def random_subspace(rng: np.random.Generator, n: int, r: int) -> Subspace:
     g = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
     return subspace_from_spanning(g)

@@ -30,6 +30,7 @@ from momentkit import (
 from momentkit.feasibility import separation_margin
 from momentkit.jnr import validate_density
 from momentkit.linalg import (
+    _PHASE_TOL,
     EigenDecomposition,
     NonHermitianError,
     _compressions,
@@ -52,6 +53,7 @@ from conftest import (
     CONJUGATE_XBAR,
     P_V_REFERENCE,
     SPAN_V,
+    assert_bitwise,
     random_hermitian,
     random_subspace,
 )
@@ -61,12 +63,6 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]])
 #: Both compressed eigensolves, each giving a tuple of arrays with one row
 #: per direction: (values, vectors) and (values,).
 PRIMITIVES = [compressed_top_eigh, lambda table, dirs: (compressed_top_eigvalsh(table, dirs),)]
-
-
-def assert_bitwise(a, b):
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    assert (a.dtype, a.shape) == (b.dtype, b.shape)
-    assert a.tobytes() == b.tobytes()
 
 
 class TestHermitianEig:
@@ -171,21 +167,62 @@ class TestCompressedEigh:
         _, vectors = np.linalg.eigh(np.array(stack))
         rows = vectors.swapaxes(-1, -2).reshape(-1, 5)
         expected = loop_fix_phases(rows)
-        assert np.array_equal(_fix_phases(rows), expected)
+        assert_bitwise(_fix_phases(rows), expected)
         for i in range(0, len(rows), 7):
-            assert np.array_equal(_fix_phases(rows[i:i + 1]), expected[i:i + 1])
+            assert_bitwise(_fix_phases(rows[i:i + 1]), expected[i:i + 1])
+
+    @pytest.mark.parametrize("r", range(2, 7))
+    def test_one_row_phase_fix_is_the_stacked_one_bitwise(self, r):
+        # The lone-row branch forms the phase in Python scalars; its bytes
+        # must be those of the stacked gather and of the row loop, signed
+        # zeros included (a phase of exactly +1 or -1 leaves zero imaginary
+        # parts whose sign the division decides).
+        rng = np.random.default_rng(30 + r)
+        unit = rng.standard_normal((40, r)) + 1j * rng.standard_normal((40, r))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        families = [unit]
+        for pivot in (1.0, -1.0, 1j, -1j):
+            # Real pivots (phase exactly +1 or -1) and purely imaginary ones.
+            rows = unit.copy()
+            rows[:, 0] = pivot * abs(rows[:, 0])
+            families.append(rows)
+        # Real rows, with real and imaginary zero parts of both signs.
+        families += [unit.real + 0j, np.conj(unit.real + 0j), -unit.real + 0j, 1j * unit.imag]
+        # Exact-zero leading entries move the pivot; -0.0 counts as zero too.
+        for k in range(1, r):
+            rows = unit.copy()
+            rows[:, :k] = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)][k % 4]
+            families.append(rows)
+        # Leading entries just below, at and just above the pivot threshold.
+        for size in (np.nextafter(_PHASE_TOL, 0), _PHASE_TOL, np.nextafter(_PHASE_TOL, 1)):
+            for pivot in (size, -size, 1j * size, -1j * size):
+                rows = unit.copy()
+                rows[:, 0] = pivot
+                families.append(rows)
+        # Top eigenvectors of real-symmetric compressions, as eigh gives them.
+        real = rng.standard_normal((40, r, r))
+        families.append(np.linalg.eigh((real + real.swapaxes(1, 2)).astype(complex))[1][:, :, -1])
+        for rows in families:
+            stacked = _fix_phases(rows)
+            assert_bitwise(stacked, loop_fix_phases(rows))
+            for i in range(len(rows)):
+                assert_bitwise(_fix_phases(rows[i:i + 1]), stacked[i:i + 1])
 
     def test_stack_matches_rows_bitwise(self):
         rng = np.random.default_rng(12)
         for n, r in [(4, 2), (8, 3), (16, 5), (5, 5), (3, 1), (32, 4), (12, 6), (1, 1)]:
-            table = random_subspace(rng, n, r).compression_table
-            dirs = rng.standard_normal((40, n))
-            for solve in PRIMITIVES:
-                stacked = solve(table, dirs)
-                assert [a.shape for a in stacked] == [(40,), (40, r)][:len(stacked)]
-                for i, c in enumerate(dirs):
-                    for rows, alone in zip(stacked, solve(table, c[None])):
-                        assert np.array_equal(rows[i], alone[0])
+            # A real span gives real-symmetric compressions, whose top
+            # eigenvectors have exactly zero imaginary parts; directions
+            # in {-1, 0, 1} give ties and zero compressions.
+            for s in (random_subspace(rng, n, r), subspace_from_spanning(rng.standard_normal((r, n)))):
+                table = s.compression_table
+                dirs = np.vstack([rng.standard_normal((40, n)), rng.integers(-1, 2, (10, n))])
+                for solve in PRIMITIVES:
+                    stacked = solve(table, dirs)
+                    assert [a.shape for a in stacked] == [(50,), (50, r)][:len(stacked)]
+                    for i, c in enumerate(dirs):
+                        for rows, alone in zip(stacked, solve(table, c[None])):
+                            assert_bitwise(rows[i], alone[0])
 
     def test_table_stack_matches_separate_calls_bitwise(self):
         # One table per direction, as the paired oracle of two equal-rank
@@ -198,7 +235,7 @@ class TestCompressedEigh:
                 stacked = solve(tables, dirs)
                 for i, (table, c) in enumerate(zip(tables, dirs)):
                     for rows, alone in zip(stacked, solve(table, c[None])):
-                        assert np.array_equal(rows[i], alone[0])
+                        assert_bitwise(rows[i], alone[0])
         for solve in PRIMITIVES:
             with pytest.raises(ValueError, match="finite real rows"):
                 solve(tables, dirs[:2])
@@ -236,7 +273,8 @@ class TestCompressedEigh:
                 assert np.linalg.norm(m @ u + value * u) <= 1e-13
 
     @pytest.mark.parametrize(
-        "dirs", [np.ones(3), np.ones((2, 4)), [[1.0, np.nan, 0.0]], [[np.inf, 0.0, 0.0]]]
+        "dirs", [np.ones(3), np.ones((2, 4)), [[1.0, np.nan, 0.0]], [[np.inf, 0.0, 0.0]],
+                 [[1.0, 0.0, 0.0], [1.0, 0.0]]]
     )
     def test_rejects_bad_directions(self, dirs):
         table = random_subspace(np.random.default_rng(0), 3, 2).compression_table

@@ -26,7 +26,9 @@ from momentkit.feasibility import (
     separation_margin,
 )
 
-from conftest import random_subspace
+from momentkit.linalg import compressed_top_eigh
+
+from conftest import assert_bitwise, random_subspace
 
 #: Iteration cap of every solver call here: an unresolved run must come back
 #: INDETERMINATE or unconverged, never with a wrong certificate, so a short
@@ -102,6 +104,26 @@ def test_support_bounds_moment_points_and_is_attained(shape, seed):
     sup = support_moment(s, c)
     assert np.max(sample_moment(s, 64, seed) @ c) <= sup.value + 1e-12
     assert sup.value == pytest.approx(c @ np.abs(sup.maximizer) ** 2, abs=1e-12)
+
+
+@given(shape=shapes(), seed=seeds, real=st.booleans(), k=st.integers(1, 6))
+@example(shape=(1, 1), seed=0, real=False, k=1)
+@example(shape=(2, 2), seed=8, real=True, k=6)
+@example(shape=(7, 6), seed=9, real=False, k=3)
+def test_support_moment_is_its_row_of_a_stack(shape, seed, real, k):
+    # One direction alone takes the lone-row phase fix, a stack the gather:
+    # value, maximizer and eigenvector agree in bytes, signed zeros included
+    # (the maximizer's sums seldom keep a zero part, the eigenvector does).
+    n, r = shape
+    rng = np.random.default_rng(seed)
+    s = subspace_from_spanning(rng.standard_normal((r, n))) if real else random_subspace(rng, n, r)
+    stack = np.vstack([rng.standard_normal((k, n)), rng.integers(-1, 2, (k, n))])
+    values, vectors = compressed_top_eigh(s.compression_table, stack)
+    for i, c in enumerate(stack):
+        sup = support_moment(s, c)
+        assert_bitwise(sup.value, float(values[i]))
+        assert_bitwise(sup.maximizer, s.basis @ vectors[i])
+        assert_bitwise(compressed_top_eigh(s.compression_table, c[None])[1][0], vectors[i])
 
 
 def _reframed(rng, spaces):
