@@ -7,7 +7,8 @@ they are; one encoder writes real entries as floats printed by ``repr`` and
 complex entries as [re, im] pairs, so every value round-trips exactly.  Every
 input-file error names the file.  Each command returns its exit code and the
 files it wrote; ``main`` times the command and, when it wrote files, adds a
-RunReport sidecar describing the invocation.  Data outputs are byte-identical
+RunReport sidecar describing the invocation, with the SHA-256 digest of each
+input file's bytes as the command read them.  Data outputs are byte-identical
 across repeated invocations with the same inputs, seed and tolerances; the
 sidecar additionally records wall time.
 
@@ -47,8 +48,7 @@ EXIT_OK = 0
 EXIT_INPUT = 3
 #: Exit code of each ``minimal-check`` verdict and ``intersect`` status.
 _VERDICT_EXIT = {"MINIMAL": 0, "INTERSECT": 0, "NOT_MINIMAL": 1, "DISJOINT": 1, "INDETERMINATE": 2}
-#: Flags naming input files, and the tolerances recorded in the RunReport.
-_INPUT_FLAGS = ("subspace", "subspace_v", "subspace_w", "matrix")
+#: Tolerances recorded in the RunReport.
 _TOLERANCE_FLAGS = ("eig_tol", "tol", "max_iter")
 #: CSV rows formatted and written per block, so no output's text is held whole.
 _CSV_BLOCK = 1024
@@ -61,11 +61,16 @@ class InputError(ValueError):
 # ---------------------------------------------------------------------------
 # File formats.
 
-def _load_json(path: str):
+def _load_json(path: str, read: dict[str, str] | None):
+    """The JSON value of the file at ``path``.  ``read``, when given, maps
+    each path read to the SHA-256 digest of its bytes."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
+        text = data.decode()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if read is not None:
+        read[path] = hashlib.sha256(data).hexdigest()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -89,11 +94,11 @@ def _complex_entry(value, where: str) -> complex:
         raise InputError(f"{where}: entry is beyond the float range") from exc
 
 
-def _complex_rows(path: str, key: str, square: bool, build):
+def _complex_rows(path: str, read: dict[str, str] | None, key: str, square: bool, build):
     """``build`` applied to the rows of complex n-vectors under ``key`` of a
     JSON object with an ``n``: a non-empty list of them, or exactly n when
     ``square``.  Every error names ``path``."""
-    data = _load_json(path)
+    data = _load_json(path, read)
     if not isinstance(data, dict) or "n" not in data or key not in data:
         raise InputError(f"{path}: expected an object with keys 'n' and '{key}'")
     n = data["n"]
@@ -117,12 +122,12 @@ def _complex_rows(path: str, key: str, square: bool, build):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def load_subspace(path: str) -> Subspace:
-    return _complex_rows(path, "vectors", False, subspace_from_spanning)
+def load_subspace(path: str, read: dict[str, str] | None = None) -> Subspace:
+    return _complex_rows(path, read, "vectors", False, subspace_from_spanning)
 
 
-def load_hermitian(path: str) -> np.ndarray:
-    return _complex_rows(path, "entries", True, require_hermitian)
+def load_hermitian(path: str, read: dict[str, str] | None = None) -> np.ndarray:
+    return _complex_rows(path, read, "entries", True, require_hermitian)
 
 
 def _parse_direction(text: str, n: int) -> np.ndarray:
@@ -137,7 +142,7 @@ def _parse_direction(text: str, n: int) -> np.ndarray:
     return c
 
 
-def _parse_directions(schedule: str, n: int) -> np.ndarray:
+def _parse_directions(schedule: str, n: int, read: dict[str, str]) -> np.ndarray:
     if schedule.startswith("fibonacci:"):
         try:
             count = int(schedule.split(":", 1)[1])
@@ -146,7 +151,7 @@ def _parse_directions(schedule: str, n: int) -> np.ndarray:
         if count < 1:
             raise InputError("fibonacci:<k> needs k >= 1")
         return fibonacci_directions(n, count)
-    data = _load_json(schedule)
+    data = _load_json(schedule, read)
     if isinstance(data, dict) and "directions" in data:
         data = data["directions"]
     if not data or not isinstance(data, list) or not all(
@@ -201,21 +206,15 @@ def _emit_json(payload: dict, out: str | None) -> list[str]:
     return [out]
 
 
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _write_report(args: argparse.Namespace, outputs: list[str], started: float) -> None:
-    """Write the RunReport ``<outputs[0]>.report.json`` of one invocation."""
+def _write_report(args: argparse.Namespace, read: dict[str, str], outputs: list[str],
+                  started: float) -> None:
+    """Write the RunReport ``<outputs[0]>.report.json`` of one invocation
+    that read the files ``read`` (path to digest)."""
     options = vars(args)
-    inputs = [options[key] for key in _INPUT_FLAGS if key in options]
-    directions = options.get("directions")
-    if directions is not None and not directions.startswith("fibonacci:"):
-        inputs.append(directions)
     report = {
         "command": args.command,
         "invocation": [f"{key}={value}" for key, value in sorted(options.items()) if key != "func"],
-        "inputs": {path: _digest(path) for path in inputs},
+        "inputs": read,
         "seed": options.get("seed"),
         "tolerances": {key: options[key] for key in _TOLERANCE_FLAGS if key in options},
         "outputs": outputs,
@@ -226,18 +225,19 @@ def _write_report(args: argparse.Namespace, outputs: list[str], started: float) 
 
 
 # ---------------------------------------------------------------------------
-# Commands.  Each returns its exit code and the files it wrote.
+# Commands.  Each records the input files it reads in ``read`` and returns
+# its exit code and the files it wrote.
 
-def _cmd_moment_sample(args) -> tuple[int, list[str]]:
-    s = load_subspace(args.subspace)
+def _cmd_moment_sample(args, read) -> tuple[int, list[str]]:
+    s = load_subspace(args.subspace, read)
     points = sample_moment(s, args.count, args.seed)
     return EXIT_OK, _write_csv(args.out, [f"x{i + 1}" for i in range(s.n)], points)
 
 
-def _cmd_curve(args) -> tuple[int, list[str]]:
+def _cmd_curve(args, read) -> tuple[int, list[str]]:
     if args.steps < 1:
         raise InputError(f"--steps must be at least 1 (got {args.steps})")
-    s = load_subspace(args.subspace)
+    s = load_subspace(args.subspace, read)
     j, k = _indices(args, s.n)
     frame = curve_frame(s, j, k)
     ell = ellipse_projection(frame)
@@ -270,8 +270,8 @@ def _certificate_payload(cert) -> dict:
     return {"status": cert.status.value, **{k: v for k, v in payload.items() if v is not None}}
 
 
-def _cmd_minimal_check(args) -> tuple[int, list[str]]:
-    m = load_hermitian(args.matrix)
+def _cmd_minimal_check(args, read) -> tuple[int, list[str]]:
+    m = load_hermitian(args.matrix, read)
     report = check_minimal(m, eig_tol=args.eig_tol, feas_tol=args.tol, max_iter=args.max_iter)
     cert = report.certificate
     payload = {
@@ -286,15 +286,15 @@ def _cmd_minimal_check(args) -> tuple[int, list[str]]:
     return _VERDICT_EXIT[report.verdict.value], _emit_json(payload, args.out)
 
 
-def _cmd_intersect(args) -> tuple[int, list[str]]:
-    v = load_subspace(args.subspace_v)
-    w = load_subspace(args.subspace_w)
+def _cmd_intersect(args, read) -> tuple[int, list[str]]:
+    v = load_subspace(args.subspace_v, read)
+    w = load_subspace(args.subspace_w, read)
     cert = moments_intersect(v, w, tol=args.tol, max_iter=args.max_iter)
     return _VERDICT_EXIT[cert.status.value], _emit_json(_certificate_payload(cert), args.out)
 
 
-def _cmd_support(args) -> tuple[int, list[str]]:
-    s = load_subspace(args.subspace)
+def _cmd_support(args, read) -> tuple[int, list[str]]:
+    s = load_subspace(args.subspace, read)
     c = _parse_direction(args.direction, s.n)
     moment_side = support_moment(s, c)
     jnr_side = jnr_support(s, c)
@@ -307,25 +307,25 @@ def _cmd_support(args) -> tuple[int, list[str]]:
     return EXIT_OK, _emit_json(payload, args.out)
 
 
-def _cmd_jnr_boundary(args) -> tuple[int, list[str]]:
-    s = load_subspace(args.subspace)
-    directions = _parse_directions(args.directions, s.n)
+def _cmd_jnr_boundary(args, read) -> tuple[int, list[str]]:
+    s = load_subspace(args.subspace, read)
+    directions = _parse_directions(args.directions, s.n, read)
     points = jnr_boundary(s, directions)
     rows = np.hstack([directions, [point.x for point in points]])
     header = [f"u{i + 1}" for i in range(s.n)] + [f"x{i + 1}" for i in range(s.n)]
     return EXIT_OK, _write_csv(args.out, header, rows)
 
 
-def _cmd_centroid(args) -> tuple[int, list[str]]:
-    s = load_subspace(args.subspace)
+def _cmd_centroid(args, read) -> tuple[int, list[str]]:
+    s = load_subspace(args.subspace, read)
     payload = {"n": s.n, "r": s.r, "centroid": centroid(s)}
     return EXIT_OK, _emit_json(payload, args.out)
 
 
-def _cmd_hausdorff(args) -> tuple[int, list[str]]:
-    v = load_subspace(args.subspace_v)
-    w = load_subspace(args.subspace_w)
-    directions = _parse_directions(args.directions, v.n)
+def _cmd_hausdorff(args, read) -> tuple[int, list[str]]:
+    v = load_subspace(args.subspace_v, read)
+    w = load_subspace(args.subspace_w, read)
+    directions = _parse_directions(args.directions, v.n, read)
     result = hausdorff_moments(v, w, directions)
     payload = {
         "estimate": result.estimate,
@@ -416,10 +416,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2, the INDETERMINATE code, on a usage error
         return EXIT_INPUT if exc.code else EXIT_OK
     started = time.perf_counter()
+    read: dict[str, str] = {}
     try:
-        code, outputs = args.func(args)
+        code, outputs = args.func(args, read)
         if outputs:
-            _write_report(args, outputs, started)
+            _write_report(args, read, outputs, started)
     except (ValueError, OSError) as exc:  # InputError and library input errors alike
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -101,9 +101,7 @@ class _Master:
     every side, weight 1/r on each coefficient unit vector, with the
     principal vertices beside them at zero weight.  These probes make each
     principal vertex, an extremal point of the moment set, an exact atom the
-    first step reaches, where the oracle only approaches it.  Likewise the
-    multiplier ``lam`` of a lone entering atom is read off the last solve,
-    so that atom needs no unit column.
+    first step reaches, where the oracle only approaches it.
 
     ``step`` adds one oracle atom per side and solves
     min |A w - target|^2 over w >= 0 with unit sum per side exactly, by the
@@ -147,8 +145,6 @@ class _Master:
         self.target = target
         # The oracle minimizes <sign * d, z>: the top eigenpair of -sign * d.
         self.flips = -np.array(self.signs)[:, None]
-        # Side rows of the oracle atoms, one per side in side order.
-        self.eye = np.eye(len(spaces))
         # Sides of one rank, a lone side included, share one eigensolve call.
         self.table = np.stack(self.tables) if len({t.shape for t in self.tables}) == 1 else None
         self.kkt = None
@@ -209,20 +205,23 @@ class _Master:
         for s, atoms, points in groups:
             self.points[len(self.atoms):len(self.atoms) + len(atoms)] = self.signs[s] * points
             self.atoms += [(s, u) for u in atoms]
-        self._border(0, np.arange(n_sides)[:, None] == [s for s, _ in self.atoms])
+        self._border(0)
         return [0.0] * n_sides + [1.0 / len(u) for u in units for _ in u]
 
-    def _border(self, lo: int, side_rows: np.ndarray) -> None:
-        """Border the KKT matrix with the live atoms from position lo on,
-        whose side rows (one-hot columns) are given."""
+    def _border(self, lo: int) -> None:
+        """Border the KKT matrix with the live atoms from position lo on."""
         n_sides, hi, k = len(self.signs), len(self.atoms), self.kkt
         points = self.points[:hi]
         border = points @ points[lo:].T
         rows = slice(n_sides + lo, n_sides + hi)
         k[n_sides:n_sides + hi, rows] = border
         k[rows, n_sides:n_sides + hi] = border.T
-        k[:n_sides, rows] = side_rows
-        k[rows, :n_sides] = side_rows.T
+        # Side rows: a one-hot column per atom, set by scalars (cheaper
+        # than building the one-hot block for the few atoms of a step).
+        k[:n_sides, rows] = 0.0
+        k[rows, :n_sides] = 0.0
+        for i, (s, _) in enumerate(self.atoms[lo:], n_sides + lo):
+            k[s, i] = k[i, s] = 1.0
         k[rows, -1] = points[lo:] @ self.target
 
     def _swap(self, a: int, b: int) -> None:
@@ -255,7 +254,6 @@ class _Master:
         """Add the oracle atoms (u, z) of every side and re-solve all weights.
         Return the residual of the new weights, which become the iterate only
         on ``accept``; None when the solve fails."""
-        lam = None
         if self.kkt is None:
             # The oracle atoms enter beside the unit vectors at their
             # centroid weights.
@@ -266,12 +264,9 @@ class _Master:
             for s, (u, z) in enumerate(fw):
                 self.points[lo + s] = self.signs[s] * z
                 self.atoms.append((s, u))
-            self._border(lo, self.eye)
-            w = self.w + [0.0] * len(fw)
-            if len(fw) == 1:
-                row = self.kkt[len(fw) + lo]
-                lam = float(row[:len(fw) + lo] @ self.x - row[-1])
-        if not self._solve(w, lam):
+            self._border(lo)
+            w = self.x[len(self.signs):].tolist() + [0.0] * len(fw)
+        if not self._solve(w):
             return None
         return self.x[len(self.signs):] @ self.points[:self.q] - self.target
 
@@ -281,22 +276,18 @@ class _Master:
         del self.atoms[self.q:]
         self.iterate = (self.x[len(self.signs):], self.atoms[:])
 
-    def _solve(self, w: list[float], lam: float | None = None) -> bool:
+    def _solve(self, w: list[float]) -> bool:
         """Lawson-Hanson from the feasible weights w of the q active atoms and
-        of the atoms entering after them.  ``lam`` is the multiplier of a lone
-        entering atom at the KKT solution of the others, when known.  On
-        success the active atoms are the leading positions, with KKT solution
-        ``x`` = [nu, weights]."""
+        of the atoms entering after them.  On success the active atoms are
+        the leading positions, with KKT solution ``x`` = [nu, weights]."""
         n_sides, k, q = len(self.signs), self.kkt, self.q
         # Every pass admits or drops an atom; the bound only ends cycling
         # in roundoff, as a failed solve.
         for _ in range(4 * len(self.points)):
             size, e = n_sides + len(w), len(w) - q
             # An entering atom needs 1 / its Schur complement delta, the
-            # inverse's diagonal entry.  With lam known it is -z / lam for
-            # its weight z; otherwise a unit column of the solve gives it.
-            units = e > 1 or e == 1 and lam is None
-            if units:
+            # inverse's diagonal entry: a unit column of the solve gives it.
+            if e:
                 rhs = np.zeros((size, e + 1))
                 rhs[:, 0] = k[:size, -1]
                 rhs.reshape(-1)[(size - e) * (e + 1) + 1::e + 2] = 1.0
@@ -312,14 +303,11 @@ class _Master:
                 norm = k.diagonal()[size - e:size].tolist()
                 if sol is None:
                     bad = list(range(e))
-                elif units:
+                else:
                     # The inverse's entry is 0 for the only atom of a side.
                     inv = sol[size - e:, 1:].diagonal().tolist()
                     bad = [i for i in range(e) if not abs(inv[i]) * norm[i] * _ADMIT_RTOL < 1.0]
                     sol = sol[:, 0]
-                else:
-                    bad = [] if abs(sol[-1]) * norm[0] * _ADMIT_RTOL < abs(lam) else [0]
-                lam = None
                 if bad:
                     if any(w[q + i] > 0.0 for i in bad):
                         # Start atoms depend on each other: start again from
@@ -343,7 +331,7 @@ class _Master:
                     break
                 if j:
                     self._swap(q, q + j)
-                w, lam = w + [0.0], mult[j]
+                w = w + [0.0]
                 continue
             if e == 1 and z[-1] <= 0.0:
                 # A lone entering atom that gains no weight adds nothing.
@@ -354,7 +342,7 @@ class _Master:
             q = len(w)
         else:
             return False
-        self.q, self.w, self.x = q, w, sol
+        self.q, self.x = q, sol
         return True
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -35,6 +36,10 @@ def write_matrix(path, entries):
     }
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _sha256(path: str) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 #: A JSON integer beyond the float range.
@@ -571,6 +576,25 @@ class TestRunReport:
         assert report["tolerances"] == tolerances
         assert f"command={command}" in report["invocation"]
         assert report["wall_time_s"] >= 0.0
+
+    def test_digest_is_of_the_bytes_read(self, files):
+        # The output overwrites its input: the report used to re-read the
+        # path after the command ran and record the output's digest.
+        path = files["v"]
+        read = _sha256(path)
+        assert main(["centroid", "--subspace", path, "--out", path]) == 0
+        assert _sha256(path) != read
+        report = json.loads(Path(path + ".report.json").read_text())
+        assert report["inputs"] == {path: read}
+
+    def test_repeated_calls_report_the_same_inputs(self, tmp_path, files):
+        argv = ["hausdorff", "--subspace-v", files["v"], "--subspace-w", files["w"],
+                "--directions", files["dirs"], "--out", str(tmp_path / "h.json")]
+        inputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            inputs.append(json.loads((tmp_path / "h.json.report.json").read_text())["inputs"])
+        assert inputs[0] == inputs[1] == {files[key]: _sha256(files[key]) for key in ("v", "w", "dirs")}
 
     @pytest.mark.parametrize("command", ["centroid", "support", "minimal-check"])
     def test_no_report_without_out(self, tmp_path, files, command, monkeypatch):

@@ -413,9 +413,9 @@ class FailingSolves:
             self.steps += 1
             return real_step(master, fw)
 
-        def inner(master, w, lam=None):
+        def inner(master, w):
             self.calls = 0
-            ok = real_inner(master, w, lam)
+            ok = real_inner(master, w)
             self.solves.append((ok, self.calls, 4 * len(master.points)))
             return ok
 
@@ -432,12 +432,12 @@ class FailingSolves:
 
 
 # (exit, which right-hand sides fail, steps before the failing one).  A 1-D
-# right-hand side is the solve of the active atoms (and of a lone entering
-# atom whose multiplier is known), so its failure reaches the exit with no
-# entering atom.  Failing every solve of the first step restarts it from
-# the oracle atoms again and again, until the pass bound; in a later step
-# the entering atoms have no weight, so they are evicted instead and the
-# first exit is reached.
+# right-hand side is the solve of the active atoms alone: an entering atom
+# adds a unit column, so only this failure reaches the exit with no
+# entering atom.  Failing every solve of the first step restarts it from the
+# oracle atoms again and again, until the pass bound; in a later step the
+# entering atoms have no weight, so they are evicted instead and the first
+# exit is reached.
 FAILURES = [("singular active atoms", lambda b: b.ndim == 1, 0),
             ("singular active atoms", lambda b: b.ndim == 1, 1),
             ("pass bound", lambda b: True, 0)]

@@ -9,10 +9,11 @@ change is a copy of the working tree (every tracked or unignored file, as
 it stands).  Pair ``i`` runs ``python3 perfbench/run.py --workload W --seed
 S+i --seconds T --trace 0`` once in each copy, the parent first on even
 pairs and the change first on odd ones, so a drift of the machine does not
-favour one side.  With ``--label`` the record is written to
-``BENCH_<label>.json`` at the root of this checkout; without it, to stdout
-as one JSON line.  A per-metric summary goes to stderr either way.  Exits 1
-when a run fails or reports a wrong answer.
+favour one side.  The record names the quartile method of its summaries.
+With ``--label`` the record is written to ``BENCH_<label>.json`` at the
+root of this checkout; without it, to stdout as one JSON line.  A
+per-metric summary goes to stderr either way.  Exits 1 when a run fails or
+reports a wrong answer.
 """
 from __future__ import annotations
 
@@ -32,6 +33,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("setup_s", "work_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb")
 SIDES = ("parent", "change")
+#: The quartile method of every summary, named in each record.
+QUARTILES = "inclusive"
 
 
 def git(*args: str) -> bytes:
@@ -88,7 +91,7 @@ def summarise(runs: list[dict]) -> dict:
         entry = {}
         for side in SIDES:
             values = [r[name] for r in by_side[side]]
-            quartiles = (statistics.quantiles(values, n=4, method="inclusive")
+            quartiles = (statistics.quantiles(values, n=4, method=QUARTILES)
                          if len(values) > 1 else values * 3)
             entry[f"{side}_median"] = round(statistics.median(values), 6)
             entry[f"{side}_quartiles"] = [round(quartiles[0], 6), round(quartiles[2], 6)]
@@ -133,6 +136,7 @@ def main(argv: list[str] | None = None) -> int:
                         f"--seconds {args.seconds:g} --trace 0, run in a clean export of "
                         "the parent and in a copy of the change's working tree"),
             "order": "alternating pairs: even pairs run the parent first, odd pairs the change first",
+            "quartiles": f"statistics.quantiles(n=4, method={QUARTILES!r})",
             "machine": (f"{os.cpu_count()}-CPU {platform.system()} {platform.machine()}, "
                         f"Python {platform.python_version()}, numpy {numpy.__version__}"),
             "workloads": {},
