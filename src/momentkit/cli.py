@@ -12,6 +12,9 @@ input file's bytes as the command read them.  Data outputs are byte-identical
 across repeated invocations with the same inputs, seed and tolerances; the
 sidecar additionally records wall time.
 
+Each command imports only the library modules it runs: ``linalg`` and
+``subspace`` with this module, the rest through ``_LAZY`` on first use.
+
 Exit codes: 0 success; for ``minimal-check`` and ``intersect`` the code maps
 the verdict (0 MINIMAL/INTERSECT, 1 NOT_MINIMAL/DISJOINT, 2 INDETERMINATE);
 3 signals invalid input, a usage error or an out-of-range ``--steps``,
@@ -30,19 +33,29 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .directions import fibonacci_directions
-from .feasibility import DEFAULT_MAX_ITER, DEFAULT_TOL, moments_intersect
-from .jnr import jnr_boundary, jnr_support
-from .linalg import require_hermitian
-from .minimality import DEFAULT_EIG_TOL, check_minimal, hausdorff_moments
-from .moment import (
-    curve_frame,
-    curve_point,
-    ellipse_projection,
-    sample_moment,
-    support_moment,
-)
+from .linalg import DEFAULT_EIG_TOL, DEFAULT_MAX_ITER, DEFAULT_TOL, require_hermitian
 from .subspace import Subspace, centroid, subspace_from_spanning
+
+#: Library entry points that only some commands call.  A command's first
+#: call through ``_lib`` reads the name off the package, which imports its
+#: module, so a command loads no solver or sweep module that it does not run.
+_LAZY = frozenset("""
+    check_minimal curve_frame curve_point ellipse_projection fibonacci_directions
+    hausdorff_moments jnr_boundary jnr_support moments_intersect sample_moment support_moment
+""".split())
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(sys.modules[__package__], name)
+    globals()[name] = value
+    return value
+
+
+#: This module; commands call the names of ``_LAZY`` through it, where a
+#: bare global lookup would miss ``__getattr__``.
+_lib = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_INPUT = 3
@@ -150,7 +163,7 @@ def _parse_directions(schedule: str, n: int, read: dict[str, str]) -> np.ndarray
             raise InputError(f"bad direction schedule {schedule!r}") from exc
         if count < 1:
             raise InputError("fibonacci:<k> needs k >= 1")
-        return fibonacci_directions(n, count)
+        return _lib.fibonacci_directions(n, count)
     data = _load_json(schedule, read)
     if isinstance(data, dict) and "directions" in data:
         data = data["directions"]
@@ -172,14 +185,15 @@ def _parse_directions(schedule: str, n: int, read: dict[str, str]) -> np.ndarray
 
 def _write_csv(path: str, header: list[str], rows) -> list[str]:
     """Write the header and then ``_CSV_BLOCK`` rows at a time, each float
-    with 17 significant digits."""
+    with 17 significant digits; a block is formatted by one ``%``."""
     line = ",".join(["%.17g"] * len(header)) + "\n"
     rows = np.asarray(rows, float)
     out = Path(path)
     with out.open("w") as f:
         f.write(",".join(header) + "\n")
         for start in range(0, len(rows), _CSV_BLOCK):
-            f.write("".join(line % tuple(row) for row in rows[start:start + _CSV_BLOCK].tolist()))
+            block = rows[start:start + _CSV_BLOCK]
+            f.write(line * len(block) % tuple(block.ravel().tolist()))
     return [str(out)]
 
 
@@ -230,7 +244,7 @@ def _write_report(args: argparse.Namespace, read: dict[str, str], outputs: list[
 
 def _cmd_moment_sample(args, read) -> tuple[int, list[str]]:
     s = load_subspace(args.subspace, read)
-    points = sample_moment(s, args.count, args.seed)
+    points = _lib.sample_moment(s, args.count, args.seed)
     return EXIT_OK, _write_csv(args.out, [f"x{i + 1}" for i in range(s.n)], points)
 
 
@@ -239,12 +253,12 @@ def _cmd_curve(args, read) -> tuple[int, list[str]]:
         raise InputError(f"--steps must be at least 1 (got {args.steps})")
     s = load_subspace(args.subspace, read)
     j, k = _indices(args, s.n)
-    frame = curve_frame(s, j, k)
-    ell = ellipse_projection(frame)
+    frame = _lib.curve_frame(s, j, k)
+    ell = _lib.ellipse_projection(frame)
     ts = np.linspace(0.0, np.pi / 2.0, args.steps + 1)
     rows = []
     for t in ts:
-        sample = curve_point(frame, float(t))
+        sample = _lib.curve_point(frame, float(t))
         rows.append([t, *sample.m, abs(sample.v[j]), abs(sample.v[k])])
     header = ["t", *[f"m{i + 1}" for i in range(s.n)], f"mod_{j + 1}", f"mod_{k + 1}"]
     outputs = _write_csv(args.out, header, rows)
@@ -272,7 +286,7 @@ def _certificate_payload(cert) -> dict:
 
 def _cmd_minimal_check(args, read) -> tuple[int, list[str]]:
     m = load_hermitian(args.matrix, read)
-    report = check_minimal(m, eig_tol=args.eig_tol, feas_tol=args.tol, max_iter=args.max_iter)
+    report = _lib.check_minimal(m, eig_tol=args.eig_tol, feas_tol=args.tol, max_iter=args.max_iter)
     cert = report.certificate
     payload = {
         "norm": report.norm,
@@ -289,15 +303,15 @@ def _cmd_minimal_check(args, read) -> tuple[int, list[str]]:
 def _cmd_intersect(args, read) -> tuple[int, list[str]]:
     v = load_subspace(args.subspace_v, read)
     w = load_subspace(args.subspace_w, read)
-    cert = moments_intersect(v, w, tol=args.tol, max_iter=args.max_iter)
+    cert = _lib.moments_intersect(v, w, tol=args.tol, max_iter=args.max_iter)
     return _VERDICT_EXIT[cert.status.value], _emit_json(_certificate_payload(cert), args.out)
 
 
 def _cmd_support(args, read) -> tuple[int, list[str]]:
     s = load_subspace(args.subspace, read)
     c = _parse_direction(args.direction, s.n)
-    moment_side = support_moment(s, c)
-    jnr_side = jnr_support(s, c)
+    moment_side = _lib.support_moment(s, c)
+    jnr_side = _lib.jnr_support(s, c)
     payload = {
         "direction": c,
         "moment_support": moment_side.value,
@@ -310,7 +324,7 @@ def _cmd_support(args, read) -> tuple[int, list[str]]:
 def _cmd_jnr_boundary(args, read) -> tuple[int, list[str]]:
     s = load_subspace(args.subspace, read)
     directions = _parse_directions(args.directions, s.n, read)
-    points = jnr_boundary(s, directions)
+    points = _lib.jnr_boundary(s, directions)
     rows = np.hstack([directions, [point.x for point in points]])
     header = [f"u{i + 1}" for i in range(s.n)] + [f"x{i + 1}" for i in range(s.n)]
     return EXIT_OK, _write_csv(args.out, header, rows)
@@ -326,7 +340,7 @@ def _cmd_hausdorff(args, read) -> tuple[int, list[str]]:
     v = load_subspace(args.subspace_v, read)
     w = load_subspace(args.subspace_w, read)
     directions = _parse_directions(args.directions, v.n, read)
-    result = hausdorff_moments(v, w, directions)
+    result = _lib.hausdorff_moments(v, w, directions)
     payload = {
         "estimate": result.estimate,
         "spectral_distance": result.spectral_distance,

@@ -52,12 +52,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _integer, _numbers, _real, compressed_top_eigh, compressed_top_eigvalsh
+from .linalg import (DEFAULT_MAX_ITER, DEFAULT_TOL, _integer, _numbers, _real, compressed_top_eigh,
+                     compressed_top_eigvalsh)
 from .subspace import Subspace
 
-#: Diagonal-difference norm below which the sets are declared intersecting.
-DEFAULT_TOL = 1e-7
-DEFAULT_MAX_ITER = 50_000
 #: Strict support-function margin required to certify disjointness.
 SEPARATION_MARGIN = 1e-9
 #: Largest Euclidean norm of a point to project: the squared residual, at

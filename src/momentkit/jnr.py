@@ -23,7 +23,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .feasibility import project_onto_moment
 from .linalg import _numbers, compressed_top_eigh, require_hermitian
 from .subspace import Subspace, orthogonal_complement
 
@@ -146,5 +145,8 @@ def cone_membership(s: Subspace, x) -> ConeMembership:
         raise ValueError(f"vector has negative coordinate {float(np.min(x)):.3e}")
     y = np.maximum(y, 0.0)
     total = top * float(y.sum())
+    # Imported here: support and boundary sweeps never load the solver.
+    from .feasibility import project_onto_moment
+
     distance = project_onto_moment(s, y / y.sum()).distance
     return ConeMembership(member=distance <= CONE_TOL, scaling=total, moment_distance=distance)

@@ -29,6 +29,15 @@ ORTHONORMAL_TOL = 1e-10
 # when fixing eigenvector phases (unit columns always carry a larger one).
 _PHASE_TOL = 1e-9
 _FLOAT_MAX = float(np.finfo(np.float64).max)
+# Defaults of the solver (feasibility) and of check_minimal (minimality),
+# which re-export them.  They live here because the CLI parser needs them
+# before a command loads its solver module.
+# Diagonal-difference norm below which the sets are declared intersecting.
+DEFAULT_TOL = 1e-7
+DEFAULT_MAX_ITER = 50_000
+# Relative width (times ||M||) of the eigenvalue cluster taken as the
+# extreme eigenspaces.
+DEFAULT_EIG_TOL = 1e-8
 
 
 class NonHermitianError(ValueError):

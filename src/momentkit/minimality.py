@@ -15,20 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feasibility import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    IntersectionCertificate,
-    IntersectionStatus,
-    moments_intersect,
-)
-from .linalg import (_integer, _numbers, _real, compressed_top_eigvalsh, hermitian_eig,
-                     require_hermitian, spectral_norm)
+from .feasibility import IntersectionCertificate, IntersectionStatus, moments_intersect
+from .linalg import (DEFAULT_EIG_TOL, DEFAULT_MAX_ITER, DEFAULT_TOL, _integer, _numbers, _real,
+                     compressed_top_eigvalsh, hermitian_eig, require_hermitian, spectral_norm)
 from .subspace import ORTHOGONAL_TOL, Subspace, mutually_orthogonal
-
-#: Relative width (times ||M||) of the eigenvalue cluster taken as the
-#: extreme eigenspaces.
-DEFAULT_EIG_TOL = 1e-8
 
 
 class Verdict(str, enum.Enum):

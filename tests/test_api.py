@@ -5,6 +5,10 @@ import copy
 import dataclasses
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +78,67 @@ def test_all_is_pinned():
 def test_every_public_name_resolves():
     for name in momentkit.__all__:
         assert hasattr(momentkit, name), name
+
+
+SUBMODULES = "cli directions feasibility jnr linalg minimality moment subspace".split()
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_submodules_resolve_off_the_package(module):
+    assert getattr(momentkit, module) is sys.modules[f"momentkit.{module}"]
+
+
+def test_star_import_binds_the_defining_objects():
+    namespace = {}
+    exec("from momentkit import *", namespace)
+    assert set(momentkit.__all__) <= set(namespace)
+    assert namespace["__version__"] == momentkit.__version__
+    for name in set(momentkit.__all__) - {"__version__"}:
+        obj = namespace[name]
+        assert obj.__module__.startswith("momentkit."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
+def test_dir_lists_every_export():
+    assert set(momentkit.__all__) <= set(dir(momentkit))
+
+
+#: A fresh interpreter records OPENBLAS_NUM_THREADS as numpy starts to load,
+#: after running one entry point.
+THREAD_PROBE = """
+import os, sys
+
+class Probe:
+    seen = None
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and Probe.seen is None:
+            Probe.seen = str(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, Probe())
+{entry}
+print(Probe.seen)
+"""
+ENTRIES = {
+    "submodule first": "import momentkit.linalg",
+    "cli --version": "import runpy\n"
+                     "sys.argv = ['momentkit', '--version']\n"
+                     "try:\n"
+                     "    runpy.run_module('momentkit.cli', run_name='__main__', alter_sys=True)\n"
+                     "except SystemExit as exc:\n"
+                     "    assert exc.code == 0, exc.code",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_thread_cap_lands_before_numpy(entry):
+    env = dict(os.environ, MOMENTKIT_THREADS="2",
+               PYTHONPATH=str(Path(momentkit.__file__).resolve().parents[1]))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    proc = subprocess.run([sys.executable, "-c", THREAD_PROBE.format(entry=ENTRIES[entry])],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.splitlines()[-1] == "2"
 
 
 @pytest.mark.parametrize("module", ["momentkit", "momentkit.subspace", "momentkit.minimality",

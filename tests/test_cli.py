@@ -732,3 +732,60 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert json.loads((tmp_path / "intersect.out").read_text())["iterations"] >= 1
     assert json.loads((tmp_path / "minimal-check.out").read_text())["certificate"]["iterations"] >= 1
     assert loaded == dict.fromkeys(SCIPY_FREE, "[]")
+
+
+#: The momentkit modules each command loads beyond the package, ``cli``,
+#: ``linalg`` and ``subspace``, which every command uses.  ``hausdorff``
+#: runs its default ``fibonacci:500`` schedule.
+COMMAND_MODULES = {
+    "centroid": set(),
+    "moment-sample": {"moment"},
+    "curve": {"moment"},
+    "support": {"moment", "jnr"},
+    "jnr-boundary": {"jnr", "directions"},
+    "intersect": {"feasibility"},
+    "minimal-check": {"minimality", "feasibility"},
+    "hausdorff": {"minimality", "feasibility", "directions"},
+}
+
+
+def _child_modules(code: str, src: str) -> list[str]:
+    """The last stdout line of a fresh interpreter running ``code``."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_its_modules(tmp_path, v_file, w_file, command):
+    import momentkit
+
+    matrix = write_matrix(tmp_path / "M.json", [[0.0, -1j], [1j, 0.0]])
+    out = str(tmp_path / "out")
+    argv = {
+        "centroid": ["--subspace", v_file],
+        "moment-sample": ["--subspace", v_file, "--count", "5", "--out", out],
+        "curve": ["--subspace", v_file, "-j", "1", "-k", "2", "--steps", "4", "--out", out],
+        "support": ["--subspace", v_file, "--direction", "1,0,0"],
+        "jnr-boundary": ["--subspace", v_file, "--directions", "fibonacci:8", "--out", out],
+        "intersect": ["--subspace-v", v_file, "--subspace-w", w_file],
+        "minimal-check": ["--matrix", matrix],
+        "hausdorff": ["--subspace-v", v_file, "--subspace-w", w_file],
+    }[command]
+    code = ("import json, sys; from momentkit.cli import main; "
+            f"code = main({[command, *argv]!r}); "
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('momentkit'))]))")
+    src = str(Path(momentkit.__file__).resolve().parents[1])
+    exit_code, loaded = _child_modules(code, src)
+    assert exit_code in (0, 1, 2)
+    expected = {"cli", "linalg", "subspace", *COMMAND_MODULES[command]}
+    assert loaded == sorted(["momentkit", *(f"momentkit.{m}" for m in expected)])
+
+
+def test_package_import_loads_no_module():
+    import momentkit
+
+    src = str(Path(momentkit.__file__).resolve().parents[1])
+    code = ("import json, sys, momentkit; print(json.dumps(sorted("
+            "m for m in sys.modules if m.split('.')[0] in ('momentkit', 'numpy'))))")
+    assert _child_modules(code, src) == ["momentkit"]

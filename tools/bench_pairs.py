@@ -54,7 +54,7 @@ def export_parent(rev: str, dest: Path) -> str:
 
 def copy_change(dest: Path) -> str:
     """Copy the working tree's tracked and unignored files into ``dest``;
-    a description of what was copied."""
+    a description of what was copied that names every uncommitted path."""
     names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split(b"\0")
     for name in filter(None, names):
         source = ROOT / os.fsdecode(name)
@@ -63,8 +63,10 @@ def copy_change(dest: Path) -> str:
             target.parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(source, target)
     head = git("rev-parse", "HEAD").decode().strip()
-    dirty = git("status", "--porcelain", "--untracked-files=normal").strip()
-    return f"the working tree on {head}" + (" with uncommitted changes" if dirty else "")
+    status = git("status", "--porcelain", "--untracked-files=normal").decode()
+    dirty = [line[3:] for line in status.splitlines() if line.strip()]
+    return f"the working tree on {head}" + (
+        f" with uncommitted changes to {', '.join(dirty)}" if dirty else "")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, int]:
