@@ -13,7 +13,7 @@ across repeated invocations with the same inputs, seed and tolerances; the
 sidecar additionally records wall time.
 
 Each command imports only the library modules it runs: ``linalg`` and
-``subspace`` with this module, the rest through ``_LAZY`` on first use.
+``subspace`` with this module, the rest through the package on first use.
 
 Exit codes: 0 success; for ``minimal-check`` and ``intersect`` the code maps
 the verdict (0 MINIMAL/INTERSECT, 1 NOT_MINIMAL/DISJOINT, 2 INDETERMINATE);
@@ -36,25 +36,20 @@ from . import __version__
 from .linalg import DEFAULT_EIG_TOL, DEFAULT_MAX_ITER, DEFAULT_TOL, require_hermitian
 from .subspace import Subspace, centroid, subspace_from_spanning
 
-#: Library entry points that only some commands call.  A command's first
-#: call through ``_lib`` reads the name off the package, which imports its
-#: module, so a command loads no solver or sweep module that it does not run.
-_LAZY = frozenset("""
-    check_minimal curve_frame curve_point ellipse_projection fibonacci_directions
-    hausdorff_moments jnr_boundary jnr_support moments_intersect sample_moment support_moment
-""".split())
-
-
 def __getattr__(name: str):
-    if name not in _LAZY:
+    """A public name of the package, read off it on first use and kept here.
+    The package imports the name's module then, so a command loads no solver
+    or sweep module that it does not run.  Private and dunder names are not
+    forwarded: the package's ``__path__`` would make this module a package."""
+    package = sys.modules[__package__]
+    if name.startswith("_") or not hasattr(package, name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(sys.modules[__package__], name)
-    globals()[name] = value
+    value = globals()[name] = getattr(package, name)
     return value
 
 
-#: This module; commands call the names of ``_LAZY`` through it, where a
-#: bare global lookup would miss ``__getattr__``.
+#: This module; commands call the package's entry points through it, where
+#: a bare global lookup would miss ``__getattr__``.
 _lib = sys.modules[__name__]
 
 EXIT_OK = 0

@@ -27,18 +27,22 @@ step is kept only when it strictly lowers the objective, and atoms left at
 zero weight are dropped.  Every moment point of a side sums to +-1, so at
 most n + S - 1 atoms stay active, S the number of sides.
 
-The oracle's atoms also give, at every iterate, the Wolfe dual bound
-lower = <d, sum_s sign_s z_s - target> / |d| on the optimal residual norm
-(d the residual, z_s the oracle points; Jaggi 2013), at no extra eigensolve.
-It is the solver's only certificate and its only stopping test:
+The oracle's eigenvalues also give, at every iterate, the Wolfe dual bound
+lower = -(sum_s h_s + <d, target>) / |d| on the optimal residual norm (d the
+residual, h_s the top eigenvalue of side s at -sign_s d, its support value
+there; Jaggi 2013), at no extra eigensolve.  The bound is read off the
+eigenvalues themselves, not a Rayleigh quotient of the eigenvectors, which
+could only overstate it.  It is the solver's only certificate and its only
+stopping test:
 
 * a projection stops once its distance is within ``tol`` of ``lower``, the
   exact bound <u, p> - h(u) of the direction u from the iterate to p;
 * an intersection is declared DISJOINT at the first iterate whose bound
-  reaches ``SEPARATION_MARGIN``: -d/|d| is then a separating direction, and
-  its margin is confirmed once by ``separation_margin``, from two top
-  eigenvalues alone (``linalg.compressed_top_eigvalsh``).  Disjointness is
-  never declared otherwise.
+  reaches ``SEPARATION_MARGIN``: the bound is then the support gap of the
+  two sides along the direction -d/|d|, which separates them, and it is the
+  certificate's margin.  Disjointness is never declared otherwise.
+  ``separation_margin`` replays such a certificate from two top eigenvalues
+  alone (``linalg.compressed_top_eigvalsh``).
 
 A solve stops in exactly four cases: the residual is within ``tol``, the
 dual bound is accepted, ``max_iter`` steps are taken, or the corrective
@@ -149,16 +153,18 @@ class _Master:
         self.iterate = None
         self.dual_tol = -_DUAL_RTOL * (1.0 + float(abs(target).max(initial=0.0)))
 
-    def oracle(self, d: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The oracle atom (u, z) of every side: z = |Q u|^2 minimizes
-        <sign * d, z> over the side's moment set."""
+    def oracle(self, d: np.ndarray) -> tuple[list[float], list[tuple[np.ndarray, np.ndarray]]]:
+        """The top eigenvalue h of every side at -sign * d, and its oracle
+        atom (u, z): z = |Q u|^2 minimizes <sign * d, z> over the side's
+        moment set, where the minimum is -h."""
         directions = self.flips * d
         if self.table is None:
-            us = [compressed_top_eigh(table, c[None])[1][0]
-                  for table, c in zip(self.tables, directions)]
+            solved = [compressed_top_eigh(table, c[None]) for table, c in zip(self.tables, directions)]
+            tops, us = [float(h[0]) for h, _ in solved], [u[0] for _, u in solved]
         else:
-            us = compressed_top_eigh(self.table, directions)[1]
-        return [(u, abs(q @ u) ** 2) for q, u in zip(self.bases, us)]
+            tops, us = compressed_top_eigh(self.table, directions)
+            tops = tops.tolist()
+        return tops, [(u, abs(q @ u) ** 2) for q, u in zip(self.bases, us)]
 
     def residual(self) -> np.ndarray:
         """Residual of the starting iterate, the centroid of every side."""
@@ -344,18 +350,20 @@ class _Master:
         return True
 
 
-def _minimize(master: _Master, tol: float, max_iter: int, certify) -> tuple[float, int, float]:
+def _minimize(master: _Master, tol: float, max_iter: int,
+              stop) -> tuple[float, int, float, np.ndarray]:
     """Fully-corrective Frank-Wolfe (simplicial decomposition) for
     min || sum_s sign_s y_s - target ||^2 over a product of moment sets.
 
-    Each iteration calls the oracle of every side and stops when
-    ``certify(d, f, lower)`` accepts the current iterate (residual d,
-    objective f, dual bound lower).  Otherwise it adds one oracle atom per
-    side and re-solves the weights of all atoms exactly (``_Master.step``:
-    the least-squares master with one equality row per side and no penalty,
-    one KKT solve per pass).  The objective thus decreases strictly until a
-    step no longer improves it or the solve fails.  Returns the final
-    objective, the number of steps taken and the last ``lower``; the oracle
+    Each iteration calls the oracle of every side, reads the dual bound
+    lower = -(sum_s h_s + <d, target>) / |d| off its top eigenvalues h_s,
+    and stops when ``stop(f, lower)`` accepts the current iterate (objective
+    f = |d|^2).  Otherwise it adds one oracle atom per side and re-solves
+    the weights of all atoms exactly (``_Master.step``: the least-squares
+    master with one equality row per side and no penalty, one KKT solve per
+    pass).  The objective thus decreases strictly until a step no longer
+    improves it or the solve fails.  Returns the final objective, the number
+    of steps taken, the last ``lower`` and the final residual d; the oracle
     also runs on the final iterate, so ``lower`` describes the returned
     point unless it is within ``tol``.
     """
@@ -368,10 +376,9 @@ def _minimize(master: _Master, tol: float, max_iter: int, certify) -> tuple[floa
     for it in range(max_iter + 1):
         if f <= tol_sq:
             break
-        fw = master.oracle(d)
-        vertex = sum(sign * z for sign, (_, z) in zip(master.signs, fw))
-        lower = float(d @ (vertex - target)) / math.sqrt(f)
-        if certify(d, f, lower) or it == max_iter:
+        tops, fw = master.oracle(d)
+        lower = -(sum(tops) + float(d @ target)) / math.sqrt(f)
+        if stop(f, lower) or it == max_iter:
             break
         d_new = master.step(fw)
         f_new = math.inf if d_new is None else float(d_new @ d_new)
@@ -380,7 +387,7 @@ def _minimize(master: _Master, tol: float, max_iter: int, certify) -> tuple[floa
             break
         master.accept()
         d, f = d_new, f_new
-    return f, it, lower
+    return f, it, lower, d
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +426,8 @@ def project_onto_moment(
     # The dual bound of the single side is <u, p> - h(u) for u = -d/|d|, the
     # unit direction from the iterate to p: every z in the set has
     # |p - z| >= <u, p - z> >= <u, p> - h(u).
-    f, iterations, lower = _minimize(
-        master, tol, max_iter,
-        certify=lambda d, f, lower: math.sqrt(f) - lower <= tol,
-    )
+    f, iterations, lower, _ = _minimize(
+        master, tol, max_iter, stop=lambda f, lower: math.sqrt(f) - lower <= tol)
     distance = math.sqrt(max(f, 0.0))
     lower = 0.0 if f <= tol * tol else max(0.0, lower)
     return ProjectionResult(
@@ -467,9 +472,11 @@ def separation_margin(v: Subspace, w: Subspace, u) -> float:
     """Support gap min over m_W of <u, .> minus max over m_V of <u, .>.
 
     Positive exactly when the hyperplane normal to u strictly separates the
-    moment sets with m_V on the lower side.  Both support values are top
-    eigenvalues alone (``linalg.compressed_top_eigvalsh``), of u for m_V and
-    of -u for m_W, one call each.
+    moment sets with m_V on the lower side.  This is the replay of a
+    DISJOINT certificate: at its ``direction`` it recomputes the ``margin``
+    the solver read off its oracle, up to roundoff.  Both support values are
+    top eigenvalues alone (``linalg.compressed_top_eigvalsh``), of u for m_V
+    and of -u for m_W, one call each.
     """
     if v.n != w.n:
         raise ValueError("subspaces live in different ambient dimensions")
@@ -492,24 +499,15 @@ def moments_intersect(
     matrices.  INTERSECT when the residual norm reaches ``tol``; DISJOINT only
     when an exact support-function separation holds with a strict margin;
     INDETERMINATE otherwise (tangent or unresolved within ``max_iter``).
+    The margin of DISJOINT is the solver's dual bound, the support gap
+    min over m_W - max over m_V of <u, .> at u = -d/|d|, d the residual:
+    two top eigenvalues of the oracle, replayed by ``separation_margin``.
     """
     if v.n != w.n:
         raise ValueError("subspaces live in different ambient dimensions")
     master = _Master([v, w], np.zeros(v.n))
-    separation = []
-
-    def certify(d: np.ndarray, f: float, lower: float) -> bool:
-        # lower = (min over m_V - max over m_W of <d, .>)/|d|, the support gap
-        # along -d/|d| as the oracle computed it; confirm it independently.
-        if lower < SEPARATION_MARGIN:
-            return False
-        u = -d / float(np.linalg.norm(d))
-        margin = separation_margin(v, w, u)
-        if margin >= SEPARATION_MARGIN:
-            separation.append((u, margin))
-        return bool(separation)
-
-    f, iterations, _ = _minimize(master, tol, max_iter, certify)
+    f, iterations, lower, d = _minimize(
+        master, tol, max_iter, stop=lambda f, lower: lower >= SEPARATION_MARGIN)
     gap = math.sqrt(max(f, 0.0))
     if gap <= tol:
         status = IntersectionStatus.INTERSECT
@@ -517,10 +515,9 @@ def moments_intersect(
         witness_x = master.witness(1)
         common = 0.5 * (np.real(np.diagonal(witness_y)) + np.real(np.diagonal(witness_x)))
         fields = dict(witness_y=witness_y, witness_x=witness_x, common=common)
-    elif separation:
+    elif lower >= SEPARATION_MARGIN:
         status = IntersectionStatus.DISJOINT
-        u, margin = separation[0]
-        fields = dict(direction=u, margin=margin)
+        fields = dict(direction=-d / float(np.linalg.norm(d)), margin=lower)
     else:
         status = IntersectionStatus.INDETERMINATE
         fields = {}

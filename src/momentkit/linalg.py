@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Absolute tolerance on max entrywise asymmetry |A - A*|.
+# Tolerance on max entrywise asymmetry |A - A*|, absolute up to entries of
+# size 1 and relative to the largest real or imaginary part beyond.
 HERMITIAN_ATOL = 1e-12
 # A Gram-Schmidt residual below this fraction of the input norm drops the column.
 RANK_DROP_TOL = 1e-10
@@ -103,7 +104,8 @@ def as_complex_matrix(a) -> np.ndarray:
 
 def require_hermitian(a) -> np.ndarray:
     """Validate a nonempty square matrix for hermiticity (max entrywise
-    |A - A*| at most HERMITIAN_ATOL) and return the symmetrized (A + A*)/2."""
+    |A - A*| at most HERMITIAN_ATOL * max(1, s), s the largest real or
+    imaginary part of an entry) and return the symmetrized (A + A*)/2."""
     a = as_complex_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is not square: shape {a.shape}")
@@ -114,8 +116,11 @@ def require_hermitian(a) -> np.ndarray:
     # bitwise (A + A*)/2 there.
     half = 0.5 * a
     defect = 2.0 * float(np.max(np.abs(half - half.conj().T), initial=0.0))
-    if defect > HERMITIAN_ATOL:
-        raise NonHermitianError(defect, HERMITIAN_ATOL)
+    # Roundoff of a matrix built at scale s is relative to s; a part, not a
+    # modulus, so the bound cannot overflow.
+    atol = HERMITIAN_ATOL * max(1.0, float(abs(a.real).max()), float(abs(a.imag).max()))
+    if defect > atol:
+        raise NonHermitianError(defect, atol)
     return half + half.conj().T
 
 

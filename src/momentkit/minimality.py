@@ -124,8 +124,9 @@ class MinimalMatrixParts:
 def construct_minimal(parts: MinimalMatrixParts) -> tuple[np.ndarray, MinimalityReport]:
     """Assemble lam (P_V - P_W) + R and certify it minimal.
 
-    Rejects any violated ingredient constraint (orthogonality and R P = 0
-    within ORTHOGONAL_TOL) and DISJOINT (or unresolved) moment pairs.
+    Rejects any violated ingredient constraint (orthogonality within
+    ORTHOGONAL_TOL, ||R|| below lam (1 - 1e-9) and ||R P|| at most
+    ORTHOGONAL_TOL * lam) and DISJOINT (or unresolved) moment pairs.
     """
     if _real(parts.lam, "lam") <= 0.0:
         raise ValueError("the extreme eigenvalue lam must be positive")
@@ -136,14 +137,16 @@ def construct_minimal(parts: MinimalMatrixParts) -> tuple[np.ndarray, Minimality
     rmat = require_hermitian(parts.r)
     if rmat.shape != (parts.v.n, parts.v.n):
         raise ValueError("R has the wrong shape")
+    # Both slacks are relative to lam, so the answer does not depend on the
+    # scale of the parts.
     norm_r = spectral_norm(rmat)
-    if not norm_r < parts.lam - 1e-9:
+    if not norm_r < parts.lam * (1.0 - 1e-9):
         raise ValueError(
             f"||R|| = {norm_r:.6g} must stay strictly below lam = {parts.lam:.6g}"
         )
     for name, space in (("V", parts.v), ("W", parts.w)):
         defect = spectral_norm(rmat @ space.projector)
-        if defect > ORTHOGONAL_TOL:
+        if defect > ORTHOGONAL_TOL * parts.lam:
             raise ValueError(f"R does not annihilate {name}: ||R P_{name}|| = {defect:.3e}")
     certificate = moments_intersect(parts.v, parts.w)
     if certificate.status is not IntersectionStatus.INTERSECT:

@@ -789,3 +789,18 @@ def test_package_import_loads_no_module():
     code = ("import json, sys, momentkit; print(json.dumps(sorted("
             "m for m in sys.modules if m.split('.')[0] in ('momentkit', 'numpy'))))")
     assert _child_modules(code, src) == ["momentkit"]
+
+
+def test_cli_forwards_the_package_names():
+    # Any public name of the package reads through cli, as itself; a name
+    # the package lacks, or a private one, is not there.
+    import momentkit
+    import momentkit.feasibility
+    from momentkit import cli
+
+    assert cli.moments_intersect is momentkit.feasibility.moments_intersect
+    with pytest.raises(AttributeError, match="momentkit.cli"):
+        cli.no_such_name
+    with pytest.raises(AttributeError):
+        cli._EXPORTS
+    assert not hasattr(cli, "__path__")

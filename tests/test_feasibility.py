@@ -239,8 +239,8 @@ class TestIntersection:
     def test_coordinate_half_pair_certified_at_first_iterate(self, monkeypatch):
         # The oracle's dual bound at the starting iterate already separates a
         # coordinate-half pair: one oracle eigensolve on the stacked tables
-        # of the two equal-rank sides plus the two value-only calls of the
-        # confirming separation_margin, no corrective step.
+        # of the two equal-rank sides, whose eigenvalues give the margin, and
+        # no corrective step.
         calls = []
         for name in ("compressed_top_eigh", "compressed_top_eigvalsh"):
             def counted(*args, name=name, original=getattr(feasibility, name)):
@@ -255,9 +255,36 @@ class TestIntersection:
             cert = moments_intersect(sv, sw)
             assert cert.status is IntersectionStatus.DISJOINT
             assert cert.iterations == 0
-            assert calls == ["compressed_top_eigh", "compressed_top_eigvalsh",
-                             "compressed_top_eigvalsh"]
+            assert calls == ["compressed_top_eigh"]
             assert separation_margin(sv, sw, cert.direction) >= feasibility.SEPARATION_MARGIN
+
+    def test_unequal_rank_pair_certified_at_first_iterate(self, monkeypatch):
+        # Sides of different rank solve one eigenproblem each, and the margin
+        # is read off those two eigenvalues: no value-only solve confirms it.
+        calls = []
+        for name in ("compressed_top_eigh", "compressed_top_eigvalsh"):
+            def counted(*args, name=name, original=getattr(feasibility, name)):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(feasibility, name, counted)
+        rng = np.random.default_rng(29)
+        n, r_v, r_w = 8, 2, 3
+        half = n // 2
+        v = np.zeros((r_v, n), dtype=np.complex128)
+        w = np.zeros((r_w, n), dtype=np.complex128)
+        v[:, :half] = random_subspace(rng, half, r_v).basis.T
+        w[:, half:] = random_subspace(rng, n - half, r_w).basis.T
+        v[:, half:] = 0.1 / np.sqrt(n - half) * rng.standard_normal((r_v, n - half))
+        w[:, :half] = 0.1 / np.sqrt(half) * rng.standard_normal((r_w, half))
+        sv, sw = subspace_from_spanning(v), subspace_from_spanning(w)
+        assert (sv.r, sw.r) == (r_v, r_w)
+        cert = moments_intersect(sv, sw)
+        assert cert.status is IntersectionStatus.DISJOINT
+        assert cert.iterations == 0
+        assert calls == ["compressed_top_eigh", "compressed_top_eigh"]
+        replay = separation_margin(sv, sw, cert.direction)
+        assert abs(cert.margin - replay) <= 1e-12 * (1.0 + cert.margin)
 
     def test_separation_margin_checks_dimensions(self, monkeypatch):
         # Rejected before any eigensolve, with moments_intersect's message.

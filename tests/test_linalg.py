@@ -112,6 +112,19 @@ class TestHermitianEig:
         with pytest.raises(NonHermitianError):
             require_hermitian([[0.0, 1.7e308], [1.6e308, 0.0]])
 
+    @pytest.mark.parametrize("scale", [1e6, 1e12])
+    def test_badly_scaled_matrix_accepted(self, scale):
+        # U D U* at a large scale carries a roundoff asymmetry far above
+        # 1e-12 in absolute terms, about eps relative to its entries.
+        rng = np.random.default_rng(6)
+        u = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+        a = scale * (u * rng.standard_normal(6)) @ u.conj().T
+        assert np.max(np.abs(a - a.conj().T)) > 1e-12
+        assert np.array_equal(require_hermitian(a), 0.5 * a + 0.5 * a.conj().T)
+        assert check_minimal(a).norm == pytest.approx(spectral_norm(a), rel=1e-12)
+        with pytest.raises(NonHermitianError):
+            require_hermitian(a + scale * 1e-6 * np.triu(np.ones((6, 6)), 1))
+
     def test_reconstruction_and_shift(self):
         rng = np.random.default_rng(42)
         for n in range(2, 9):

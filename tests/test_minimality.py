@@ -204,6 +204,23 @@ class TestConstructMinimal:
         assert np.allclose(m, 1e308 * PAULI_Y, rtol=1e-15, atol=0)
         assert report.norm == pytest.approx(1e308, rel=1e-15)
 
+    @pytest.mark.parametrize("lam", [1e-12, 1.0, 1e300])
+    def test_answer_does_not_depend_on_scale(self, lam):
+        # The same parts scaled by lam get the same answer: R on the rest of
+        # C^3, or none, is accepted, and R leaking 1% of lam into V is not.
+        v = subspace_from_spanning([(*CONJUGATE_X, 0)])
+        w = subspace_from_spanning([(*CONJUGATE_XBAR, 0)])
+        rest = np.diag([0.0, 0.0, 0.5])
+        for r in (np.zeros((3, 3)), lam * rest):
+            m, report = construct_minimal(MinimalMatrixParts(lam=lam, v=v, w=w, r=r))
+            assert report.verdict is Verdict.MINIMAL
+            assert report.norm == pytest.approx(lam, rel=1e-12)
+        leak = lam * (rest + 0.01 * v.projector)
+        with pytest.raises(ValueError, match="does not annihilate V"):
+            construct_minimal(MinimalMatrixParts(lam=lam, v=v, w=w, r=leak))
+        with pytest.raises(ValueError, match="strictly below"):
+            construct_minimal(MinimalMatrixParts(lam=lam, v=v, w=w, r=lam * np.diag([0, 0, 1.0])))
+
     @pytest.mark.parametrize("case, match", [
         ("lam", "must be positive"),
         ("dimension", "different ambient dimensions"),

@@ -207,7 +207,7 @@ def _master_steps(n, ranks, kind, seed, steps=4):
     for _ in range(steps):
         if d @ d <= DEFAULT_TOL ** 2:
             return
-        fw = master.oracle(d)
+        _, fw = master.oracle(d)
         if kind == "duplicate":
             # The first coefficient unit vector: a start atom, held again.
             fw = [(np.eye(len(u))[0].astype(complex), np.abs(space.basis[:, 0]) ** 2)
