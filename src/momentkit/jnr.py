@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _numbers, compressed_top_eigh, require_hermitian
+from .linalg import _eigvalsh, _numbers, compressed_top_eigh, require_hermitian
 from .subspace import Subspace, orthogonal_complement
 
 #: PSD slack and trace tolerance for density-matrix validation.
@@ -40,7 +40,7 @@ def validate_density(rho) -> np.ndarray:
     trace = float(np.real(np.trace(rho)))
     if abs(trace - 1.0) > TRACE_TOL:
         raise ValueError(f"state trace is {trace:.12g}, not 1 within {TRACE_TOL:.1e}")
-    smallest = float(np.linalg.eigvalsh(rho)[0])
+    smallest = float(_eigvalsh(rho)[0])
     if smallest < -PSD_TOL:
         raise ValueError(f"state has negative eigenvalue {smallest:.3e}")
     return rho

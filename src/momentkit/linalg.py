@@ -9,18 +9,24 @@ ambient dimension up to a few dozen).  Results are deterministic for a fixed
 input: eigenvalues are returned in ascending order and every eigenvector is
 phase-normalized so that its first nonzero component is real and positive.
 Rank-one compressions are solved in closed form, bitwise LAPACK's n = 1
-result: the real part of the entry, and the eigenvector 1.  Array arguments
+result: the real part of the entry, and the eigenvector 1.  Every other
+eigensolve goes through one kernel, ``_eigh`` and ``_eigvalsh``, which calls
+the LAPACK gufuncs of ``numpy.linalg._umath_linalg`` directly: bitwise
+``np.linalg.eigh`` and ``eigvalsh``, without their per-call wrapper, which
+costs about as much as the solve of a small compression itself.  Array arguments
 pass ``_numbers`` and scalars ``_integer`` or ``_real``: booleans, strings,
 objects, complex directions and scalars, and non-finite reals fail.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-# Tolerance on max entrywise asymmetry |A - A*|, absolute up to entries of
-# size 1 and relative to the largest real or imaginary part beyond.
+# Tolerance on max entrywise asymmetry |A - A*|, relative to the largest real
+# or imaginary part of an entry, or to the smallest normal float below it.
 HERMITIAN_ATOL = 1e-12
 # A Gram-Schmidt residual below this fraction of the input norm drops the column.
 RANK_DROP_TOL = 1e-10
@@ -104,8 +110,9 @@ def as_complex_matrix(a) -> np.ndarray:
 
 def require_hermitian(a) -> np.ndarray:
     """Validate a nonempty square matrix for hermiticity (max entrywise
-    |A - A*| at most HERMITIAN_ATOL * max(1, s), s the largest real or
-    imaginary part of an entry) and return the symmetrized (A + A*)/2."""
+    |A - A*| at most HERMITIAN_ATOL * max(s, tiny), s the largest real or
+    imaginary part of an entry and tiny the smallest normal float) and
+    return the symmetrized (A + A*)/2."""
     a = as_complex_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is not square: shape {a.shape}")
@@ -116,9 +123,12 @@ def require_hermitian(a) -> np.ndarray:
     # bitwise (A + A*)/2 there.
     half = 0.5 * a
     defect = 2.0 * float(np.max(np.abs(half - half.conj().T), initial=0.0))
-    # Roundoff of a matrix built at scale s is relative to s; a part, not a
-    # modulus, so the bound cannot overflow.
-    atol = HERMITIAN_ATOL * max(1.0, float(abs(a.real).max()), float(abs(a.imag).max()))
+    # Roundoff of a matrix built at scale s is relative to s at every scale;
+    # a part, not a modulus, so the bound cannot overflow.  Below the normal
+    # range roundoff is absolute, a few subnormal steps, hence the floor.
+    s = max(float(np.finfo(np.float64).smallest_normal), float(abs(a.real).max()),
+            float(abs(a.imag).max()))
+    atol = HERMITIAN_ATOL * s
     if defect > atol:
         raise NonHermitianError(defect, atol)
     return half + half.conj().T
@@ -149,6 +159,33 @@ def _fix_phases(rows: np.ndarray) -> np.ndarray:
     return rows * (pivot.conj() / abs(pivot))
 
 
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors (columns) of a complex128
+    hermitian matrix or stack: the LAPACK gufunc ``np.linalg.eigh`` calls,
+    without its per-call wrapper, so bitwise its result (``UPLO='L'``)."""
+    w, v = _umath_linalg.eigh_lo(m, signature="D->dD")
+    _require_finite_top(w)
+    return w, v
+
+
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a complex128 hermitian matrix or stack,
+    bitwise ``np.linalg.eigvalsh``, as ``_eigh``."""
+    w = _umath_linalg.eigvalsh_lo(m, signature="D->d")
+    _require_finite_top(w)
+    return w
+
+
+def _require_finite_top(w: np.ndarray) -> None:
+    """Raise ``LinAlgError`` unless every top eigenvalue is finite.  A failed
+    LAPACK solve fills its output with NaN, and every matrix that reaches
+    the kernel is finite; no ``np.errstate`` is entered, so numpy's
+    floating-point flags play no part.  In Python floats: cheaper than a
+    numpy reduction on a lone direction."""
+    if not all(map(math.isfinite, w[..., -1:].ravel().tolist())):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Spectral decomposition A = V diag(w) V* of a hermitian matrix.
@@ -164,9 +201,10 @@ class EigenDecomposition:
 def hermitian_eig(a) -> EigenDecomposition:
     """Eigendecomposition of a hermitian matrix with deterministic output.
 
-    Rejects inputs whose max entry asymmetry exceeds HERMITIAN_ATOL.
+    Rejects inputs whose max entry asymmetry exceeds HERMITIAN_ATOL times
+    the scale of their entries (``require_hermitian``).
     """
-    w, v = np.linalg.eigh(require_hermitian(a))
+    w, v = _eigh(require_hermitian(a))
     return EigenDecomposition(eigenvalues=w, eigenvectors=_fix_phases(v.T).T)
 
 
@@ -220,7 +258,7 @@ def compressed_top_eigh(table: np.ndarray, directions) -> tuple[np.ndarray, np.n
     m = _compressions(table, directions)
     if m.shape[1] == 1:
         return m[:, 0, 0].real, np.ones((len(m), 1), dtype=np.complex128)
-    w, v = np.linalg.eigh(m)
+    w, v = _eigh(m)
     return w[:, -1], _fix_phases(v[:, :, -1])
 
 
@@ -235,7 +273,7 @@ def compressed_top_eigvalsh(table: np.ndarray, directions) -> np.ndarray:
     m = _compressions(table, directions)
     if m.shape[1] == 1:
         return m[:, 0, 0].real
-    return np.linalg.eigvalsh(m)[:, -1]
+    return _eigvalsh(m)[:, -1]
 
 
 def orthonormalize(vectors) -> np.ndarray:

@@ -34,6 +34,8 @@ from momentkit.linalg import (
     EigenDecomposition,
     NonHermitianError,
     _compressions,
+    _eigh,
+    _eigvalsh,
     _fix_phases,
     as_complex_matrix,
     compressed_top_eigh,
@@ -125,6 +127,26 @@ class TestHermitianEig:
         with pytest.raises(NonHermitianError):
             require_hermitian(a + scale * 1e-6 * np.triu(np.ones((6, 6)), 1))
 
+    def test_small_non_hermitian_matrix_rejected(self):
+        # A nilpotent matrix at 1e-13 was silently symmetrized under an
+        # absolute 1e-12 floor, and check_minimal answered MINIMAL.
+        bad = 1e-13 * np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NonHermitianError):
+            require_hermitian(bad)
+        with pytest.raises(NonHermitianError):
+            check_minimal(bad)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-310])
+    def test_tiny_matrix_with_roundoff_accepted(self, scale):
+        # Roundoff at 1e-200 is relative to the entries; at 1e-310, below the
+        # normal range, it is a few subnormal steps, within the floor.
+        rng = np.random.default_rng(9)
+        u = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+        a = scale * (u * rng.standard_normal(6)) @ u.conj().T
+        assert np.max(np.abs(a - a.conj().T)) > 0
+        assert_bitwise(require_hermitian(a), 0.5 * a + 0.5 * a.conj().T)
+        assert_bitwise(require_hermitian(np.zeros((3, 3))), np.zeros((3, 3), dtype=np.complex128))
+
     def test_reconstruction_and_shift(self):
         rng = np.random.default_rng(42)
         for n in range(2, 9):
@@ -157,6 +179,56 @@ class TestHermitianEig:
 
     def test_returns_dataclass(self):
         assert isinstance(hermitian_eig(np.eye(2)), EigenDecomposition)
+
+
+class TestKernel:
+    """``_eigh`` and ``_eigvalsh``, the LAPACK gufuncs behind every eigensolve."""
+
+    @pytest.mark.parametrize("r", range(2, 9))
+    def test_stacks_match_numpy_bitwise(self, r):
+        rng = np.random.default_rng(20 + r)
+        table = random_subspace(rng, 2 * r, r).compression_table
+        for k in (1, 2, 500):
+            # Compressions as the sites pass them: not symmetrized.
+            m = _compressions(table, rng.standard_normal((k, 2 * r)))
+            w, v = _eigh(m)
+            expected = np.linalg.eigh(m)
+            assert_bitwise(w, expected.eigenvalues)
+            assert_bitwise(v, expected.eigenvectors)
+            assert_bitwise(_eigvalsh(m), np.linalg.eigvalsh(m))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matrices_match_numpy_bitwise(self, n):
+        a = require_hermitian(random_hermitian(np.random.default_rng(40 + n), n))
+        w, v = _eigh(a)
+        expected = np.linalg.eigh(a)
+        assert_bitwise(w, expected.eigenvalues)
+        assert_bitwise(v, expected.eigenvectors)
+        assert_bitwise(_eigvalsh(a), np.linalg.eigvalsh(a))
+
+    @pytest.mark.parametrize("call", [
+        lambda table, a: compressed_top_eigh(table, np.eye(3)),
+        lambda table, a: compressed_top_eigvalsh(table, np.eye(3)),
+        lambda table, a: hermitian_eig(a),
+        lambda table, a: validate_density(a),
+    ], ids=["compressed_top_eigh", "compressed_top_eigvalsh", "hermitian_eig", "validate_density"])
+    def test_failed_solve_raises(self, call, monkeypatch):
+        # A LAPACK solve that does not converge fills its output with NaN.
+        class Failing:
+            @staticmethod
+            def eigh_lo(m, signature):
+                w, v = np.linalg.eigh(m)
+                return np.full_like(w, np.nan), np.full_like(v, np.nan)
+
+            @staticmethod
+            def eigvalsh_lo(m, signature):
+                return np.full_like(np.linalg.eigvalsh(m), np.nan)
+
+        table = Subspace(orthonormalize(SPAN_V)).compression_table
+        state = np.eye(3) / 3
+        monkeypatch.setattr(momentkit.linalg, "_umath_linalg", Failing)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            call(table, state)
 
 
 def loop_fix_phases(vectors):
