@@ -131,11 +131,12 @@ class _Master:
     for the dual check.  Start atoms that depend on each other make the
     first step start again from the oracle atom of every side alone.
 
-    Storage is built by the first step, with fixed capacity: ``kkt`` holds
+    The first step allocates the store, with fixed capacity: ``kkt`` holds
     the KKT matrix of the live atoms ``atoms``, side rows first and the
-    right-hand side as its last column, and ``points`` their columns a.
-    The ``q`` active atoms come first, so a pass solves a leading block.  A
-    new atom borders the Gram matrix with one product; an atom leaves the
+    right-hand side as its last column, and ``points`` their columns a.  The
+    ``q`` active atoms come first, so a pass solves a leading block.  A step
+    writes its atoms, the first its start atoms too, after the live ones and
+    borders the Gram matrix with them in one product; an atom leaves the
     block, or an evicted one the store, by a swap with its last atom.
     """
 
@@ -187,31 +188,6 @@ class _Master:
         witness = q @ m @ q.conj().T
         return 0.5 * (witness + witness.conj().T)
 
-    def _build(self, fw) -> list[float]:
-        """Storage for every atom a solve can hold at once, filled with the
-        oracle atoms fw, the unit vectors of all sides and the probes, in
-        that order; return the weights of the first two groups."""
-        n_sides, n = len(self.signs), self.target.size
-        units = [np.eye(q.shape[1], dtype=np.complex128) for q in self.bases]
-        # The probes: coefficient rows of the principal standard vectors,
-        # the principal vertices of the moment set.
-        norms = [np.linalg.norm(q, axis=1) for q in self.bases]
-        probes = [q[k > 1e-12].conj() / k[k > 1e-12, None] for q, k in zip(self.bases, norms)]
-        cap = sum(len(u) + len(p) for u, p in zip(units, probes)) + n + 2 * n_sides
-        self.points = np.zeros((cap, n))
-        self.kkt = np.zeros((n_sides + cap, n_sides + cap + 1))
-        self.kkt[:n_sides, -1] = 1.0
-        # By position: (side, coefficient vector) of each live atom.
-        self.atoms = []
-        groups = ([(s, u[None], z[None]) for s, (u, z) in enumerate(fw)]
-                  + [(s, u, abs(q.T) ** 2) for s, (q, u) in enumerate(zip(self.bases, units))]
-                  + [(s, p, abs(p @ q.T) ** 2) for s, (q, p) in enumerate(zip(self.bases, probes))])
-        for s, atoms, points in groups:
-            self.points[len(self.atoms):len(self.atoms) + len(atoms)] = self.signs[s] * points
-            self.atoms += [(s, u) for u in atoms]
-        self._border(0)
-        return [0.0] * n_sides + [1.0 / len(u) for u in units for _ in u]
-
     def _border(self, lo: int) -> None:
         """Border the KKT matrix with the live atoms from position lo on."""
         n_sides, hi, k = len(self.signs), len(self.atoms), self.kkt
@@ -258,21 +234,35 @@ class _Master:
         """Add the oracle atoms (u, z) of every side and re-solve all weights.
         Return the residual of the new weights, which become the iterate only
         on ``accept``; None when the solve fails."""
+        n_sides, n, groups = len(self.signs), self.target.size, []
         if self.kkt is None:
-            # The oracle atoms enter beside the unit vectors at their
-            # centroid weights.
-            self.q = 0
-            w = self._build(fw)
+            # Storage for every atom a solve can hold at once.  The probes:
+            # coefficient rows of the principal standard vectors.
+            units = [np.eye(q.shape[1], dtype=np.complex128) for q in self.bases]
+            norms = [np.linalg.norm(q, axis=1) for q in self.bases]
+            probes = [q[k > 1e-12].conj() / k[k > 1e-12, None] for q, k in zip(self.bases, norms)]
+            cap = sum(len(u) + len(p) for u, p in zip(units, probes)) + n + 2 * n_sides
+            self.points = np.zeros((cap, n))
+            self.kkt = np.zeros((n_sides + cap, n_sides + cap + 1))
+            self.kkt[:n_sides, -1] = 1.0
+            # By position: (side, coefficient vector) of each live atom.
+            self.atoms, self.q = [], 0
+            groups = ([(s, u, abs(q.T) ** 2) for s, (q, u) in enumerate(zip(self.bases, units))]
+                      + [(s, p, abs(p @ q.T) ** 2) for s, (q, p) in enumerate(zip(self.bases, probes))])
+            w = [0.0] * n_sides + [1.0 / len(u) for u in units for _ in u]
         else:
-            lo = len(self.atoms)
-            for s, (u, z) in enumerate(fw):
-                self.points[lo + s] = self.signs[s] * z
-                self.atoms.append((s, u))
-            self._border(lo)
-            w = self.x[len(self.signs):].tolist() + [0.0] * len(fw)
+            w = self.x[n_sides:].tolist() + [0.0] * len(fw)
+        lo = len(self.atoms)
+        for s, (u, z) in enumerate(fw):
+            self.points[lo + s] = self.signs[s] * z
+            self.atoms.append((s, u))
+        for s, atoms, points in groups:
+            self.points[len(self.atoms):len(self.atoms) + len(atoms)] = self.signs[s] * points
+            self.atoms += [(s, u) for u in atoms]
+        self._border(lo)
         if not self._solve(w):
             return None
-        return self.x[len(self.signs):] @ self.points[:self.q] - self.target
+        return self.x[n_sides:] @ self.points[:self.q] - self.target
 
     def accept(self) -> None:
         """Make the weights of the last ``step`` the iterate and free the

@@ -8,6 +8,11 @@ momentkit's answers; the library itself only answers questions.  Each helper
 evaluates one claim on given inputs and returns its residual or the direction
 to test, or asserts the bound.
 
+``simplex_projection`` and ``bloch_support`` are exact oracles for two
+families of moment sets: the standard simplex on I of a coordinate subspace
+span(e_i : i in I), and the image of the Bloch ball of a subspace of
+dimension 2.
+
 ``brute_force_diag_distance`` is the reference the minimality verdicts are
 checked against: the distance from a hermitian matrix to the real diagonal
 matrices, for n <= 4.  It uses a coarse grid (step ||M||/20) followed by
@@ -130,6 +135,36 @@ def assert_coordinate_bound(cert, tol: float = 1e-9) -> float:
     top = float(np.max(cert.common))
     assert top <= 0.5 + tol, f"coordinate {top} exceeds 1/2"
     return top
+
+
+def simplex_projection(p, index) -> np.ndarray:
+    """Euclidean projection of the real vector p onto the standard simplex on
+    the coordinates ``index``, {y >= 0, sum_I y_i = 1, y_j = 0 off I}: the
+    moment set of span(e_i : i in I).  By sorting (Held, Wolfe & Crowder
+    1974): the entries of p on I, shifted down by the threshold theta that
+    leaves unit sum once clipped at 0."""
+    p = np.asarray(p, dtype=float)
+    index = list(index)
+    desc = np.sort(p[index])[::-1]
+    excess = np.cumsum(desc) - 1.0
+    count = np.arange(1, len(desc) + 1)
+    k = count[desc - excess / count > 0.0][-1]
+    y = np.zeros_like(p)
+    y[index] = np.maximum(p[index] - excess[k - 1] / k, 0.0)
+    return y
+
+
+def bloch_support(s: Subspace, u) -> float:
+    """The support value of the moment set of a subspace of dimension 2 along
+    u: <u, c> + |L^T u| with c = diag(Q Q*)/2 and L_k = diag(Q sigma_k Q*)/2,
+    since the density matrices (I + x . sigma)/2, |x| <= 1, map to c + L x
+    (Au-Yeung & Poon 1979)."""
+    q = s.basis
+    assert q.shape[1] == 2
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    c = 0.5 * np.sum(np.abs(q) ** 2, axis=1)
+    lmap = 0.5 * np.real(np.einsum("ij,kjl,il->ik", q, paulis, q.conj()))
+    return float(u @ c + np.linalg.norm(lmap.T @ u))
 
 
 def brute_force_diag_distance(m, grid_step: float | None = None, refine_to: float = 1e-4) -> float:

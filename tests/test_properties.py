@@ -1,10 +1,13 @@
 """Property tests: the solver never overclaims, its verdicts do not depend
-on the coordinate frame, its master solve is exact, and support values are
-exact.
+on the coordinate frame, its master solve is exact and its store is the KKT
+matrix of its atoms, and support values are exact.  Where ``paper_claims``
+has an exact oracle (the simplex of a coordinate subspace, the Bloch ball of
+r = 2), answers are checked against it.
 
 Shapes run over n = 1..10 and r = 1..n, r = n and n = 1 included (the
-master runs to n = 12).  Every example is rebuilt from a numpy seed, so a
-failure replays from the printed arguments.
+master and coordinate subspaces run to n = 12, the Bloch ball to n = 24).
+Every example is rebuilt from a numpy seed, so a failure replays from the
+printed arguments.
 """
 import numpy as np
 import pytest
@@ -28,7 +31,8 @@ from momentkit.feasibility import (
 
 from momentkit.linalg import compressed_top_eigh
 
-from conftest import assert_bitwise, random_subspace
+from conftest import assert_bitwise, random_subspace, random_unitary
+from paper_claims import bloch_support, simplex_projection
 
 #: Iteration cap of every solver call here: an unresolved run must come back
 #: INDETERMINATE or unconverged, never with a wrong certificate, so a short
@@ -126,6 +130,73 @@ def test_support_moment_is_its_row_of_a_stack(shape, seed, real, k):
         assert_bitwise(compressed_top_eigh(s.compression_table, c[None])[1][0], vectors[i])
 
 
+@given(n=st.integers(3, 24), seed=seeds)
+@example(n=3, seed=0)
+@example(n=24, seed=10)
+def test_support_matches_bloch_ball_for_rank_two(n, seed):
+    rng = np.random.default_rng(seed)
+    s = random_subspace(rng, n, 2)
+    for scale in (1e-3, 1.0, 1e3):
+        u = scale * rng.standard_normal(n)
+        assert abs(bloch_support(s, u) - support_moment(s, u).value) <= 1e-14 * (1.0 + np.max(np.abs(u)))
+
+
+def _coordinate_subspace(rng, n, index):
+    """span(e_i : i in index), spanned by a random unitary basis of it: its
+    moment set is the standard simplex on index."""
+    return subspace_from_spanning(random_unitary(rng, len(index)) @ np.eye(n)[index])
+
+
+def _some_coordinates(rng, n, must=()):
+    """A random nonempty sorted index set of range(n) that holds ``must``."""
+    drawn = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+    return sorted({int(i) for i in drawn} | set(must))
+
+
+@given(n=st.integers(1, 12), seed=seeds)
+@example(n=1, seed=0)
+@example(n=12, seed=11)
+def test_coordinate_projection_matches_simplex(n, seed):
+    rng = np.random.default_rng(seed)
+    for scale in (0.1, 1.0, 10.0):
+        index = _some_coordinates(rng, n)
+        s = _coordinate_subspace(rng, n, index)
+        p = scale * rng.standard_normal(n)
+        exact = float(np.linalg.norm(p - simplex_projection(p, index)))
+        res = project_onto_moment(s, p, max_iter=MAX_ITER)
+        if res.converged:
+            # The roundoff of the bound and of the witness grows with |p|.
+            slack = 1e-12 * (1.0 + np.linalg.norm(p))
+            assert res.lower <= exact + slack
+            assert exact <= res.distance + slack
+            assert res.distance <= exact + DEFAULT_TOL
+
+
+@given(n=st.integers(1, 12), seed=seeds)
+@example(n=1, seed=0)
+@example(n=2, seed=12)
+@example(n=12, seed=13)
+def test_coordinate_pairs_match_simplices(n, seed):
+    # Simplices on disjoint index sets lie sqrt(1/|I| + 1/|J|) apart, their
+    # centroids' distance, which bounds any support gap; on overlapping sets
+    # they share a vertex.
+    rng = np.random.default_rng(seed)
+    if n > 1:
+        perm = rng.permutation(n)
+        a = int(rng.integers(1, n))
+        index, other = sorted(perm[:a]), sorted(perm[a:a + int(rng.integers(1, n - a + 1))])
+        v, w = _coordinate_subspace(rng, n, index), _coordinate_subspace(rng, n, other)
+        cert = moments_intersect(v, w, max_iter=MAX_ITER)
+        assert cert.status is IntersectionStatus.DISJOINT
+        assert cert.margin <= np.sqrt(1.0 / len(index) + 1.0 / len(other)) * (1.0 + 1e-12)
+        assert separation_margin(v, w, cert.direction) >= SEPARATION_MARGIN
+    shared = int(rng.integers(n))
+    index, other = _some_coordinates(rng, n, [shared]), _some_coordinates(rng, n, [shared])
+    cert = moments_intersect(_coordinate_subspace(rng, n, index),
+                             _coordinate_subspace(rng, n, other), max_iter=MAX_ITER)
+    assert cert.status is IntersectionStatus.INTERSECT
+
+
 def _reframed(rng, spaces):
     """The spaces in another coordinate frame, and its permutation: one
     permutation of the coordinates for all, and an independent diagonal
@@ -214,11 +285,32 @@ def _master_steps(n, ranks, kind, seed, steps=4):
                   for space, (u, _) in zip(spaces, fw)]
         d_new = master.step(fw)
         assert d_new is not None
+        _assert_store(master)
         yield master, d_new
         if not d_new @ d_new < d @ d:
             return
         master.accept()
         d = d_new
+
+
+def _assert_store(master):
+    """The stored KKT matrix is the one of the live atoms: their Gram block
+    (within roundoff of one product, and exactly symmetric), exactly
+    one-hot side rows with a unit right-hand side, and A^T target (within
+    roundoff: the store takes it by row blocks)."""
+    n_sides, live = len(master.signs), len(master.atoms)
+    k, points = master.kkt, master.points[:live]
+    block = k[n_sides:n_sides + live, n_sides:n_sides + live]
+    scale = float(np.max(np.sum(points ** 2, axis=1)))
+    assert np.max(np.abs(block - points @ points.T), initial=0.0) <= 1e-14 * scale
+    assert np.array_equal(block, block.T)
+    one_hot = (np.array([s for s, _ in master.atoms]) == np.arange(n_sides)[:, None]).astype(float)
+    assert np.array_equal(k[:n_sides, :n_sides], np.zeros((n_sides, n_sides)))
+    assert np.array_equal(k[:n_sides, n_sides:n_sides + live], one_hot)
+    assert np.array_equal(k[n_sides:n_sides + live, :n_sides], one_hot.T)
+    assert np.array_equal(k[:n_sides, -1], np.ones(n_sides))
+    rhs = k[n_sides:n_sides + live, -1] - points @ master.target
+    assert np.max(np.abs(rhs), initial=0.0) <= 1e-14 * np.sqrt(scale) * np.linalg.norm(master.target)
 
 
 def _live(master):
