@@ -122,14 +122,14 @@ class _Master:
     G w - A^T target + E^T nu enters.  Between steps every live atom is
     active, so a step whose atoms all stay takes one pass.
 
-    An entering atom is admitted only when its Schur complement in the KKT
-    matrix, the squared distance from its point to the affine span of the
-    active points of its side (shifted by the other sides), is above
-    ``_ADMIT_RTOL`` of its squared norm.  A lone one that fails, or that
-    enters and gains no weight, adds nothing the active atoms do not already
-    reach and is evicted from the store; of several, those that fail wait
-    for the dual check.  Start atoms that depend on each other make the
-    first step start again from the oracle atom of every side alone.
+    Each pass rejects entering atoms in one decision: all when the KKT
+    matrix is singular, else each whose Schur complement in it (the squared
+    distance from its point to the affine span of the active points of its
+    side, shifted by the other sides) is not above ``_ADMIT_RTOL`` of its
+    squared norm, and a lone one whose weight solves to at most 0.  Rejected
+    start atoms with weight restart the first step from the oracle atom of
+    every side alone; a lone rejected atom reaches nothing new and is evicted
+    from the store; those of a block leave it and wait for the dual check.
 
     The first step allocates the store, with fixed capacity: ``kkt`` holds
     the KKT matrix of the live atoms ``atoms``, side rows first and the
@@ -287,31 +287,32 @@ class _Master:
                 rhs.reshape(-1)[(size - e) * (e + 1) + 1::e + 2] = 1.0
             else:
                 rhs = k[:size, -1]
+            bad = []
             try:
                 sol = np.linalg.solve(k[:size, :size], rhs)
             except np.linalg.LinAlgError:
                 if not e:
                     return False
-                sol = None
-            if e:
-                norm = k.diagonal()[size - e:size].tolist()
-                if sol is None:
-                    bad = list(range(e))
-                else:
+                bad = list(range(e))
+            else:
+                if e:
                     # The inverse's entry is 0 for the only atom of a side.
                     inv = sol[size - e:, 1:].diagonal().tolist()
-                    bad = [i for i in range(e) if not abs(inv[i]) * norm[i] * _ADMIT_RTOL < 1.0]
+                    norm = k.diagonal()[size - e:size].tolist()
                     sol = sol[:, 0]
-                if bad:
-                    if any(w[q + i] > 0.0 for i in bad):
-                        # Start atoms depend on each other: start again from
-                        # the oracle atoms, which lead the first step.
-                        w = [1.0] * n_sides
-                    elif e == 1:
-                        self._evict(w)
-                    else:
-                        self._leave(w, [q + i for i in bad])
-                    continue
+                    # Rejected: each failed Schur complement; a lone atom without weight.
+                    bad = [i for i in range(e) if not abs(inv[i]) * norm[i] * _ADMIT_RTOL < 1.0
+                           or e == 1 and sol[-1] <= 0.0]
+            if bad:
+                if any(w[q + i] > 0.0 for i in bad):
+                    # Start atoms depend on each other: start again from the
+                    # oracle atoms, which lead the first step.
+                    w = [1.0] * n_sides
+                elif e == 1:
+                    self._evict(w)
+                else:
+                    self._leave(w, [q + i for i in bad])
+                continue
             z = sol[n_sides:].tolist()
             if min(z) > 0.0:
                 q, w = len(w), z
@@ -326,10 +327,6 @@ class _Master:
                 if j:
                     self._swap(q, q + j)
                 w = w + [0.0]
-                continue
-            if e == 1 and z[-1] <= 0.0:
-                # A lone entering atom that gains no weight adds nothing.
-                self._evict(w)
                 continue
             w = _ratio_step(w, z)
             self._leave(w, [i for i, wi in enumerate(w) if not wi > 0.0])
@@ -391,8 +388,9 @@ class ProjectionResult:
     moment coordinates realize the distance.  ``lower`` is 0 for a member
     within ``tol``, and otherwise the exact lower bound
     max(0, <u, p> - h(u)) on the true distance, with u the unit direction
-    from the witness to p and h the support function of the moment set.
-    ``converged`` holds when ``distance - lower <= tol``.
+    from the witness to p and h the support function of the moment set,
+    capped at ``distance``: always 0 <= lower <= distance.  ``converged``
+    holds when ``distance - lower <= tol``.
     """
 
     distance: float
@@ -419,7 +417,8 @@ def project_onto_moment(
     f, iterations, lower, _ = _minimize(
         master, tol, max_iter, stop=lambda f, lower: math.sqrt(f) - lower <= tol)
     distance = math.sqrt(max(f, 0.0))
-    lower = 0.0 if f <= tol * tol else max(0.0, lower)
+    # Roundoff can put the bound a few ulps above the distance it bounds.
+    lower = 0.0 if f <= tol * tol else min(max(0.0, lower), distance)
     return ProjectionResult(
         distance=distance,
         witness=master.witness(0),

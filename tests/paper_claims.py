@@ -8,10 +8,10 @@ momentkit's answers; the library itself only answers questions.  Each helper
 evaluates one claim on given inputs and returns its residual or the direction
 to test, or asserts the bound.
 
-``simplex_projection`` and ``bloch_support`` are exact oracles for two
-families of moment sets: the standard simplex on I of a coordinate subspace
-span(e_i : i in I), and the image of the Bloch ball of a subspace of
-dimension 2.
+``simplex_projection``, ``bloch_support`` and ``bloch_distance`` are exact
+oracles for two families of moment sets: the standard simplex on I of a
+coordinate subspace span(e_i : i in I), and the image of the Bloch ball of a
+subspace of dimension 2.
 
 ``brute_force_diag_distance`` is the reference the minimality verdicts are
 checked against: the distance from a hermitian matrix to the real diagonal
@@ -154,17 +154,52 @@ def simplex_projection(p, index) -> np.ndarray:
     return y
 
 
-def bloch_support(s: Subspace, u) -> float:
-    """The support value of the moment set of a subspace of dimension 2 along
-    u: <u, c> + |L^T u| with c = diag(Q Q*)/2 and L_k = diag(Q sigma_k Q*)/2,
-    since the density matrices (I + x . sigma)/2, |x| <= 1, map to c + L x
-    (Au-Yeung & Poon 1979)."""
+def _bloch_map(s: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """c = diag(Q Q*)/2 and the n x 3 matrix L, L_k = diag(Q sigma_k Q*)/2,
+    of a subspace of dimension 2: the density matrix (I + x . sigma)/2,
+    |x| <= 1, has the moment point c + L x (Au-Yeung & Poon 1979)."""
     q = s.basis
     assert q.shape[1] == 2
     paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
     c = 0.5 * np.sum(np.abs(q) ** 2, axis=1)
-    lmap = 0.5 * np.real(np.einsum("ij,kjl,il->ik", q, paulis, q.conj()))
+    return c, 0.5 * np.real(np.einsum("ij,kjl,il->ik", q, paulis, q.conj()))
+
+
+def bloch_support(s: Subspace, u) -> float:
+    """The support value of the moment set of a subspace of dimension 2 along
+    u: <u, c> + |L^T u|, the image of the Bloch ball under x -> c + L x."""
+    c, lmap = _bloch_map(s)
     return float(u @ c + np.linalg.norm(lmap.T @ u))
+
+
+def bloch_distance(s: Subspace, p) -> float:
+    """The distance from the real vector p to the moment set of a subspace of
+    dimension 2: min |c + L x - p| over |x| <= 1, a convex trust-region
+    problem in R^3.  On the eigenbasis (mu, V) of L^T L, with g = V^T L^T
+    (p - c), the minimizer is x(lam) = V diag(1 / (mu + lam)) g at the least
+    lam >= 0 with |x(lam)| <= 1 (the least-norm least-squares point at lam =
+    0, where a zero mu takes no part).  |x(lam)| decreases in lam, so
+    bisection on that secular equation finds lam; L^T L is PSD, so there is
+    no hard case.  The distance is taken at the feasible end of the bracket."""
+    c, lmap = _bloch_map(s)
+    b = np.asarray(p, dtype=float) - c
+    mu, vecs = np.linalg.eigh(lmap.T @ lmap)
+    mu = np.maximum(mu, 0.0)
+    g = vecs.T @ (lmap.T @ b)
+
+    def ball_point(lam: float) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return vecs @ np.where(mu + lam > 0.0, g / (mu + lam), 0.0)
+
+    lo, hi = 0.0, float(np.linalg.norm(g))  # |x(hi)| <= |g| / hi = 1
+    if np.linalg.norm(ball_point(lo)) <= 1.0:
+        hi = lo
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if np.linalg.norm(ball_point(mid)) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return float(np.linalg.norm(lmap @ ball_point(hi) - b))
 
 
 def brute_force_diag_distance(m, grid_step: float | None = None, refine_to: float = 1e-4) -> float:

@@ -10,6 +10,7 @@ from momentkit import (
     project_onto_moment,
     subspace_from_spanning,
     support_moment,
+    whole_space,
 )
 from momentkit import feasibility
 from momentkit.feasibility import separation_margin
@@ -85,7 +86,7 @@ class TestProjection:
         for k in range(6):
             p = np.eye(6)[k]
             res = project_onto_moment(s, p, max_iter=max_iter)
-            assert 0.0 <= res.lower <= res.distance + 1e-12
+            assert 0.0 <= res.lower <= res.distance
             assert res.converged == (res.distance - res.lower <= 1e-7)
             if max_iter == 1000:
                 assert res.converged
@@ -93,6 +94,20 @@ class TestProjection:
             u = (p - y) / np.linalg.norm(p - y)
             top = np.linalg.eigvalsh(s.basis.conj().T @ (u[:, None] * s.basis))[-1]
             assert res.lower == pytest.approx(max(0.0, float(u @ p) - top), abs=1e-12)
+
+    def test_lower_bound_never_exceeds_distance(self):
+        # The dual bound and the distance round apart: uncapped, the bound
+        # read 0.7000000000000001 against 0.7 here, and came out above the
+        # distance, by up to 8.9e-16, on 57 of the 300 seeded points.
+        res = project_onto_moment(whole_space(1), [0.3])
+        assert res.lower == res.distance == 0.7
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            s = random_subspace(rng, n, int(rng.integers(1, n + 1)))
+            res = project_onto_moment(s, rng.standard_normal(n) + 1.0 / n)
+            assert 0.0 <= res.lower <= res.distance
+            assert res.converged == (res.distance - res.lower <= 1e-7)
 
     def test_whole_plane_exterior_point_converges(self):
         # The NNLS unit-sum penalty row once leaked 6e-7 of weight here, and

@@ -1,8 +1,9 @@
 """Property tests: the solver never overclaims, its verdicts do not depend
 on the coordinate frame, its master solve is exact and its store is the KKT
 matrix of its atoms, and support values are exact.  Where ``paper_claims``
-has an exact oracle (the simplex of a coordinate subspace, the Bloch ball of
-r = 2), answers are checked against it.
+has an exact oracle (the simplex of a coordinate subspace; the Bloch ball of
+r = 2, for support values, projections and pairs with a line), answers are
+checked against it.
 
 Shapes run over n = 1..10 and r = 1..n, r = n and n = 1 included (the
 master and coordinate subspaces run to n = 12, the Bloch ball to n = 24).
@@ -32,7 +33,7 @@ from momentkit.feasibility import (
 from momentkit.linalg import compressed_top_eigh
 
 from conftest import assert_bitwise, random_subspace, random_unitary
-from paper_claims import bloch_support, simplex_projection
+from paper_claims import bloch_distance, bloch_support, simplex_projection
 
 #: Iteration cap of every solver call here: an unresolved run must come back
 #: INDETERMINATE or unconverged, never with a wrong certificate, so a short
@@ -92,7 +93,7 @@ def test_projection_lower_bound_below_distance(shape, seed, on_simplex):
     s = random_subspace(rng, n, r)
     p = rng.dirichlet(np.ones(n)) if on_simplex else rng.standard_normal(n)
     res = project_onto_moment(s, p, max_iter=MAX_ITER)
-    assert 0.0 <= res.lower <= res.distance + 1e-12
+    assert 0.0 <= res.lower <= res.distance
     assert res.converged == (res.distance - res.lower <= DEFAULT_TOL)
 
 
@@ -139,6 +140,55 @@ def test_support_matches_bloch_ball_for_rank_two(n, seed):
     for scale in (1e-3, 1.0, 1e3):
         u = scale * rng.standard_normal(n)
         assert abs(bloch_support(s, u) - support_moment(s, u).value) <= 1e-14 * (1.0 + np.max(np.abs(u)))
+
+
+def _moment_points(rng, s, k):
+    """The moment points |Q u|^2 of k random unit vectors of s."""
+    u = rng.standard_normal((k, s.r)) + 1j * rng.standard_normal((k, s.r))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return np.abs(u @ s.basis.T) ** 2
+
+
+@given(n=st.integers(2, 24), seed=seeds)
+@example(n=2, seed=0)
+@example(n=24, seed=14)
+def test_rank_two_projection_matches_bloch_ball(n, seed):
+    rng = np.random.default_rng(seed)
+    s = random_subspace(rng, n, 2)
+    inside = rng.dirichlet(np.ones(2)) @ _moment_points(rng, s, 2)
+    for p in (inside, 0.1 * rng.standard_normal(n), rng.standard_normal(n), 10.0 * rng.standard_normal(n)):
+        exact = bloch_distance(s, p)
+        res = project_onto_moment(s, p, max_iter=MAX_ITER)
+        if res.converged:
+            slack = 1e-12 * (1.0 + np.linalg.norm(p))
+            assert res.lower <= exact + slack
+            assert exact <= res.distance + slack
+            assert res.distance <= exact + DEFAULT_TOL
+
+
+@given(n=st.integers(2, 24), seed=seeds)
+@example(n=2, seed=0)
+@example(n=3, seed=15)
+@example(n=24, seed=16)
+def test_rank_two_pairs_match_bloch_ball(n, seed):
+    # W, the line spanned by sqrt(w) times random phases, has the one moment
+    # point w, so the moment sets lie bloch_distance(V, w) apart: 0 for a
+    # moment point of V on its boundary (tangent) or inside it, and
+    # generally not for a point of the simplex.
+    rng = np.random.default_rng(seed)
+    v = random_subspace(rng, n, 2)
+    tangent, *pair = _moment_points(rng, v, 3)
+    inside = rng.dirichlet(np.ones(2)) @ np.array(pair)
+    for w, touching in ((tangent, True), (inside, True), (rng.dirichlet(np.ones(n)), False)):
+        space_w = subspace_from_spanning([np.sqrt(w) * np.exp(2j * np.pi * rng.random(n))])
+        exact = bloch_distance(v, w)
+        cert = moments_intersect(v, space_w, max_iter=MAX_ITER)
+        if touching:
+            assert cert.status is not IntersectionStatus.DISJOINT
+        if cert.status is IntersectionStatus.DISJOINT:
+            assert cert.margin <= exact * (1.0 + 1e-12)
+        elif cert.status is IntersectionStatus.INTERSECT:
+            assert exact <= DEFAULT_TOL + 1e-12
 
 
 def _coordinate_subspace(rng, n, index):
