@@ -20,12 +20,13 @@ one.  Iterates are explicit convex combinations of rank-one atoms |Q u|^2.
 Each iteration adds the oracle atom of every side and re-solves all weights
 exactly (``_Master``): a Lawson-Hanson active-set solve of the least-squares
 master with one equality row per side for its unit sum, and no penalty row,
-warm-started at the current weights.  Each of its passes is one
-``np.linalg.solve`` of the KKT system of the active atoms; a step takes one
-pass when no atom leaves and one more per atom that leaves or enters.  A
-step is kept only when it strictly lowers the objective, and atoms left at
-zero weight are dropped.  Every moment point of a side sums to +-1, so at
-most n + S - 1 atoms stay active, S the number of sides.
+warm-started at the current weights.  Each of its passes is one LU solve
+of the KKT system of the active atoms by ``linalg._lu_solve``, the LAPACK
+kernel beside the eigensolves; a step takes one pass when no atom leaves
+and one more per atom that leaves or enters.  A step is kept only when it
+strictly lowers the objective, and atoms left at zero weight are dropped.
+Every moment point of a side sums to +-1, so at most n + S - 1 atoms stay
+active, S the number of sides.
 
 The oracle's eigenvalues also give, at every iterate, the Wolfe dual bound
 lower = -(sum_s h_s + <d, target>) / |d| on the optimal residual norm (d the
@@ -56,8 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_MAX_ITER, DEFAULT_TOL, _integer, _numbers, _real, compressed_top_eigh,
-                     compressed_top_eigvalsh)
+from .linalg import (DEFAULT_MAX_ITER, DEFAULT_TOL, _integer, _lu_solve, _numbers, _real,
+                     compressed_top_eigh, compressed_top_eigvalsh)
 from .subspace import Subspace
 
 #: Strict support-function margin required to certify disjointness.
@@ -115,12 +116,14 @@ class _Master:
         [ 0    E ] [nu]   [      1     ]
         [ E^T  G ] [ w] = [ A^T target ],
 
-    by ``np.linalg.solve``; no penalty row stands in for the unit sums.  When
-    a weight is not positive, Wolfe's ratio step goes back toward the last
-    feasible weights until one reaches zero, and that atom leaves.  When all
-    are positive, the inactive atom with the most negative multiplier
-    G w - A^T target + E^T nu enters.  Between steps every live atom is
-    active, so a step whose atoms all stay takes one pass.
+    by ``linalg._lu_solve``, bitwise numpy's ``linalg.solve`` and raising
+    ``LinAlgError`` as it does on a singular matrix; no penalty row stands
+    in for the unit sums.  When a weight is not positive, Wolfe's ratio
+    step goes back toward the last feasible weights until one reaches zero,
+    and that atom leaves.  When all are positive, the inactive atom with
+    the most negative multiplier G w - A^T target + E^T nu enters.  Between
+    steps every live atom is active, so a step whose atoms all stay takes
+    one pass.
 
     Each pass rejects entering atoms in one decision: all when the KKT
     matrix is singular, else each whose Schur complement in it (the squared
@@ -289,7 +292,7 @@ class _Master:
                 rhs = k[:size, -1]
             bad = []
             try:
-                sol = np.linalg.solve(k[:size, :size], rhs)
+                sol = _lu_solve(k[:size, :size], rhs)
             except np.linalg.LinAlgError:
                 if not e:
                     return False

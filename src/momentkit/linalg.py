@@ -1,8 +1,8 @@
 """Dense complex matrix primitives: hermitian eigensolves, the batched
 top eigenpair of the compressions behind every support value, the same
 top eigenvalue alone for callers that use no eigenvector (Hausdorff
-sweeps, separation margins), orthonormalization, projectors and spectral
-norms.
+sweeps, separation margins), the real linear solves of the solver's KKT
+systems, orthonormalization, projectors and spectral norms.
 
 Every routine is a pure function on small dense arrays (the intended regime is
 ambient dimension up to a few dozen).  Results are deterministic for a fixed
@@ -13,7 +13,9 @@ result: the real part of the entry, and the eigenvector 1.  Every other
 eigensolve goes through one kernel, ``_eigh`` and ``_eigvalsh``, which calls
 the LAPACK gufuncs of ``numpy.linalg._umath_linalg`` directly: bitwise
 ``np.linalg.eigh`` and ``eigvalsh``, without their per-call wrapper, which
-costs about as much as the solve of a small compression itself.  Array arguments
+costs about as much as the solve of a small compression itself.  Every
+linear solve goes through ``_lu_solve`` beside them, which calls the real
+LU gufuncs alike: bitwise numpy's ``linalg.solve``.  Array arguments
 pass ``_numbers`` and scalars ``_integer`` or ``_real``: booleans, strings,
 objects, complex directions and scalars, and non-finite reals fail.
 """
@@ -174,6 +176,21 @@ def _eigvalsh(m: np.ndarray) -> np.ndarray:
     w = _umath_linalg.eigvalsh_lo(m, signature="D->d")
     _require_finite_top(w)
     return w
+
+
+@np.errstate(all="ignore")
+def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution x of a x = b for a square float64 matrix a and a
+    float64 vector or matrix b: the LAPACK gufunc numpy's ``linalg.solve``
+    calls, ``solve1`` for a vector and ``solve`` for a matrix, without its
+    per-call wrapper, so bitwise its result.  A zero pivot fills the output
+    with NaN, read off its first entry as the ``LinAlgError`` numpy raises.
+    The floating-point flags are ignored inside, as numpy ignores overflow,
+    division and underflow there, so a singular solve warns of nothing."""
+    x = (_umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve)(a, b, signature="dd->d")
+    if math.isnan(x.item(0)):
+        raise np.linalg.LinAlgError("Singular matrix")
+    return x
 
 
 def _require_finite_top(w: np.ndarray) -> None:

@@ -64,6 +64,26 @@ def assert_bitwise(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def assert_kkt_store(master):
+    """The stored KKT matrix is the one of the live atoms: their Gram block
+    (within roundoff of one product, and exactly symmetric), exactly
+    one-hot side rows with a unit right-hand side, and A^T target (within
+    roundoff: the store takes it by row blocks)."""
+    n_sides, live = len(master.signs), len(master.atoms)
+    k, points = master.kkt, master.points[:live]
+    block = k[n_sides:n_sides + live, n_sides:n_sides + live]
+    scale = float(np.max(np.sum(points ** 2, axis=1)))
+    assert np.max(np.abs(block - points @ points.T), initial=0.0) <= 1e-14 * scale
+    assert np.array_equal(block, block.T)
+    one_hot = (np.array([s for s, _ in master.atoms]) == np.arange(n_sides)[:, None]).astype(float)
+    assert np.array_equal(k[:n_sides, :n_sides], np.zeros((n_sides, n_sides)))
+    assert np.array_equal(k[:n_sides, n_sides:n_sides + live], one_hot)
+    assert np.array_equal(k[n_sides:n_sides + live, :n_sides], one_hot.T)
+    assert np.array_equal(k[:n_sides, -1], np.ones(n_sides))
+    rhs = k[n_sides:n_sides + live, -1] - points @ master.target
+    assert np.max(np.abs(rhs), initial=0.0) <= 1e-14 * np.sqrt(scale) * np.linalg.norm(master.target)
+
+
 def random_subspace(rng: np.random.Generator, n: int, r: int) -> Subspace:
     g = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
     return subspace_from_spanning(g)

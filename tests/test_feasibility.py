@@ -19,6 +19,7 @@ from momentkit.jnr import delta_map
 from conftest import (
     CONJUGATE_X,
     CONJUGATE_XBAR,
+    assert_kkt_store,
     coordinate_half_pair,
     random_density,
     random_subspace,
@@ -433,16 +434,52 @@ class TestMaster:
         assert cert.status is IntersectionStatus.INTERSECT
         assert cert.gap <= feasibility.DEFAULT_TOL
 
+    def test_lone_atom_the_store_holds_is_evicted(self, monkeypatch):
+        """A lone entering atom the store already holds is evicted: the KKT
+        matrix with it is singular, or its Schur complement fails admission,
+        a decision read off the solve kernel's output.  The step then keeps
+        the store of the step before and its weights.  No benchmark input
+        reaches this path, so it is run here from a fixed seed (the
+        "duplicate" master cases of ``test_properties``, n = 3, r = 2, seed 3)."""
+        rng = np.random.default_rng(3)
+        s = random_subspace(rng, 3, 2)
+        master = feasibility._Master([s], rng.standard_normal(3))
+        # The first coefficient unit vector, a start atom.
+        duplicate = [(np.eye(2, dtype=complex)[0], np.abs(s.basis[:, 0]) ** 2)]
+        d = master.step(duplicate)
+        master.accept()
+        # It stays active, so the second step feeds an atom the store holds.
+        assert any(np.array_equal(u, duplicate[0][0]) for _, u in master.atoms[:master.q])
+        atoms, weights = list(master.atoms), master.x[1:].copy()
+        evicted, real_evict = [], feasibility._Master._evict
+
+        def evict(m, w):
+            evicted.append(len(w))
+            real_evict(m, w)
+
+        monkeypatch.setattr(feasibility._Master, "_evict", evict)
+        d_next = master.step(duplicate)
+        assert evicted == [len(weights) + 1]
+        assert_kkt_store(master)
+        assert master.q == len(master.atoms) == len(atoms)
+        assert all(s_new == s_old and u_new is u_old
+                   for (s_new, u_new), (s_old, u_old) in zip(master.atoms, atoms))
+        # The same block solved again: equal up to the roundoff of another
+        # right-hand side.
+        np.testing.assert_allclose(master.x[1:], weights, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(d_next, d, rtol=0.0, atol=1e-15)
+
 
 class FailingSolves:
-    """``np.linalg.solve`` made to raise ``LinAlgError`` in every master step
-    after the first ``after`` for the right-hand sides ``which`` selects,
-    with a log of each ``_Master._solve``: what it returned, how many
-    solves it made, and its pass bound."""
+    """The KKT solve kernel the master calls (``feasibility._lu_solve``)
+    made to raise ``LinAlgError``, as it does on a singular matrix, in every
+    master step after the first ``after`` for the right-hand sides ``which``
+    selects, with a log of each ``_Master._solve``: what it returned, how
+    many solves it made, and its pass bound."""
 
     def __init__(self, monkeypatch, after: int, which):
         real_solve, real_step, real_inner = (
-            np.linalg.solve, feasibility._Master.step, feasibility._Master._solve)
+            feasibility._lu_solve, feasibility._Master.step, feasibility._Master._solve)
         self.steps, self.solves, self.calls = 0, [], 0
 
         def solve(a, b):
@@ -461,7 +498,7 @@ class FailingSolves:
             self.solves.append((ok, self.calls, 4 * len(master.points)))
             return ok
 
-        monkeypatch.setattr(np.linalg, "solve", solve)
+        monkeypatch.setattr(feasibility, "_lu_solve", solve)
         monkeypatch.setattr(feasibility._Master, "step", step)
         monkeypatch.setattr(feasibility._Master, "_solve", inner)
 
@@ -490,7 +527,7 @@ class TestFailedSolve:
     """A KKT solve that fails ends the run at the last accepted iterate:
     a projection reports it unconverged with its lower bound, and an
     intersection is INDETERMINATE.  No natural input is known to make the
-    KKT matrix singular, so ``np.linalg.solve`` is made to raise."""
+    KKT matrix singular, so the master's solve kernel is made to raise."""
 
     @pytest.mark.parametrize("exit_, which, after", FAILURES, ids=FAILURE_IDS)
     def test_projection_is_unconverged_at_last_iterate(self, monkeypatch, exit_, which, after):

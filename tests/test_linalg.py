@@ -1,7 +1,9 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 import momentkit.minimality
 from momentkit import (
@@ -37,6 +39,7 @@ from momentkit.linalg import (
     _eigh,
     _eigvalsh,
     _fix_phases,
+    _lu_solve,
     as_complex_matrix,
     compressed_top_eigh,
     compressed_top_eigvalsh,
@@ -181,8 +184,82 @@ class TestHermitianEig:
         assert isinstance(hermitian_eig(np.eye(2)), EigenDecomposition)
 
 
+def kkt_system(rng: np.random.Generator, sides: int, size: int, entering: int):
+    """A KKT matrix of the master, as a leading block of a larger store (a
+    strided view, as ``_Master._solve`` passes it), with its 1-D right-hand
+    side and the 2-D one of ``entering`` atoms: that side first, then a
+    unit column for each of the last ``entering`` positions.  Atom i is of
+    side i % sides, with a moment point of n = atoms + 1 entries that sum
+    to 1, signed +1 on side 0 and -1 on side 1."""
+    atoms = size - sides
+    owner = np.arange(atoms) % sides
+    points = rng.dirichlet(np.ones(atoms + 1), atoms) * np.where(owner == 0, 1.0, -1.0)[:, None]
+    store = np.zeros((size + 2, size + 3))
+    store[sides:size, sides:size] = points @ points.T
+    store[owner, sides + np.arange(atoms)] = store[sides + np.arange(atoms), owner] = 1.0
+    store[:sides, -1] = 1.0
+    store[sides:size, -1] = points @ rng.standard_normal(atoms + 1)
+    rhs = np.zeros((size, entering + 1))
+    rhs[:, 0] = store[:size, -1]
+    rhs[size - entering:, 1:] = np.eye(entering)
+    return store[:size, :size], store[:size, -1], rhs
+
+
 class TestKernel:
-    """``_eigh`` and ``_eigvalsh``, the LAPACK gufuncs behind every eigensolve."""
+    """``_eigh``, ``_eigvalsh`` and ``_lu_solve``, the LAPACK gufuncs behind
+    every eigensolve and every KKT solve of the solver."""
+
+    def test_numpy_provides_the_kernel_gufuncs(self):
+        # The kernel calls numpy's private gufuncs with these core
+        # signatures and loops; an older or newer numpy that lacks one
+        # fails here, with every difference named, not inside the solver.
+        wanted = {"solve": ("(m,m),(m,n)->(m,n)", "dd->d"), "solve1": ("(m,m),(m)->(m)", "dd->d"),
+                  "eigh_lo": ("(m,m)->(m),(m,m)", "D->dD"), "eigvalsh_lo": ("(m,m)->(m)", "D->d")}
+        found = {}
+        for name in wanted:
+            gufunc = getattr(_umath_linalg, name, None)
+            found[name] = (getattr(gufunc, "signature", None), getattr(gufunc, "types", []))
+        missing = [f"{name}: want {sig} with loop {loop}, numpy {np.__version__} has {found[name]}"
+                   for name, (sig, loop) in wanted.items()
+                   if found[name][0] != sig or loop not in found[name][1]]
+        assert not missing, "numpy.linalg._umath_linalg differs from the kernel's use: " + "; ".join(missing)
+
+    @pytest.mark.parametrize("sides", [1, 2])
+    def test_kkt_solves_match_numpy_bitwise(self, sides):
+        rng = np.random.default_rng(60 + sides)
+        for size in range(max(3, 2 * sides), 41):
+            for entering in range(1, min(3, size - sides) + 1):
+                a, b, rhs = kkt_system(rng, sides, size, entering)
+                assert_bitwise(_lu_solve(a, b), np.linalg.solve(a, b))
+                assert_bitwise(_lu_solve(a, rhs), np.linalg.solve(a, rhs))
+
+    @pytest.mark.parametrize("two_d", [False, True], ids=["1-D", "2-D"])
+    def test_singular_solve_raises_without_warning(self, two_d):
+        # One side holding the same atom twice: two equal rows, an exactly
+        # zero pivot.  LAPACK fills the output with NaN, which would set
+        # the invalid flag.
+        a = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        b = np.array([[1.0, 0.0], [0.5, 0.0], [0.5, 1.0]]) if two_d else np.array([1.0, 0.5, 0.5])
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            np.linalg.solve(a, b)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                _lu_solve(a, b)
+        assert caught == []
+        # Raised as LinAlgError, not FloatingPointError, whatever the caller's
+        # floating-point settings.
+        with np.errstate(all="raise"), pytest.raises(np.linalg.LinAlgError):
+            _lu_solve(a, b)
+
+    def test_solve_keeps_the_floating_point_settings(self):
+        before = np.geterr()
+        a, b, _ = kkt_system(np.random.default_rng(3), 1, 5, 1)
+        _lu_solve(a, b)
+        assert np.geterr() == before
+        with pytest.raises(np.linalg.LinAlgError):
+            _lu_solve(np.ones((3, 3)), np.ones(3))
+        assert np.geterr() == before
 
     @pytest.mark.parametrize("r", range(2, 9))
     def test_stacks_match_numpy_bitwise(self, r):

@@ -32,7 +32,7 @@ from momentkit.feasibility import (
 
 from momentkit.linalg import compressed_top_eigh
 
-from conftest import assert_bitwise, random_subspace, random_unitary
+from conftest import assert_bitwise, assert_kkt_store, random_subspace, random_unitary
 from paper_claims import bloch_distance, bloch_support, simplex_projection
 
 #: Iteration cap of every solver call here: an unresolved run must come back
@@ -335,32 +335,12 @@ def _master_steps(n, ranks, kind, seed, steps=4):
                   for space, (u, _) in zip(spaces, fw)]
         d_new = master.step(fw)
         assert d_new is not None
-        _assert_store(master)
+        assert_kkt_store(master)
         yield master, d_new
         if not d_new @ d_new < d @ d:
             return
         master.accept()
         d = d_new
-
-
-def _assert_store(master):
-    """The stored KKT matrix is the one of the live atoms: their Gram block
-    (within roundoff of one product, and exactly symmetric), exactly
-    one-hot side rows with a unit right-hand side, and A^T target (within
-    roundoff: the store takes it by row blocks)."""
-    n_sides, live = len(master.signs), len(master.atoms)
-    k, points = master.kkt, master.points[:live]
-    block = k[n_sides:n_sides + live, n_sides:n_sides + live]
-    scale = float(np.max(np.sum(points ** 2, axis=1)))
-    assert np.max(np.abs(block - points @ points.T), initial=0.0) <= 1e-14 * scale
-    assert np.array_equal(block, block.T)
-    one_hot = (np.array([s for s, _ in master.atoms]) == np.arange(n_sides)[:, None]).astype(float)
-    assert np.array_equal(k[:n_sides, :n_sides], np.zeros((n_sides, n_sides)))
-    assert np.array_equal(k[:n_sides, n_sides:n_sides + live], one_hot)
-    assert np.array_equal(k[n_sides:n_sides + live, :n_sides], one_hot.T)
-    assert np.array_equal(k[:n_sides, -1], np.ones(n_sides))
-    rhs = k[n_sides:n_sides + live, -1] - points @ master.target
-    assert np.max(np.abs(rhs), initial=0.0) <= 1e-14 * np.sqrt(scale) * np.linalg.norm(master.target)
 
 
 def _live(master):
