@@ -13,14 +13,16 @@ intersection.  A density matrix M over the coefficient space C^r maps
 linearly to the moment coordinates y = diag(Q M Q*) in R^n, and the linear
 minimization oracle over the density set is the bottom eigenvector of the
 r x r gradient compression, the top one of the negated gradient
-(``linalg.compressed_top_eigh``, which also gives every support value of
-``moment`` and ``jnr``), so every step costs one small eigensolve; sides of
-one rank share one call on their stacked tables, a lone side as a stack of
-one.  Iterates are explicit convex combinations of rank-one atoms |Q u|^2.
-Each iteration adds the oracle atom of every side and re-solves all weights
-exactly (``_Master``): a Lawson-Hanson active-set solve of the least-squares
-master with one equality row per side for its unit sum, and no penalty row,
-warm-started at the current weights.  Each of its passes is one LU solve
+(``linalg.compressed_top_eigh``, which also gives the boundary sweeps of
+``jnr``), so every step costs one small eigensolve; two sides of one rank
+share one call on their stacked tables, and a lone side, or each of two of
+unequal rank, takes the one-direction form ``linalg._compressed_top_eigh1``,
+bitwise its row of a stack.  Iterates are explicit convex combinations of
+rank-one atoms |Q u|^2.  Each iteration adds the oracle atom of every
+side and re-solves all weights exactly (``_Master``): a Lawson-Hanson
+active-set solve of the least-squares master with one equality row per
+side for its unit sum, and no penalty row, warm-started at the current
+weights.  Each of its passes is one LU solve
 of the KKT system of the active atoms by ``linalg._lu_solve``, the LAPACK
 kernel beside the eigensolves; a step takes one pass when no atom leaves
 and one more per atom that leaves or enters.  A step is kept only when it
@@ -57,8 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_MAX_ITER, DEFAULT_TOL, _integer, _lu_solve, _numbers, _real,
-                     compressed_top_eigh, compressed_top_eigvalsh)
+from .linalg import (DEFAULT_MAX_ITER, DEFAULT_TOL, _compressed_top_eigh1, _integer, _lu_solve,
+                     _numbers, _real, compressed_top_eigh, compressed_top_eigvalsh)
 from .subspace import Subspace
 
 #: Strict support-function margin required to certify disjointness.
@@ -151,8 +153,10 @@ class _Master:
         self.target = target
         # The oracle minimizes <sign * d, z>: the top eigenpair of -sign * d.
         self.flips = -np.array(self.signs)[:, None]
-        # Sides of one rank, a lone side included, share one eigensolve call.
-        self.table = np.stack(self.tables) if len({t.shape for t in self.tables}) == 1 else None
+        # Two sides of one rank share one eigensolve call on their stacked
+        # tables; a lone side, or each of two of unequal rank, takes its own.
+        paired = len(self.tables) == 2 and self.tables[0].shape == self.tables[1].shape
+        self.table = np.stack(self.tables) if paired else None
         self.kkt = None
         self.iterate = None
         self.dual_tol = -_DUAL_RTOL * (1.0 + float(abs(target).max(initial=0.0)))
@@ -163,8 +167,8 @@ class _Master:
         moment set, where the minimum is -h."""
         directions = self.flips * d
         if self.table is None:
-            solved = [compressed_top_eigh(table, c[None]) for table, c in zip(self.tables, directions)]
-            tops, us = [float(h[0]) for h, _ in solved], [u[0] for _, u in solved]
+            solved = [_compressed_top_eigh1(table, c) for table, c in zip(self.tables, directions)]
+            tops, us = [h for h, _ in solved], [u for _, u in solved]
         else:
             tops, us = compressed_top_eigh(self.table, directions)
             tops = tops.tolist()

@@ -23,7 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _eigvalsh, _numbers, compressed_top_eigh, require_hermitian
+from .linalg import (_compressed_top_eigh1, _eigvalsh, _numbers, compressed_top_eigh,
+                     require_hermitian)
 from .subspace import Subspace, orthogonal_complement
 
 #: PSD slack and trace tolerance for density-matrix validation.
@@ -80,21 +81,6 @@ class JNRSupport:
         return np.outer(self.maximizer, self.maximizer.conj())
 
 
-def _support_rows(s: Subspace, directions) -> list[JNRSupport]:
-    """The support of W along each row of directions.  The maximizer is Q u,
-    u a top eigenvector of Q* diag(c) Q; where the top value is negative on
-    a proper subspace, the value is floored at zero and attained by a
-    complement vector instead."""
-    top, vectors = compressed_top_eigh(s.compression_table, directions)
-    vectors = vectors @ s.basis.T
-    floored = (top < 0.0) & (not s.is_whole_space)
-    if floored.any():
-        vectors[floored] = orthogonal_complement(s).basis[:, 0]
-    values = np.where(floored, 0.0, top).tolist()
-    points = np.where(floored[:, None], 0.0, np.abs(vectors) ** 2)
-    return [JNRSupport(value=v, x=x, maximizer=u) for v, x, u in zip(values, points, vectors)]
-
-
 def jnr_support(s: Subspace, c) -> JNRSupport:
     """Exact support function of W at a real direction.
 
@@ -102,9 +88,16 @@ def jnr_support(s: Subspace, c) -> JNRSupport:
     the top eigenvalue of the compression Q* diag(c) Q, floored at zero for a
     proper subspace (A(c) annihilates the orthogonal complement, so zero
     belongs to W); the maximizer is the unit vector whose pure state attains
-    it.
+    it: Q u, u a top eigenvector of the compression, or a complement vector
+    where the value is floored.  Bitwise ``jnr_boundary`` of the direction
+    alone, without its stack.
     """
-    return _support_rows(s, np.asarray(c).reshape(1, -1))[0]
+    top, u = _compressed_top_eigh1(s.compression_table, np.asarray(c).reshape(-1))
+    if top < 0.0 and not s.is_whole_space:
+        complement = orthogonal_complement(s).basis[:, 0]
+        return JNRSupport(value=0.0, x=np.zeros(s.n), maximizer=complement)
+    maximizer = u @ s.basis.T
+    return JNRSupport(value=top, x=np.abs(maximizer) ** 2, maximizer=maximizer)
 
 
 def jnr_boundary(s: Subspace, directions) -> list[JNRSupport]:
@@ -115,7 +108,14 @@ def jnr_boundary(s: Subspace, directions) -> list[JNRSupport]:
     directions = _numbers(directions, f"directions must be finite real rows of dimension {s.n}")
     if directions.ndim == 2 and not directions.any(axis=1).all():
         raise ValueError("directions must be nonzero")
-    return _support_rows(s, directions)
+    top, vectors = compressed_top_eigh(s.compression_table, directions)
+    vectors = vectors @ s.basis.T
+    floored = (top < 0.0) & (not s.is_whole_space)
+    if floored.any():
+        vectors[floored] = orthogonal_complement(s).basis[:, 0]
+    values = np.where(floored, 0.0, top).tolist()
+    points = np.where(floored[:, None], 0.0, np.abs(vectors) ** 2)
+    return [JNRSupport(value=v, x=x, maximizer=u) for v, x, u in zip(values, points, vectors)]
 
 
 @dataclass(frozen=True)

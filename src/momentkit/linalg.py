@@ -1,23 +1,30 @@
 """Dense complex matrix primitives: hermitian eigensolves, the batched
 top eigenpair of the compressions behind every support value, the same
-top eigenvalue alone for callers that use no eigenvector (Hausdorff
-sweeps, separation margins), the real linear solves of the solver's KKT
-systems, orthonormalization, projectors and spectral norms.
+top eigenpair of one direction without the stack (``support_moment``,
+``jnr_support`` and the solver's oracle of a lone side or of two sides of
+unequal rank), the same top eigenvalue alone for callers that use no
+eigenvector (Hausdorff sweeps, separation margins), the real linear solves
+of the solver's KKT systems, orthonormalization, projectors and spectral
+norms.
 
 Every routine is a pure function on small dense arrays (the intended regime is
 ambient dimension up to a few dozen).  Results are deterministic for a fixed
 input: eigenvalues are returned in ascending order and every eigenvector is
 phase-normalized so that its first nonzero component is real and positive.
-Rank-one compressions are solved in closed form, bitwise LAPACK's n = 1
-result: the real part of the entry, and the eigenvector 1.  Every other
-eigensolve goes through one kernel, ``_eigh`` and ``_eigvalsh``, which calls
-the LAPACK gufuncs of ``numpy.linalg._umath_linalg`` directly: bitwise
-``np.linalg.eigh`` and ``eigvalsh``, without their per-call wrapper, which
-costs about as much as the solve of a small compression itself.  Every
-linear solve goes through ``_lu_solve`` beside them, which calls the real
-LU gufuncs alike: bitwise numpy's ``linalg.solve``.  Array arguments
-pass ``_numbers`` and scalars ``_integer`` or ``_real``: booleans, strings,
-objects, complex directions and scalars, and non-finite reals fail.
+The one-direction eigenpair is bitwise its row of the stacked one: the
+same checks, compression, kernel and phase rule, in Python scalars where
+the stack would wrap a lone direction.  Rank-one compressions are solved
+in closed form, bitwise LAPACK's n = 1 result: the real part of the entry,
+and the eigenvector 1.  Every other eigensolve goes through one kernel,
+``_eigh`` and ``_eigvalsh``, which calls the LAPACK gufuncs of
+``numpy.linalg._umath_linalg`` directly: bitwise ``np.linalg.eigh`` and
+``eigvalsh``, without their per-call wrapper, which costs about as much as
+the solve of a small compression itself.  Every linear solve goes through
+``_lu_solve`` beside them, which calls the real LU gufuncs alike: bitwise
+numpy's ``linalg.solve``.  Array arguments pass ``_numbers`` (a lone
+direction the same checks in Python scalars) and scalars ``_integer`` or
+``_real``: booleans, strings, objects, complex directions and scalars, and
+non-finite reals fail.
 """
 from __future__ import annotations
 
@@ -138,27 +145,27 @@ def require_hermitian(a) -> np.ndarray:
 
 def _fix_phases(rows: np.ndarray) -> np.ndarray:
     """Rotate each (unit) row of a matrix so its first component above
-    _PHASE_TOL is real > 0: times conj(pivot) / |pivot|.
-
-    A lone row, the one-direction path of every support value, is fixed in
-    Python scalars, bitwise as the stacked gather: the sizes are numpy's own
-    ``np.abs`` (Python's ``abs`` of a complex can differ in the last bit),
-    and the phase is formed as numpy's complex / real division forms it,
-    term for term, so that its zero parts keep their signs.
-    """
-    if len(rows) == 1:
-        sizes = np.abs(rows[0]).tolist()
-        for j, size in enumerate(sizes):
-            if size > _PHASE_TOL:
-                break
-        else:
-            j = 0  # as argmax of no qualifying entry
-        pivot = rows.item(j)
-        re, im, s = pivot.real, pivot.imag, 1.0 / sizes[j]
-        return rows * complex((re - im * 0.0) * s, (-im - re * 0.0) * s)
+    _PHASE_TOL is real > 0: times conj(pivot) / |pivot|."""
     first = (np.abs(rows) > _PHASE_TOL).argmax(axis=1)
     pivot = rows[np.arange(len(rows)), first, None]
     return rows * (pivot.conj() / abs(pivot))
+
+
+def _fix_phase(row: np.ndarray) -> np.ndarray:
+    """A lone (unit) row rotated as ``_fix_phases`` rotates each row of a
+    stack, in Python scalars and bitwise as its gather: the sizes are
+    numpy's own ``np.abs`` (Python's ``abs`` of a complex can differ in the
+    last bit), and the phase is formed as numpy's complex / real division
+    forms it, term for term, so that its zero parts keep their signs."""
+    sizes = np.abs(row).tolist()
+    for j, size in enumerate(sizes):
+        if size > _PHASE_TOL:
+            break
+    else:
+        j = 0  # as argmax of no qualifying entry
+    pivot = row.item(j)
+    re, im, s = pivot.real, pivot.imag, 1.0 / sizes[j]
+    return row * complex((re - im * 0.0) * s, (-im - re * 0.0) * s)
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,6 +284,43 @@ def compressed_top_eigh(table: np.ndarray, directions) -> tuple[np.ndarray, np.n
         return m[:, 0, 0].real, np.ones((len(m), 1), dtype=np.complex128)
     w, v = _eigh(m)
     return w[:, -1], _fix_phases(v[:, :, -1])
+
+
+def _compressed_top_eigh1(table: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
+    """``compressed_top_eigh`` of one direction: the top eigenvalue, as a
+    Python float, and the phase-fixed top eigenvector, an (r,) array, of
+    Q* diag(c) Q for one (n, r, r) table and a real array c of shape (n,);
+    bitwise row 0 of ``compressed_top_eigh(table, c[None])``.
+
+    It keeps every check of ``_compressions``, with its messages, but makes
+    them in Python scalars from one ``tolist`` of c, and returns no stack of
+    one: on a lone direction the stack's wrapping costs as much as the
+    eigensolve.  The compression is the stacked path's matmul, a (1, 1, n)
+    direction against the (1, n, 2 r^2) real table, so its bits are too.
+    """
+    n, r = table.shape[:2]
+    if c.dtype.kind not in "iuf" or c.shape != (n,):
+        raise ValueError(f"directions must be finite real rows of dimension {n}")
+    c = c.astype(np.float64, copy=False)
+    values = c.tolist()
+    # An infinite entry makes the peak infinite or NaN, and a NaN one makes
+    # the sum NaN (max misses a NaN after the first entry; finite entries
+    # can overflow the sum to inf, but never to NaN).
+    peak, total = max(map(abs, values)), sum(values)
+    if not (peak <= _FLOAT_MAX and total == total):
+        raise ValueError(f"directions must be finite real rows of dimension {n}")
+    real_table = table.reshape(1, n, r * r).view(np.float64)
+    if peak > _FLOAT_MAX / 2:
+        # As in _compressions: only a direction this close to the float
+        # limit can overflow an entry.
+        with np.errstate(over="ignore"):
+            if not np.isfinite(c[None, None] @ real_table).all():
+                raise ValueError("directions are too large: the compression overflows")
+    m = (c[None, None] @ real_table).view(np.complex128).reshape(r, r)
+    if r == 1:
+        return m.real.item(0), np.ones(1, dtype=np.complex128)
+    w, v = _eigh(m)
+    return w.item(-1), _fix_phase(v[:, -1])
 
 
 def compressed_top_eigvalsh(table: np.ndarray, directions) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _integer, _numbers, _real, compressed_top_eigh
+from .linalg import _compressed_top_eigh1, _integer, _numbers, _real
 from .subspace import PrincipalVector, Subspace, principal_vector
 
 #: Linear-independence margin for a pair of principal vectors: independence of
@@ -72,8 +72,8 @@ def support_moment(s: Subspace, c) -> MomentSupport:
     max over unit x in S of sum_i c_i |x_i|^2 is the top eigenvalue of the
     compression Q* diag(c) Q; the maximizer is Q times its top eigenvector.
     """
-    values, vectors = compressed_top_eigh(s.compression_table, np.asarray(c).reshape(1, -1))
-    return MomentSupport(value=float(values[0]), maximizer=s.basis @ vectors[0])
+    value, vector = _compressed_top_eigh1(s.compression_table, np.asarray(c).reshape(-1))
+    return MomentSupport(value=value, maximizer=s.basis @ vector)
 
 
 # ---------------------------------------------------------------------------

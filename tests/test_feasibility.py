@@ -12,9 +12,9 @@ from momentkit import (
     support_moment,
     whole_space,
 )
-from momentkit import feasibility
+from momentkit import feasibility, linalg
 from momentkit.feasibility import separation_margin
-from momentkit.jnr import delta_map
+from momentkit.jnr import delta_map, jnr_support
 
 from conftest import (
     CONJUGATE_X,
@@ -258,7 +258,7 @@ class TestIntersection:
         # of the two equal-rank sides, whose eigenvalues give the margin, and
         # no corrective step.
         calls = []
-        for name in ("compressed_top_eigh", "compressed_top_eigvalsh"):
+        for name in ("compressed_top_eigh", "_compressed_top_eigh1", "compressed_top_eigvalsh"):
             def counted(*args, name=name, original=getattr(feasibility, name)):
                 calls.append(name)
                 return original(*args)
@@ -275,10 +275,11 @@ class TestIntersection:
             assert separation_margin(sv, sw, cert.direction) >= feasibility.SEPARATION_MARGIN
 
     def test_unequal_rank_pair_certified_at_first_iterate(self, monkeypatch):
-        # Sides of different rank solve one eigenproblem each, and the margin
-        # is read off those two eigenvalues: no value-only solve confirms it.
+        # Sides of different rank solve one eigenproblem each, one direction
+        # at a time, and the margin is read off those two eigenvalues: no
+        # value-only solve confirms it.
         calls = []
-        for name in ("compressed_top_eigh", "compressed_top_eigvalsh"):
+        for name in ("compressed_top_eigh", "_compressed_top_eigh1", "compressed_top_eigvalsh"):
             def counted(*args, name=name, original=getattr(feasibility, name)):
                 calls.append(name)
                 return original(*args)
@@ -298,7 +299,7 @@ class TestIntersection:
         cert = moments_intersect(sv, sw)
         assert cert.status is IntersectionStatus.DISJOINT
         assert cert.iterations == 0
-        assert calls == ["compressed_top_eigh", "compressed_top_eigh"]
+        assert calls == ["_compressed_top_eigh1", "_compressed_top_eigh1"]
         replay = separation_margin(sv, sw, cert.direction)
         assert abs(cert.margin - replay) <= 1e-12 * (1.0 + cert.margin)
 
@@ -433,6 +434,31 @@ class TestMaster:
         cert = moments_intersect(v, w)
         assert cert.status is IntersectionStatus.INTERSECT
         assert cert.gap <= feasibility.DEFAULT_TOL
+
+    def test_one_eigensolve_per_lone_direction(self, example_v, monkeypatch):
+        # A support value of m_S or of W and a projection's oracle step each
+        # solve one direction: one kernel eigensolve on the one-direction
+        # path, and nothing of the stacked one.
+        calls = []
+
+        def counted(m, original=linalg._eigh):
+            calls.append(m.shape)
+            return original(m)
+
+        def forbidden(*args):
+            raise AssertionError("stacked path called")
+
+        monkeypatch.setattr(linalg, "_eigh", counted)
+        for module, name in ((linalg, "_compressions"), (linalg, "compressed_top_eigh"),
+                             (feasibility, "compressed_top_eigh")):
+            monkeypatch.setattr(module, name, forbidden)
+        support_moment(example_v, [1.0, 0.5, -2.0])
+        jnr_support(example_v, [1.0, -0.5, 2.0])
+        assert calls == [(2, 2), (2, 2)]
+        master = feasibility._Master([example_v], np.array([0.5, 0.3, 0.2]))
+        calls.clear()
+        tops, atoms = master.oracle(master.residual())
+        assert calls == [(2, 2)] and len(tops) == len(atoms) == 1
 
     def test_lone_atom_the_store_holds_is_evicted(self, monkeypatch):
         """A lone entering atom the store already holds is evicted: the KKT

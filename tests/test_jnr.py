@@ -22,7 +22,7 @@ from momentkit.linalg import hermitian_eig, spectral_norm
 from momentkit.moment import sample_unit_vectors
 from momentkit.subspace import orthogonal_complement
 
-from conftest import V1_REFERENCE, random_density, random_subspace, random_unitary
+from conftest import V1_REFERENCE, assert_bitwise, random_density, random_subspace, random_unitary
 from paper_claims import classical_range, scaling_residual
 
 
@@ -244,6 +244,11 @@ class TestSupportRows:
                 if not row.x.any():
                     assert one.maximizer.tobytes() == row.maximizer.tobytes()
                     assert not one.x.any()
+                # The one-direction path is bitwise a sweep of that direction.
+                alone = jnr_boundary(s, c[None])[0]
+                assert type(one.value) is float
+                for field in ("value", "x", "maximizer"):
+                    assert_bitwise(getattr(one, field), getattr(alone, field))
 
     def test_boundary_sweep_stores_no_states(self):
         # The 500 n x n witnesses alone took 8.2 MB at n = 32.

@@ -35,9 +35,11 @@ from momentkit.linalg import (
     _PHASE_TOL,
     EigenDecomposition,
     NonHermitianError,
+    _compressed_top_eigh1,
     _compressions,
     _eigh,
     _eigvalsh,
+    _fix_phase,
     _fix_phases,
     _lu_solve,
     as_complex_matrix,
@@ -68,6 +70,18 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]])
 #: Both compressed eigensolves, each giving a tuple of arrays with one row
 #: per direction: (values, vectors) and (values,).
 PRIMITIVES = [compressed_top_eigh, lambda table, dirs: (compressed_top_eigvalsh(table, dirs),)]
+
+
+def assert_one_direction_is_its_row(table, dirs):
+    """``_compressed_top_eigh1`` of each row of a stack of directions is
+    bitwise that row of ``compressed_top_eigh``: a Python float and an
+    (r,) vector."""
+    values, vectors = compressed_top_eigh(table, dirs)
+    for c, stacked_value, stacked_vector in zip(dirs, values, vectors):
+        value, vector = _compressed_top_eigh1(table, c)
+        assert type(value) is float
+        assert_bitwise(value, stacked_value)
+        assert_bitwise(vector, stacked_vector)
 
 
 class TestHermitianEig:
@@ -332,11 +346,12 @@ class TestCompressedEigh:
         assert_bitwise(_fix_phases(rows), expected)
         for i in range(0, len(rows), 7):
             assert_bitwise(_fix_phases(rows[i:i + 1]), expected[i:i + 1])
+            assert_bitwise(_fix_phase(rows[i]), expected[i])
 
     @pytest.mark.parametrize("r", range(2, 7))
     def test_one_row_phase_fix_is_the_stacked_one_bitwise(self, r):
-        # The lone-row branch forms the phase in Python scalars; its bytes
-        # must be those of the stacked gather and of the row loop, signed
+        # The one-direction phase fix forms the phase in Python scalars; its
+        # bytes must be those of the stacked gather and of the row loop, signed
         # zeros included (a phase of exactly +1 or -1 leaves zero imaginary
         # parts whose sign the division decides).
         rng = np.random.default_rng(30 + r)
@@ -368,7 +383,7 @@ class TestCompressedEigh:
             stacked = _fix_phases(rows)
             assert_bitwise(stacked, loop_fix_phases(rows))
             for i in range(len(rows)):
-                assert_bitwise(_fix_phases(rows[i:i + 1]), stacked[i:i + 1])
+                assert_bitwise(_fix_phase(rows[i]), stacked[i])
 
     def test_stack_matches_rows_bitwise(self):
         rng = np.random.default_rng(12)
@@ -385,6 +400,9 @@ class TestCompressedEigh:
                     for i, c in enumerate(dirs):
                         for rows, alone in zip(stacked, solve(table, c[None])):
                             assert_bitwise(rows[i], alone[0])
+                assert_one_direction_is_its_row(table, dirs)
+                # Integer directions are cast to float64 on both paths.
+                assert_one_direction_is_its_row(table, rng.integers(-3, 4, (10, n)))
 
     def test_table_stack_matches_separate_calls_bitwise(self):
         # One table per direction, as the paired oracle of two equal-rank
@@ -444,6 +462,20 @@ class TestCompressedEigh:
             with pytest.raises(ValueError, match="finite real rows"):
                 solve(table, dirs)
 
+    @pytest.mark.parametrize("c", [
+        np.array([True, False, False]), np.array([1.0, 0.0, 0.0], dtype=complex),
+        np.array(["1", "0", "0"]), np.array([1.0, np.nan, 0.0]), np.array([np.nan, np.inf, 0.0]),
+        np.array([0.0, 0.0, np.inf]), np.array([-np.inf, 1.0, np.nan]), np.ones(2), np.ones(4),
+        np.ones((2, 3)), np.ones((1, 3)), np.float64(1.0),
+    ], ids=["bool", "complex", "str", "nan", "nan-first", "inf", "-inf", "short", "long",
+            "stack", "stack-of-one", "scalar"])
+    def test_one_direction_rejects_bad_directions(self, c):
+        # The one-direction path takes an (n,) array; its checks, in
+        # Python scalars, give the stacked path's message and no warning.
+        table = random_subspace(np.random.default_rng(0), 3, 2).compression_table
+        with pytest.raises(ValueError, match="directions must be finite real rows of dimension 3"):
+            _compressed_top_eigh1(table, c)
+
     def test_rejects_overflowing_compression(self):
         # The compression of a direction near the float limit stays finite:
         # 1e308 times the support at (1, 1, 0).
@@ -458,6 +490,11 @@ class TestCompressedEigh:
             assert values[0] == pytest.approx(1e308 * solve(table, [[1, 1, 0]])[0][0], rel=1e-15)
             with pytest.raises(ValueError, match="overflows"):
                 solve(past, [[np.finfo(np.float64).max]])
+        huge = np.array([[1e308, 1e308, 0.0], [-1e308, 0.0, 1.7e308], [0.0, 0.0, -1.7e308]])
+        assert_one_direction_is_its_row(table, huge)
+        assert _compressed_top_eigh1(table, huge[0])[0] == 9.999999999999998e307
+        with pytest.raises(ValueError, match="overflows"):
+            _compressed_top_eigh1(past, np.array([np.finfo(np.float64).max]))
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_rank_one_closed_form_is_lapack_bitwise(self, n):
@@ -479,6 +516,7 @@ class TestCompressedEigh:
             assert_bitwise(vectors, v[:, :, -1])
             assert_bitwise(vectors, _fix_phases(v[:, :, -1]))
             assert_bitwise(compressed_top_eigvalsh(table, dirs), np.linalg.eigvalsh(m)[:, -1])
+            assert_one_direction_is_its_row(table, dirs)
             for c in dirs[::40]:
                 w, v = np.linalg.eigh(_compressions(table, c[None]))
                 values, vectors = compressed_top_eigh(table, c[None])
