@@ -30,13 +30,34 @@ strictly lowers the objective, and atoms left at zero weight are dropped.
 Every moment point of a side sums to +-1, so at most n + S - 1 atoms stay
 active, S the number of sides.
 
+Before the first step, the exact fiber is tried once (``_Master.fiber``).
+The paper's m_S = {Diag(Y) : Y >= 0, tr Y = 1, P_S Y P_S = Y} makes the
+preimage of the target, for a projection, or of every common point, for
+an intersection, an affine slice of hermitian r x r matrices per side (the
+fiber): sum_s sign_s T_s vec(Y_s) = target and tr Y_s = 1, T_s the real
+n x 2 r_s^2 view of ``Subspace.compression_table``.  A point is in m_S, or
+two sets meet, exactly when the fiber holds a PSD point.  Its minimum-norm
+point is one least-squares solve (``linalg._lstsq``), hermitian because
+every row is.  Its eigenvectors become the atoms of every side and its
+eigenvalues, clipped at 0 and scaled to unit trace, their weights; when the
+residual of those density matrices is within ``tol``, they are the answer,
+exact to roundoff when nothing was clipped, at ``iterations = 0``.
+Otherwise the master is left as it was and Frank-Wolfe runs.  The fiber is
+tried only when the first dual bound is at most ``tol`` (below, ``lower``):
+a larger one already puts the distance above ``tol``, so exterior points
+and separated pairs never pay for the solve.  The fiber of a point has
+dimension about r^2 - n, so once r^2 <= n it is generically that one
+point.  Pataki (Math. Oper. Res. 23, 1998) bounds the rank of the extreme
+points of such slices, and Ramana & Goldman (J. Global Optim. 7, 1995)
+treat their geometry.
+
 The oracle's eigenvalues also give, at every iterate, the Wolfe dual bound
 lower = -(sum_s h_s + <d, target>) / |d| on the optimal residual norm (d the
 residual, h_s the top eigenvalue of side s at -sign_s d, its support value
 there; Jaggi 2013), at no extra eigensolve.  The bound is read off the
 eigenvalues themselves, not a Rayleigh quotient of the eigenvectors, which
-could only overstate it.  It is the solver's only certificate and its only
-stopping test:
+could only overstate it.  It is the solver's only certificate of a
+positive distance, and its only stopping test besides the residual:
 
 * a projection stops once its distance is within ``tol`` of ``lower``, the
   exact bound <u, p> - h(u) of the direction u from the iterate to p;
@@ -47,9 +68,9 @@ stopping test:
   ``separation_margin`` replays such a certificate from two top eigenvalues
   alone (``linalg.compressed_top_eigvalsh``).
 
-A solve stops in exactly four cases: the residual is within ``tol``, the
-dual bound is accepted, ``max_iter`` steps are taken, or the corrective
-step stalls.
+A solve stops in exactly five cases: the residual is within ``tol``, the
+dual bound is accepted, the fiber is accepted, ``max_iter`` steps are
+taken, or the corrective step stalls.
 """
 from __future__ import annotations
 
@@ -59,8 +80,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_MAX_ITER, DEFAULT_TOL, _compressed_top_eigh1, _integer, _lu_solve,
-                     _numbers, _real, compressed_top_eigh, compressed_top_eigvalsh)
+from .linalg import (DEFAULT_MAX_ITER, DEFAULT_TOL, _compressed_top_eigh1, _eigh, _integer,
+                     _lstsq, _lu_solve, _numbers, _real, compressed_top_eigh,
+                     compressed_top_eigvalsh)
 from .subspace import Subspace
 
 #: Strict support-function margin required to certify disjointness.
@@ -194,6 +216,42 @@ class _Master:
         m = 0.5 * (m + m.conj().T)
         witness = q @ m @ q.conj().T
         return 0.5 * (witness + witness.conj().T)
+
+    def fiber(self, tol: float) -> np.ndarray | None:
+        """Try the minimum-norm point of the fiber: the hermitian Y_s of
+        every side with sum_s sign_s T_s vec(Y_s) = target and tr Y_s = 1,
+        T_s the real n x 2 r_s^2 view of side s's compression table, by one
+        least-squares solve (``linalg._lstsq``).  Its eigenvectors become
+        the atoms of each side and its eigenvalues, clipped at 0 and scaled
+        to unit sum, their weights.  When the residual of those atoms is
+        within ``tol`` they become the iterate and the residual is
+        returned; otherwise None, and the master is left as it was."""
+        n, sizes = self.target.size, [2 * q.shape[1] ** 2 for q in self.bases]
+        a = np.zeros((n + len(sizes), sum(sizes)))
+        lo = 0
+        for s, (table, sign, size) in enumerate(zip(self.tables, self.signs, sizes)):
+            a[:n, lo:lo + size] = sign * table.reshape(n, -1).view(np.float64)
+            # The trace: the real parts of the diagonal entries.
+            a[n + s, lo:lo + size:2 * table.shape[1] + 2] = 1.0
+            lo += size
+        x = _lstsq(a, np.concatenate([self.target, np.ones(len(sizes))]))
+        d, weights, atoms, lo = -self.target, [], [], 0
+        for s, (q, sign, size) in enumerate(zip(self.bases, self.signs, sizes)):
+            r = q.shape[1]
+            values, vectors = _eigh(x[lo:lo + size].view(np.complex128).reshape(r, r))
+            lo += size
+            w = np.maximum(values, 0.0)
+            total = float(w.sum())
+            if not total > 0.0:
+                return None
+            w /= total
+            d = d + sign * (abs(q @ vectors) ** 2 @ w)
+            weights.append(w)
+            atoms += [(s, u) for u in vectors.T]
+        if not float(d @ d) <= tol * tol:
+            return None
+        self.iterate = (np.concatenate(weights), atoms)
+        return d
 
     def _border(self, lo: int) -> None:
         """Border the KKT matrix with the live atoms from position lo on."""
@@ -352,7 +410,9 @@ def _minimize(master: _Master, tol: float, max_iter: int,
     Each iteration calls the oracle of every side, reads the dual bound
     lower = -(sum_s h_s + <d, target>) / |d| off its top eigenvalues h_s,
     and stops when ``stop(f, lower)`` accepts the current iterate (objective
-    f = |d|^2).  Otherwise it adds one oracle atom per side and re-solves
+    f = |d|^2).  At iteration 0, with lower <= tol, it then tries the fiber
+    (``_Master.fiber``) and stops there when that is accepted.  Otherwise
+    it adds one oracle atom per side and re-solves
     the weights of all atoms exactly (``_Master.step``: the least-squares
     master with one equality row per side and no penalty, one KKT solve per
     pass).  The objective thus decreases strictly until a step no longer
@@ -374,6 +434,10 @@ def _minimize(master: _Master, tol: float, max_iter: int,
         lower = -(sum(tops) + float(d @ target)) / math.sqrt(f)
         if stop(f, lower) or it == max_iter:
             break
+        if not it and lower <= tol and (d_fiber := master.fiber(tol)) is not None:
+            # The fiber's clipped minimum-norm point replays within tol.
+            d, f = d_fiber, float(d_fiber @ d_fiber)
+            break
         d_new = master.step(fw)
         f_new = math.inf if d_new is None else float(d_new @ d_new)
         if not f_new < f:
@@ -392,7 +456,10 @@ class ProjectionResult:
     """Distance from a point to the moment set with a witness state.
 
     ``witness`` is the n x n density matrix supported on the subspace whose
-    moment coordinates realize the distance.  ``lower`` is 0 for a member
+    moment coordinates realize the distance.  A member settled by the
+    fiber's minimum-norm point comes back at ``iterations = 0`` with a
+    witness that reproduces p within ``tol``, to roundoff when that point
+    is PSD.  ``lower`` is 0 for a member
     within ``tol``, and otherwise the exact lower bound
     max(0, <u, p> - h(u)) on the true distance, with u the unit direction
     from the witness to p and h the support function of the moment set,
@@ -447,7 +514,9 @@ class IntersectionCertificate:
 
     INTERSECT carries density matrices Y (supported on V) and X (supported on
     W) whose moment coordinates agree within tolerance, and their common
-    point.  DISJOINT carries a unit direction u and the strict support gap
+    point.  When the fiber settles the pair (``iterations = 0``), Y and X
+    come from its minimum-norm point, and agree to roundoff when that point
+    is PSD.  DISJOINT carries a unit direction u and the strict support gap
     ``margin`` by which max over m_V of <u, .> stays below min over m_W of
     <u, .>.  ``gap`` is the diagonal-difference norm reached by the solver.
     """
@@ -492,7 +561,8 @@ def moments_intersect(
     """Decide whether the moment sets of two subspaces share a point.
 
     Minimizes ||diag(Q_V M Q_V*) - diag(Q_W N Q_W*)||^2 over pairs of density
-    matrices.  INTERSECT when the residual norm reaches ``tol``; DISJOINT only
+    matrices, after one try of the fiber's minimum-norm point.  INTERSECT
+    when the residual norm reaches ``tol``; DISJOINT only
     when an exact support-function separation holds with a strict margin;
     INDETERMINATE otherwise (tangent or unresolved within ``max_iter``).
     The margin of DISJOINT is the solver's dual bound, the support gap

@@ -688,8 +688,23 @@ SCIPY_FREE = {
                     " '--out', {out!r}])",
     "hausdorff": "main(['hausdorff', '--subspace-v', {v!r}, '--subspace-w', {w!r}, '--out', {out!r}])",
     "intersect": "main(['intersect', '--subspace-v', {pv!r}, '--subspace-w', {pw!r}, '--out', {out!r}])",
-    "minimal-check": "main(['minimal-check', '--matrix', {m!r}, '--out', {out!r}])",
+    "intersect-steps": "main(['intersect', '--subspace-v', {nv!r}, '--subspace-w', {nw!r},"
+                       " '--out', {out!r}])",
+    "minimal-check": "main(['minimal-check', '--matrix', {m4!r}, '--out', {out!r}])",
+    "minimal-check-steps": "main(['minimal-check', '--matrix', {m5!r}, '--out', {out!r}])",
 }
+
+
+def nested_matrix(n: int) -> np.ndarray:
+    """y y* - conj(y) conj(y)* - (f f* + ...) + h h* / 2 from a real
+    orthogonal frame of a fixed seed, y = (a + i b)/sqrt(2): MINIMAL, its
+    eigenspace at +1 the line of y, inside conj of the one at -1, which has
+    rank n - 2."""
+    frame, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((n, n)))
+    y = (frame[:, 0] + 1j * frame[:, 1]) / np.sqrt(2.0)
+    rest = frame[:, 2:n - 1]
+    return (np.outer(y, y.conj()) - np.outer(y.conj(), y) - rest @ rest.T
+            + 0.5 * np.outer(frame[:, -1], frame[:, -1]))
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
@@ -697,8 +712,10 @@ def test_cli_import_loads_no_scipy(tmp_path):
     # schedules (here n = 8, the hausdorff command with its default
     # fibonacci:500), and not the solvers.  The intersect pair (W spanned by
     # D_k x_k for diagonal unitaries D_k) and the nested minimal-check matrix
-    # both take Frank-Wolfe steps, so they reach the master solve.  One fresh
-    # child each.
+    # in C^4 are settled by the fiber's least-squares solve.  The "-steps"
+    # cases, a line inside a space of rank 3 and the nested matrix in C^5,
+    # are declined by it and take Frank-Wolfe steps, so they reach the
+    # master solve.  One fresh child each.
     import momentkit
 
     rng = np.random.default_rng(8)
@@ -710,11 +727,12 @@ def test_cli_import_loads_no_scipy(tmp_path):
     x = np.linalg.qr(rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)))[0].T
     spans["pv"] = write_subspace(tmp_path / "pv.json", x, 5)
     spans["pw"] = write_subspace(tmp_path / "pw.json", x * np.exp(2j * np.pi * rng.random((2, 5))), 5)
-    frame, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+    frame, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((5, 5)))
     y = (frame[:, 0] + 1j * frame[:, 1]) / np.sqrt(2.0)
-    nested = (np.outer(y, y.conj()) - np.outer(y.conj(), y)
-              - np.outer(frame[:, 2], frame[:, 2]) + 0.5 * np.outer(frame[:, 3], frame[:, 3]))
-    spans["m"] = write_matrix(tmp_path / "m.json", nested)
+    spans["nv"] = write_subspace(tmp_path / "nv.json", y[None], 5)
+    spans["nw"] = write_subspace(tmp_path / "nw.json", np.array([y.conj(), frame[:, 2], frame[:, 3]]), 5)
+    for n in (4, 5):
+        spans[f"m{n}"] = write_matrix(tmp_path / f"m{n}.json", nested_matrix(n))
     src = str(Path(momentkit.__file__).resolve().parents[1])
     loaded = {}
     for case, run in SCIPY_FREE.items():
@@ -729,8 +747,12 @@ def test_cli_import_loads_no_scipy(tmp_path):
             check=True,
         )
         loaded[case] = proc.stdout.splitlines()[-1]
-    assert json.loads((tmp_path / "intersect.out").read_text())["iterations"] >= 1
-    assert json.loads((tmp_path / "minimal-check.out").read_text())["certificate"]["iterations"] >= 1
+    intersect = json.loads((tmp_path / "intersect.out").read_text())
+    assert intersect["iterations"] == 0 and intersect["gap"] <= 1e-14
+    assert json.loads((tmp_path / "intersect-steps.out").read_text())["iterations"] >= 1
+    assert json.loads((tmp_path / "minimal-check.out").read_text())["certificate"]["iterations"] == 0
+    steps = json.loads((tmp_path / "minimal-check-steps.out").read_text())
+    assert steps["verdict"] == "MINIMAL" and steps["certificate"]["iterations"] >= 1
     assert loaded == dict.fromkeys(SCIPY_FREE, "[]")
 
 

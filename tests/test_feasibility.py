@@ -19,6 +19,7 @@ from momentkit.jnr import delta_map, jnr_support
 from conftest import (
     CONJUGATE_X,
     CONJUGATE_XBAR,
+    assert_bitwise,
     assert_kkt_store,
     coordinate_half_pair,
     random_density,
@@ -145,19 +146,25 @@ class TestProjection:
                     assert abs(res.distance - offset) <= feasibility.DEFAULT_TOL, (r, j, offset)
 
     def test_exposed_point_converges(self):
-        # An exposed point other than a principal vertex, approached by
-        # chords of two active atoms.  With an admission threshold of 1e-13
-        # the oracle atom of step 11 failed it, the weights froze, and the
-        # solve ended unconverged at distance 2.04e-7.
+        # An exposed point y other than a principal vertex: its projection,
+        # and that of y + 0.05 c beyond it along its normal c, is approached
+        # by chords of two active atoms.  With an admission threshold of
+        # 1e-13 the oracle atom of step 11 failed it, the weights froze, and
+        # the solve of y + 0.05 c ended unconverged 1.4e-7 above its
+        # distance (y itself: 2.04e-7 before the fiber settled it).
         rng = np.random.default_rng(500 * 3 + 2)
         s = random_subspace(rng, 3, 2)
         for _ in range(4):
             c = rng.standard_normal(3)
-        y = np.abs(support_moment(s, c / np.linalg.norm(c)).maximizer) ** 2
+        c /= np.linalg.norm(c)
+        y = np.abs(support_moment(s, c).maximizer) ** 2
+        res = project_onto_moment(s, y + 0.05 * c)
+        assert res.converged and res.iterations == 12
+        assert abs(res.distance - 0.05) <= feasibility.DEFAULT_TOL
+        # y itself is settled by the fiber, to roundoff, with no step.
         res = project_onto_moment(s, y)
         assert res.converged and res.lower == 0.0
-        assert res.distance <= feasibility.DEFAULT_TOL
-        assert res.iterations == 12
+        assert res.iterations == 0 and res.distance <= 1e-15
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_exposed_points_converge(self, n):
@@ -340,18 +347,29 @@ class TestEngineInvariants:
     def test_objective_monotone_with_exact_line_search(self):
         # A run capped at k steps returns the k-th iterate of the uncapped
         # run, so the distances over k = 0..K trace the objective history.
+        # The points: each of five points of the simplex, and the vertex e_j
+        # nearest it, which the fiber declines.  The fiber settles three of
+        # the five points exactly, with no step (a run capped at 0 steps
+        # stops before the fiber, so they have no history).
         rng = np.random.default_rng(6)
+        settled = []
         for _ in range(5):
             s = random_subspace(rng, 5, 3)
             target = rng.random(5)
             target /= target.sum()
-            full = project_onto_moment(s, target, tol=1e-9, max_iter=400)
-            history = [
-                project_onto_moment(s, target, tol=1e-9, max_iter=k).distance
-                for k in range(full.iterations + 1)
-            ]
-            assert history[-1] == full.distance
-            assert np.all(np.diff(history) <= 0.0)
+            for p in (target, np.eye(5)[np.argmax(target)]):
+                full = project_onto_moment(s, p, tol=1e-9, max_iter=400)
+                if full.iterations == 0:
+                    assert full.distance <= 1e-14 and full.lower == 0.0
+                    continue
+                history = [
+                    project_onto_moment(s, p, tol=1e-9, max_iter=k).distance
+                    for k in range(full.iterations + 1)
+                ]
+                assert history[-1] == full.distance
+                assert np.all(np.diff(history) <= 0.0)
+            settled.append(project_onto_moment(s, target, tol=1e-9).iterations == 0)
+        assert settled == [True, False, True, True, False]
 
     def test_gap_bounds_suboptimality(self):
         rng = np.random.default_rng(7)
@@ -398,18 +416,23 @@ class TestMaster:
         assert feasibility._ratio_step([0.5, 0.5], [1.5, -0.5]) == [1.0, 0.0]
 
     def test_rank_one_side_nested_pair_intersects(self):
-        # V = span{x} lies in W = span{conj(x), f}, so the moment point of V
-        # is in m_W.  Every atom of the rank-1 side V has the same point, so
+        # V = span{x} lies in W = span{conj(x), f, g}, so the moment point of
+        # V is in m_W.  Every atom of the rank-1 side V has the same point, so
         # each oracle atom of V duplicates the active one and is not admitted.
-        frame, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
-        x = (frame[:, 0] + 1j * frame[:, 1]) / np.sqrt(2.0)
-        v = subspace_from_spanning([x])
-        w = subspace_from_spanning([np.conj(x), frame[:, 2]])
+        # Here the fiber's minimum-norm point is not PSD, so the master runs.
+        v, w = nested_pair(5)
         cert = moments_intersect(v, w)
         assert cert.status is IntersectionStatus.INTERSECT
         assert cert.iterations >= 1
         gap = np.real(np.diagonal(cert.witness_y)) - np.real(np.diagonal(cert.witness_x))
         assert np.linalg.norm(gap) <= feasibility.DEFAULT_TOL
+        # With W = span{conj(x), f} in C^4 the fiber is one point, PSD: the
+        # common point |x|^2, to roundoff, with no step.
+        v, w = nested_pair(4)
+        cert = moments_intersect(v, w)
+        assert cert.status is IntersectionStatus.INTERSECT and cert.iterations == 0
+        assert cert.gap <= 1e-15
+        assert np.max(np.abs(cert.common - np.abs(v.basis[:, 0]) ** 2)) <= 1e-15
 
     def test_duplicate_start_atoms(self):
         # Both coefficient unit vectors of this basis have the moment point
@@ -494,6 +517,93 @@ class TestMaster:
         # right-hand side.
         np.testing.assert_allclose(master.x[1:], weights, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(d_next, d, rtol=0.0, atol=1e-15)
+
+
+def nested_pair(n: int):
+    """V = span{x} inside W = span{conj(x), f, ...} of rank n - 2, x = (a +
+    i b)/sqrt(2) and f, ... the other columns of a real orthogonal frame
+    from a fixed seed: the moment point |x|^2 of V is in m_W."""
+    frame, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((n, n)))
+    x = (frame[:, 0] + 1j * frame[:, 1]) / np.sqrt(2.0)
+    return subspace_from_spanning([x]), subspace_from_spanning([np.conj(x), *frame[:, 2:n - 1].T])
+
+
+class TestFiber:
+    """The exact fiber, tried once after the oracle of iteration 0: one
+    least-squares solve for the minimum-norm hermitian preimage, accepted
+    only when its clipped density matrices replay within ``tol``."""
+
+    @pytest.mark.parametrize("n, r", [(5, 2), (8, 2), (8, 3), (12, 4)])
+    def test_intersecting_pairs_are_settled_exactly(self, n, r):
+        # W = span{D_k x_k} for diagonal unitaries D_k, the benchmark's
+        # INTERSECT pairs.  The fiber's system is rank deficient: the
+        # coordinate rows of a side sum to its trace row (Q*Q = I), so they
+        # sum to the difference of the two trace rows.  It is consistent,
+        # and one solve gives moment points equal to roundoff.
+        rng = np.random.default_rng(40 + n + r)
+        x = np.linalg.qr(rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)))[0].T
+        v = subspace_from_spanning(x)
+        w = subspace_from_spanning(x * np.exp(2j * np.pi * rng.random((r, n))))
+        assert np.allclose(v.compression_table.sum(axis=0), np.eye(r), rtol=0.0, atol=1e-15)
+        cert = moments_intersect(v, w)
+        assert cert.status is IntersectionStatus.INTERSECT and cert.iterations == 0
+        dy, dx = (np.real(np.diagonal(m)) for m in (cert.witness_y, cert.witness_x))
+        assert np.linalg.norm(dy - dx) == pytest.approx(cert.gap, abs=1e-16)
+        assert cert.gap <= 1e-14
+
+    def test_iteration_zero_answers_never_reach_the_fiber(self, monkeypatch):
+        # Answers the first oracle or the starting iterate settle, and dual
+        # bounds above tol, make no least-squares solve.
+        def forbidden(a, b):
+            raise AssertionError("fiber solved")
+
+        monkeypatch.setattr(feasibility, "_lstsq", forbidden)
+        rng = np.random.default_rng(8)
+        for n, r in ((6, 2), (8, 3), (12, 4)):
+            cert = moments_intersect(*coordinate_half_pair(rng, n, r))
+            assert cert.status is IntersectionStatus.DISJOINT and cert.iterations == 0
+        # V and conj(V): the same moment set, so the same starting centroid.
+        frame, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        x = (frame[:, :2] + 1j * frame[:, 2:4]) / np.sqrt(2.0)
+        report = check_minimal(x @ x.conj().T - x.conj() @ x.T)
+        assert report.verdict.value == "MINIMAL" and report.certificate.iterations == 0
+        v, w = nested_pair(4)
+        assert moments_intersect(v, w, max_iter=0).status is IntersectionStatus.INDETERMINATE
+        assert not project_onto_moment(w, np.abs(v.basis[:, 0]) ** 2, max_iter=0).converged
+        s = random_subspace(np.random.default_rng(0), 6, 2)
+        for k in range(6):
+            res = project_onto_moment(s, np.eye(6)[k])
+            assert res.converged and res.iterations >= 1
+
+    def test_declined_fiber_leaves_the_master_untouched(self, monkeypatch):
+        # The nested pair in C^5, and the projection of V's point onto m_W:
+        # the fiber's minimum-norm point is not PSD.  The master keeps no
+        # trace of the attempt, and the answers are, in bytes, those of the
+        # solver without the fiber.
+        v, w = nested_pair(5)
+        p = np.abs(v.basis[:, 0]) ** 2
+        for master in (feasibility._Master([v, w], np.zeros(5)), feasibility._Master([w], p)):
+            assert master.fiber(feasibility.DEFAULT_TOL) is None
+            assert master.kkt is None and master.iterate is None
+        calls, real_fiber = [], feasibility._Master.fiber
+
+        def spied(master, tol):
+            calls.append(tol)
+            return real_fiber(master, tol)
+
+        monkeypatch.setattr(feasibility._Master, "fiber", spied)
+        answers = [moments_intersect(v, w), project_onto_moment(w, p)]
+        assert calls == [feasibility.DEFAULT_TOL] * 2
+        monkeypatch.setattr(feasibility._Master, "fiber", lambda master, tol: None)
+        cert, res = moments_intersect(v, w), project_onto_moment(w, p)
+        assert cert.status is answers[0].status is IntersectionStatus.INTERSECT
+        assert (cert.gap, cert.iterations) == (answers[0].gap, answers[0].iterations)
+        assert_bitwise(cert.witness_y, answers[0].witness_y)
+        assert_bitwise(cert.witness_x, answers[0].witness_x)
+        assert (res.distance, res.lower, res.iterations) == (
+            answers[1].distance, answers[1].lower, answers[1].iterations)
+        assert_bitwise(res.witness, answers[1].witness)
+        assert res.iterations >= 1
 
 
 class FailingSolves:

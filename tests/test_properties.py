@@ -1,6 +1,7 @@
 """Property tests: the solver never overclaims, its verdicts do not depend
 on the coordinate frame, its master solve is exact and its store is the KKT
-matrix of its atoms, and support values are exact.  Where ``paper_claims``
+matrix of its atoms, its fiber certificates replay, and support values are
+exact.  Where ``paper_claims``
 has an exact oracle (the simplex of a coordinate subspace; the Bloch ball of
 r = 2, for support values, projections and pairs with a line), answers are
 checked against it.
@@ -189,6 +190,80 @@ def test_rank_two_pairs_match_bloch_ball(n, seed):
             assert cert.margin <= exact * (1.0 + 1e-12)
         elif cert.status is IntersectionStatus.INTERSECT:
             assert exact <= DEFAULT_TOL + 1e-12
+
+
+def _assert_fiber_certificate(cert, v, w, agree):
+    """An INTERSECT answer of the fiber replays: two density matrices, PSD,
+    of unit trace and supported on V and W, whose moment points agree
+    within ``agree`` and within the reported gap."""
+    assert cert.status is IntersectionStatus.INTERSECT and cert.iterations == 0
+    for witness, space in ((cert.witness_y, v), (cert.witness_x, w)):
+        assert np.max(np.abs(witness - witness.conj().T)) <= 1e-15
+        assert np.linalg.eigvalsh(witness)[0] >= -1e-14
+        assert abs(np.trace(witness).real - 1.0) <= 1e-14
+        p = space.projector
+        assert np.max(np.abs(p @ witness @ p - witness)) <= 1e-14
+    gap = np.linalg.norm(np.real(np.diagonal(cert.witness_y)) - np.real(np.diagonal(cert.witness_x)))
+    assert gap <= agree and abs(gap - cert.gap) <= 1e-15
+
+
+@given(shape=shapes(sides=2), seed=seeds)
+@example(shape=(1, 1, 1), seed=0)
+@example(shape=(8, 2, 2), seed=1)
+@example(shape=(10, 10, 3), seed=2)
+def test_fiber_certificates_replay(shape, seed):
+    # Diagonal unitary pairs W = span{D_k x_k}, sharing the relative
+    # interior points of their moment sets, and random pairs: every answer
+    # the fiber settles replays, its moment points equal to roundoff.
+    n, r_v, r_w = shape
+    rng = np.random.default_rng(seed)
+    v = random_subspace(rng, n, r_v)
+    x = v.basis.T
+    shared = subspace_from_spanning(x * np.exp(2j * np.pi * rng.random(x.shape)))
+    spaces = (shared, random_subspace(rng, n, r_w))
+    certs = [moments_intersect(v, w, max_iter=MAX_ITER) for w in spaces]
+    assert certs[0].iterations == 0
+    for cert, w in zip(certs, spaces):
+        if cert.iterations == 0 and cert.status is IntersectionStatus.INTERSECT:
+            _assert_fiber_certificate(cert, v, w, 1e-14)
+
+
+@given(n=st.integers(2, 24), seed=seeds)
+@example(n=2, seed=0)
+@example(n=4, seed=316)
+@example(n=24, seed=17)
+def test_tangent_pairs_never_disjoint(n, seed):
+    # The line W through the moment point of a unit vector of V (r_V = 2),
+    # a point of the Bloch sphere's image: the sets touch, at distance 0.
+    # For r = 2 the fiber's minimum-norm point is the PSD point nearest
+    # the centre of the Bloch ball, so the fiber settles the pair; clipping
+    # its roundoff leaves the moment points up to about 1e-13 apart (5.6e-14
+    # at n = 4, seed 316).
+    rng = np.random.default_rng(seed)
+    v = random_subspace(rng, n, 2)
+    (w,) = _moment_points(rng, v, 1)
+    space_w = subspace_from_spanning([np.sqrt(w) * np.exp(2j * np.pi * rng.random(n))])
+    assert bloch_distance(v, w) <= 1e-12
+    cert = moments_intersect(v, space_w, max_iter=MAX_ITER)
+    assert cert.status is not IntersectionStatus.DISJOINT
+    _assert_fiber_certificate(cert, v, space_w, 1e-12)
+
+
+@given(n=st.integers(2, 24), seed=seeds, step=st.floats(-6.0, 0.0))
+@example(n=2, seed=0, step=-6.0)
+@example(n=12, seed=18, step=-3.0)
+def test_pairs_apart_never_intersect(n, seed, step):
+    # The line W through a point w between a tangent point of V (r_V = 2)
+    # and a point of the simplex, 10**step of the way: whenever the exact
+    # distance of the sets exceeds 10 tol, the answer is not INTERSECT.
+    rng = np.random.default_rng(seed)
+    v = random_subspace(rng, n, 2)
+    (tangent,) = _moment_points(rng, v, 1)
+    w = tangent + 10.0 ** step * (rng.dirichlet(np.ones(n)) - tangent)
+    space_w = subspace_from_spanning([np.sqrt(w) * np.exp(2j * np.pi * rng.random(n))])
+    cert = moments_intersect(v, space_w, max_iter=MAX_ITER)
+    if bloch_distance(v, w) > 10.0 * DEFAULT_TOL:
+        assert cert.status is not IntersectionStatus.INTERSECT
 
 
 def _coordinate_subspace(rng, n, index):
