@@ -21,13 +21,12 @@ and the eigenvector 1.  Every other eigensolve goes through one kernel,
 ``eigvalsh``, without their per-call wrapper, which costs about as much as
 the solve of a small compression itself.  Every linear solve goes through
 ``_lu_solve`` beside them, which calls the real LU gufuncs alike: bitwise
-numpy's ``linalg.solve``; the least-squares solve of the solver's exact
-fiber goes through ``_lstsq``, bitwise ``linalg.lstsq``.  A numpy without
-one of these gufuncs runs numpy's public calls instead, the same LAPACK
-routines and the same bytes.  Array arguments pass ``_numbers`` (a lone
-direction the same checks in Python scalars) and scalars ``_integer`` or
-``_real``: booleans, strings, objects, complex directions and scalars, and
-non-finite reals fail.
+numpy's ``linalg.solve``.  The least-squares solve of the solver's exact
+fiber, at most one per solve and so outside every loop, goes through
+``_lstsq``, numpy's public ``linalg.lstsq``.  Array arguments pass
+``_numbers`` (a lone direction the same checks in Python scalars) and
+scalars ``_integer`` or ``_real``: booleans, strings, objects, complex
+directions and scalars, and non-finite reals fail.
 """
 from __future__ import annotations
 
@@ -35,38 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-try:
-    # The LAPACK gufuncs the kernels below call, bound in one place.  A
-    # numpy without one of them (numpy 1.x names its least-squares gufuncs
-    # lstsq_m and lstsq_n) takes numpy's public calls instead, which run
-    # the same LAPACK routines behind their per-call wrappers.
-    from numpy.linalg import _umath_linalg
-    if not all(hasattr(_umath_linalg, name)
-               for name in ("eigh_lo", "eigvalsh_lo", "solve", "solve1", "lstsq")):
-        raise ImportError("numpy.linalg._umath_linalg lacks a kernel gufunc")
-except ImportError:
-    class _umath_linalg:
-        """numpy's public calls in the gufuncs' calling convention: the
-        same bytes, and ``LinAlgError`` where the gufunc leaves NaN."""
-
-        @staticmethod
-        def eigh_lo(m, signature):
-            return np.linalg.eigh(m)
-
-        @staticmethod
-        def eigvalsh_lo(m, signature):
-            return np.linalg.eigvalsh(m)
-
-        @staticmethod
-        def solve(a, b, signature):
-            return np.linalg.solve(a, b)
-
-        solve1 = solve
-
-        @staticmethod
-        def lstsq(a, b, rcond, signature):
-            return np.linalg.lstsq(a, b, rcond)
+from numpy.linalg import _umath_linalg
 
 # Tolerance on max entrywise asymmetry |A - A*|, relative to the largest real
 # or imaginary part of an entry, or to the smallest normal float below it.
@@ -79,7 +47,6 @@ ORTHONORMAL_TOL = 1e-10
 # when fixing eigenvector phases (unit columns always carry a larger one).
 _PHASE_TOL = 1e-9
 _FLOAT_MAX = float(np.finfo(np.float64).max)
-_EPS = float(np.finfo(np.float64).eps)
 # Defaults of the solver (feasibility) and of check_minimal (minimality),
 # which re-export them.  They live here because the CLI parser needs them
 # before a command loads its solver module.
@@ -235,20 +202,13 @@ def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-@np.errstate(all="ignore")
 def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The minimum-norm least-squares solution x of a x = b for a float64
-    matrix a and a float64 vector b: the LAPACK gufunc (``gelsd``) numpy's
-    ``linalg.lstsq`` calls, with its default cutoff eps * max(m, n) on the
-    singular values (``rcond=None``), without its per-call wrapper, so
-    bitwise ``np.linalg.lstsq(a, b, rcond=None)[0]``.  A rank-deficient
-    system solves like any other.  An SVD that does not converge fills the
-    output with NaN, read off its first entry as the ``LinAlgError`` numpy
-    raises; the floating-point flags are ignored inside, as in ``_lu_solve``."""
-    x = _umath_linalg.lstsq(a, b[:, None], _EPS * max(a.shape), signature="ddd->ddid")[0]
-    if math.isnan(x.item(0)):
-        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-    return x[:, 0]
+    matrix a and a float64 vector b: ``np.linalg.lstsq(a, b, rcond=None)[0]``
+    (LAPACK ``gelsd``, singular values below eps * max(m, n) of the largest
+    cut off).  A rank-deficient system solves like any other; an SVD that
+    does not converge raises numpy's ``LinAlgError``."""
+    return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
 def _require_finite_top(w: np.ndarray) -> None:

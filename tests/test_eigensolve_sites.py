@@ -1,11 +1,10 @@
 """Static check that every LAPACK call goes through the kernel of
 ``linalg``: the library names an eigensolver only in ``_eigh`` and
-``_eigvalsh``, and a linear solver only in ``_lu_solve`` and ``_lstsq``,
-which call numpy's LAPACK gufuncs directly, and in the stand-in of each
-gufunc (named after it) that runs numpy's public call on a numpy without
-it.  So no module grows its own copy of the compressed eigensolve, or
-calls ``np.linalg.eigh``, ``np.linalg.solve`` and their per-call wrappers
-again."""
+``_eigvalsh``, and a linear solver only in ``_lu_solve``, which call
+numpy's LAPACK gufuncs directly, and in ``_lstsq``, the one least-squares
+solve of the solver's exact fiber.  So no module grows its own copy of the
+compressed eigensolve, or calls ``np.linalg.eigh``, ``np.linalg.solve``
+and their per-call wrappers again."""
 import ast
 from pathlib import Path
 
@@ -40,8 +39,6 @@ def test_eigensolves_live_in_linalg():
     assert sites == [
         ("linalg", "_eigh", "eigh_lo"),
         ("linalg", "_eigvalsh", "eigvalsh_lo"),
-        ("linalg", "eigh_lo", "eigh"),
-        ("linalg", "eigvalsh_lo", "eigvalsh"),
     ]
 
 
@@ -51,6 +48,4 @@ def test_linear_solves_live_in_linalg():
         ("linalg", "_lstsq", "lstsq"),
         ("linalg", "_lu_solve", "solve"),
         ("linalg", "_lu_solve", "solve1"),
-        ("linalg", "lstsq", "lstsq"),
-        ("linalg", "solve", "solve"),
     ]
