@@ -30,26 +30,29 @@ strictly lowers the objective, and atoms left at zero weight are dropped.
 Every moment point of a side sums to +-1, so at most n + S - 1 atoms stay
 active, S the number of sides.
 
-Before the first step, the exact fiber is tried once (``_Master.fiber``).
-The paper's m_S = {Diag(Y) : Y >= 0, tr Y = 1, P_S Y P_S = Y} makes the
-preimage of the target, for a projection, or of every common point, for
-an intersection, an affine slice of hermitian r x r matrices per side (the
-fiber): sum_s sign_s T_s vec(Y_s) = target and tr Y_s = 1, T_s the real
-n x 2 r_s^2 view of ``Subspace.compression_table``.  A point is in m_S, or
-two sets meet, exactly when the fiber holds a PSD point.  Its minimum-norm
-point is one least-squares solve (``linalg._lstsq``), hermitian because
-every row is.  Its eigenvectors become the atoms of every side and its
-eigenvalues, clipped at 0 and scaled to unit trace, their weights; when the
-residual of those density matrices is within ``tol``, they are the answer,
-exact to roundoff when nothing was clipped, at ``iterations = 0``.
-Otherwise the master is left as it was and Frank-Wolfe runs.  The fiber is
-tried only when the first dual bound is at most ``tol`` (below, ``lower``):
-a larger one already puts the distance above ``tol``, so exterior points
-and separated pairs never pay for the solve.  The fiber of a point has
-dimension about r^2 - n, so once r^2 <= n it is generically that one
-point.  Pataki (Math. Oper. Res. 23, 1998) bounds the rank of the extreme
+Before the first step of an intersection, the exact fiber is tried once
+(``_Master.fiber``).  The paper's m_S = {Diag(Y) : Y >= 0, tr Y = 1,
+P_S Y P_S = Y} makes the preimage of every common point an affine slice of
+hermitian r x r matrices per side (the fiber): sum_s sign_s T_s vec(Y_s) =
+0 and tr Y_s = 1, T_s the real n x 2 r_s^2 view of
+``Subspace.compression_table``.  Two sets meet exactly when the fiber
+holds a PSD point.  Its minimum-norm point is one least-squares solve
+(``linalg._lstsq``), hermitian because every row is.  Its eigenvectors
+become the atoms of both sides and its eigenvalues, clipped at 0 and
+scaled to unit trace, their weights; when the residual of those density
+matrices is within ``tol``, they are the answer, exact to roundoff when
+nothing was clipped, at ``iterations = 0``.  Otherwise the master is left
+as it was and Frank-Wolfe runs.  The fiber is tried only when the first
+dual bound is at most ``tol`` (below, ``lower``): a larger one already
+puts the distance above ``tol``, so separated pairs never pay for the
+solve.  Pataki (Math. Oper. Res. 23, 1998) bounds the rank of the extreme
 points of such slices, and Ramana & Goldman (J. Global Optim. 7, 1995)
-treat their geometry.
+treat their geometry.  Projections do not try it: the fiber of a point
+has dimension about r^2 - n, and once that is positive its minimum-norm
+point is often not PSD (about half the interior points of rank-4 states
+in a space of rank 5 in C^16), so a member would pay for the solve and
+then for Frank-Wolfe, and which members skip the steps would turn on the
+draw of the point.
 
 The oracle's eigenvalues also give, at every iterate, the Wolfe dual bound
 lower = -(sum_s h_s + <d, target>) / |d| on the optimal residual norm (d the
@@ -410,8 +413,9 @@ def _minimize(master: _Master, tol: float, max_iter: int,
     Each iteration calls the oracle of every side, reads the dual bound
     lower = -(sum_s h_s + <d, target>) / |d| off its top eigenvalues h_s,
     and stops when ``stop(f, lower)`` accepts the current iterate (objective
-    f = |d|^2).  At iteration 0, with lower <= tol, it then tries the fiber
-    (``_Master.fiber``) and stops there when that is accepted.  Otherwise
+    f = |d|^2).  At iteration 0 of two sides, with lower <= tol, it then
+    tries the fiber (``_Master.fiber``) and stops there when that is
+    accepted.  Otherwise
     it adds one oracle atom per side and re-solves
     the weights of all atoms exactly (``_Master.step``: the least-squares
     master with one equality row per side and no penalty, one KKT solve per
@@ -434,8 +438,9 @@ def _minimize(master: _Master, tol: float, max_iter: int,
         lower = -(sum(tops) + float(d @ target)) / math.sqrt(f)
         if stop(f, lower) or it == max_iter:
             break
-        if not it and lower <= tol and (d_fiber := master.fiber(tol)) is not None:
-            # The fiber's clipped minimum-norm point replays within tol.
+        if (not it and lower <= tol and len(master.signs) == 2
+                and (d_fiber := master.fiber(tol)) is not None):
+            # A pair's fiber: its clipped minimum-norm point replays within tol.
             d, f = d_fiber, float(d_fiber @ d_fiber)
             break
         d_new = master.step(fw)
@@ -456,10 +461,7 @@ class ProjectionResult:
     """Distance from a point to the moment set with a witness state.
 
     ``witness`` is the n x n density matrix supported on the subspace whose
-    moment coordinates realize the distance.  A member settled by the
-    fiber's minimum-norm point comes back at ``iterations = 0`` with a
-    witness that reproduces p within ``tol``, to roundoff when that point
-    is PSD.  ``lower`` is 0 for a member
+    moment coordinates realize the distance.  ``lower`` is 0 for a member
     within ``tol``, and otherwise the exact lower bound
     max(0, <u, p> - h(u)) on the true distance, with u the unit direction
     from the witness to p and h the support function of the moment set,

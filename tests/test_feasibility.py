@@ -146,25 +146,19 @@ class TestProjection:
                     assert abs(res.distance - offset) <= feasibility.DEFAULT_TOL, (r, j, offset)
 
     def test_exposed_point_converges(self):
-        # An exposed point y other than a principal vertex: its projection,
-        # and that of y + 0.05 c beyond it along its normal c, is approached
-        # by chords of two active atoms.  With an admission threshold of
-        # 1e-13 the oracle atom of step 11 failed it, the weights froze, and
-        # the solve of y + 0.05 c ended unconverged 1.4e-7 above its
-        # distance (y itself: 2.04e-7 before the fiber settled it).
+        # An exposed point other than a principal vertex, approached by
+        # chords of two active atoms.  With an admission threshold of 1e-13
+        # the oracle atom of step 11 failed it, the weights froze, and the
+        # solve ended unconverged at distance 2.04e-7.
         rng = np.random.default_rng(500 * 3 + 2)
         s = random_subspace(rng, 3, 2)
         for _ in range(4):
             c = rng.standard_normal(3)
-        c /= np.linalg.norm(c)
-        y = np.abs(support_moment(s, c).maximizer) ** 2
-        res = project_onto_moment(s, y + 0.05 * c)
-        assert res.converged and res.iterations == 12
-        assert abs(res.distance - 0.05) <= feasibility.DEFAULT_TOL
-        # y itself is settled by the fiber, to roundoff, with no step.
+        y = np.abs(support_moment(s, c / np.linalg.norm(c)).maximizer) ** 2
         res = project_onto_moment(s, y)
         assert res.converged and res.lower == 0.0
-        assert res.iterations == 0 and res.distance <= 1e-15
+        assert res.distance <= feasibility.DEFAULT_TOL
+        assert res.iterations == 12
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_exposed_points_converge(self, n):
@@ -347,28 +341,18 @@ class TestEngineInvariants:
     def test_objective_monotone_with_exact_line_search(self):
         # A run capped at k steps returns the k-th iterate of the uncapped
         # run, so the distances over k = 0..K trace the objective history.
-        # The points: each of five points of the simplex, and the vertex e_j
-        # nearest it, an exterior point the fiber is never tried on.  A
-        # point the fiber settles has no history (a run capped at 0 steps
-        # stops before the fiber) and is checked for the exact answer.
         rng = np.random.default_rng(6)
         for _ in range(5):
             s = random_subspace(rng, 5, 3)
             target = rng.random(5)
             target /= target.sum()
-            vertex = np.eye(5)[np.argmax(target)]
-            for p in (target, vertex):
-                full = project_onto_moment(s, p, tol=1e-9, max_iter=400)
-                if full.iterations == 0:
-                    assert p is target
-                    assert full.distance <= 1e-14 and full.lower == 0.0
-                    continue
-                history = [
-                    project_onto_moment(s, p, tol=1e-9, max_iter=k).distance
-                    for k in range(full.iterations + 1)
-                ]
-                assert history[-1] == full.distance
-                assert np.all(np.diff(history) <= 0.0)
+            full = project_onto_moment(s, target, tol=1e-9, max_iter=400)
+            history = [
+                project_onto_moment(s, target, tol=1e-9, max_iter=k).distance
+                for k in range(full.iterations + 1)
+            ]
+            assert history[-1] == full.distance
+            assert np.all(np.diff(history) <= 0.0)
 
     def test_gap_bounds_suboptimality(self):
         rng = np.random.default_rng(7)
@@ -528,9 +512,9 @@ def nested_pair(n: int):
 
 
 class TestFiber:
-    """The exact fiber, tried once after the oracle of iteration 0: one
-    least-squares solve for the minimum-norm hermitian preimage, accepted
-    only when its clipped density matrices replay within ``tol``."""
+    """The exact fiber of a pair, tried once after the oracle of iteration
+    0: one least-squares solve for the minimum-norm hermitian preimage,
+    accepted only when its clipped density matrices replay within ``tol``."""
 
     @pytest.mark.parametrize("n, r", [(5, 2), (8, 2), (8, 3), (12, 4)])
     def test_intersecting_pairs_are_settled_exactly(self, n, r):
@@ -568,22 +552,35 @@ class TestFiber:
         assert report.verdict.value == "MINIMAL" and report.certificate.iterations == 0
         v, w = nested_pair(4)
         assert moments_intersect(v, w, max_iter=0).status is IntersectionStatus.INDETERMINATE
-        assert not project_onto_moment(w, np.abs(v.basis[:, 0]) ** 2, max_iter=0).converged
+
+    def test_projections_never_reach_the_fiber(self, monkeypatch):
+        # Members and exterior points alike take Frank-Wolfe steps: the
+        # fiber is tried for pairs only.  The two members, V's point |x|^2
+        # in m_W and a mixture of the coordinate atoms of a random space,
+        # have fibers whose minimum-norm points are PSD; the vertices e_k
+        # are exterior points.
+        def forbidden(a, b):
+            raise AssertionError("fiber solved")
+
+        monkeypatch.setattr(feasibility, "_lstsq", forbidden)
+        v, w = nested_pair(4)
+        points = [(w, np.abs(v.basis[:, 0]) ** 2)]
         s = random_subspace(np.random.default_rng(0), 6, 2)
-        for k in range(6):
-            res = project_onto_moment(s, np.eye(6)[k])
+        points += [(s, np.abs(s.basis) ** 2 @ np.array([0.3, 0.7]))]
+        points += [(s, np.eye(6)[k]) for k in range(6)]
+        for space, p in points:
+            res = project_onto_moment(space, p)
             assert res.converged and res.iterations >= 1
+        assert project_onto_moment(w, points[0][1]).distance <= feasibility.DEFAULT_TOL
 
     def test_declined_fiber_leaves_the_master_untouched(self, monkeypatch):
-        # The nested pair in C^5, and the projection of V's point onto m_W:
-        # the fiber's minimum-norm point is not PSD.  The master keeps no
-        # trace of the attempt, and the answers are, in bytes, those of the
-        # solver without the fiber.
+        # The nested pair in C^5: the fiber's minimum-norm point is not PSD.
+        # The master keeps no trace of the attempt, and the answer is, in
+        # bytes, that of the solver without the fiber.
         v, w = nested_pair(5)
-        p = np.abs(v.basis[:, 0]) ** 2
-        for master in (feasibility._Master([v, w], np.zeros(5)), feasibility._Master([w], p)):
-            assert master.fiber(feasibility.DEFAULT_TOL) is None
-            assert master.kkt is None and master.iterate is None
+        master = feasibility._Master([v, w], np.zeros(5))
+        assert master.fiber(feasibility.DEFAULT_TOL) is None
+        assert master.kkt is None and master.iterate is None
         calls, real_fiber = [], feasibility._Master.fiber
 
         def spied(master, tol):
@@ -591,18 +588,15 @@ class TestFiber:
             return real_fiber(master, tol)
 
         monkeypatch.setattr(feasibility._Master, "fiber", spied)
-        answers = [moments_intersect(v, w), project_onto_moment(w, p)]
-        assert calls == [feasibility.DEFAULT_TOL] * 2
+        answer = moments_intersect(v, w)
+        assert calls == [feasibility.DEFAULT_TOL]
         monkeypatch.setattr(feasibility._Master, "fiber", lambda master, tol: None)
-        cert, res = moments_intersect(v, w), project_onto_moment(w, p)
-        assert cert.status is answers[0].status is IntersectionStatus.INTERSECT
-        assert (cert.gap, cert.iterations) == (answers[0].gap, answers[0].iterations)
-        assert_bitwise(cert.witness_y, answers[0].witness_y)
-        assert_bitwise(cert.witness_x, answers[0].witness_x)
-        assert (res.distance, res.lower, res.iterations) == (
-            answers[1].distance, answers[1].lower, answers[1].iterations)
-        assert_bitwise(res.witness, answers[1].witness)
-        assert res.iterations >= 1
+        cert = moments_intersect(v, w)
+        assert cert.status is answer.status is IntersectionStatus.INTERSECT
+        assert (cert.gap, cert.iterations) == (answer.gap, answer.iterations)
+        assert cert.iterations >= 1
+        assert_bitwise(cert.witness_y, answer.witness_y)
+        assert_bitwise(cert.witness_x, answer.witness_x)
 
 
 class FailingSolves:
