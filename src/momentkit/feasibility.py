@@ -30,29 +30,35 @@ strictly lowers the objective, and atoms left at zero weight are dropped.
 Every moment point of a side sums to +-1, so at most n + S - 1 atoms stay
 active, S the number of sides.
 
-Before the first step of an intersection, the exact fiber is tried once
-(``_Master.fiber``).  The paper's m_S = {Diag(Y) : Y >= 0, tr Y = 1,
-P_S Y P_S = Y} makes the preimage of every common point an affine slice of
+Before the first step, the exact fiber is tried once (``_Master.fiber``).
+The paper's m_S = {Diag(Y) : Y >= 0, tr Y = 1, P_S Y P_S = Y} makes the
+preimage of a point, or of every common point of a pair, an affine slice of
 hermitian r x r matrices per side (the fiber): sum_s sign_s T_s vec(Y_s) =
-0 and tr Y_s = 1, T_s the real n x 2 r_s^2 view of
-``Subspace.compression_table``.  Two sets meet exactly when the fiber
-holds a PSD point.  Its minimum-norm point is one least-squares solve
-(``linalg._lstsq``), hermitian because every row is.  Its eigenvectors
-become the atoms of both sides and its eigenvalues, clipped at 0 and
-scaled to unit trace, their weights; when the residual of those density
-matrices is within ``tol``, they are the answer, exact to roundoff when
-nothing was clipped, at ``iterations = 0``.  Otherwise the master is left
-as it was and Frank-Wolfe runs.  The fiber is tried only when the first
-dual bound is at most ``tol`` (below, ``lower``): a larger one already
-puts the distance above ``tol``, so separated pairs never pay for the
-solve.  Pataki (Math. Oper. Res. 23, 1998) bounds the rank of the extreme
-points of such slices, and Ramana & Goldman (J. Global Optim. 7, 1995)
-treat their geometry.  Projections do not try it: the fiber of a point
-has dimension about r^2 - n, and once that is positive its minimum-norm
-point is often not PSD (about half the interior points of rank-4 states
-in a space of rank 5 in C^16), so a member would pay for the solve and
-then for Frank-Wolfe, and which members skip the steps would turn on the
-draw of the point.
+target and tr Y_s = 1, T_s the real n x 2 r_s^2 view of
+``Subspace.compression_table``.  A point lies in m_S, and two sets meet,
+exactly when the fiber holds a PSD point.  Its minimum-norm point is one
+least-squares solve (``linalg._lstsq``), hermitian because every row is.
+When that point is not PSD, a bounded phase I looks for one: at most
+``_PHASE_ONE_ROUNDS`` rounds of alternating projections (Bauschke &
+Borwein, SIAM Review 38, 1996; Higham, IMA J. Numer. Anal. 22, 2002), each
+clipping the eigenvalues of every side at ``_PHASE_ONE_EPS`` and projecting
+back onto the fiber through its pseudo-inverse, one more least-squares
+solve.  It stops at the first fiber point that is PSD on every side, or
+falls back to the minimum-norm point.  The eigenvectors of that point become
+the atoms of every side and its eigenvalues, clipped at 0 and scaled to
+unit trace, their weights; when the residual of those density matrices is
+within ``tol``, they are the answer, exact to roundoff when nothing was
+clipped, at ``iterations = 0``.  Otherwise the master is left as it was
+and Frank-Wolfe runs.  The fiber is tried only when the first dual bound
+is at most ``tol`` (below, ``lower``): a larger one already puts the
+distance above ``tol``, so separated pairs and exterior points never pay
+for the solve.  Interior points and pairs meeting in their relative
+interiors are settled; a point or pair whose only PSD preimage is on the
+boundary (a face point, a tangent pair) has none for phase I to reach once
+the fiber has positive dimension, so it pays the rounds and then takes
+Frank-Wolfe steps.  Pataki (Math. Oper. Res. 23, 1998) bounds the rank of
+the extreme points of such slices, and Ramana & Goldman (J. Global Optim.
+7, 1995) treat their geometry.
 
 The oracle's eigenvalues also give, at every iterate, the Wolfe dual bound
 lower = -(sum_s h_s + <d, target>) / |d| on the optimal residual norm (d the
@@ -103,6 +109,10 @@ _ADMIT_RTOL = 1e-14
 #: An inactive atom enters only when its KKT multiplier is below
 #: -_DUAL_RTOL * (1 + max |target|), the roundoff of computing it.
 _DUAL_RTOL = 1e-14
+#: Phase I of the fiber (``_Master.fiber``): the eigenvalue floor of its
+#: projection onto the PSD side and its largest number of rounds.
+_PHASE_ONE_EPS = 1e-2
+_PHASE_ONE_ROUNDS = 64
 
 
 def _ratio_step(w: list[float], z: list[float]) -> list[float]:
@@ -221,14 +231,20 @@ class _Master:
         return 0.5 * (witness + witness.conj().T)
 
     def fiber(self, tol: float) -> np.ndarray | None:
-        """Try the minimum-norm point of the fiber: the hermitian Y_s of
-        every side with sum_s sign_s T_s vec(Y_s) = target and tr Y_s = 1,
-        T_s the real n x 2 r_s^2 view of side s's compression table, by one
-        least-squares solve (``linalg._lstsq``).  Its eigenvectors become
-        the atoms of each side and its eigenvalues, clipped at 0 and scaled
-        to unit sum, their weights.  When the residual of those atoms is
-        within ``tol`` they become the iterate and the residual is
-        returned; otherwise None, and the master is left as it was."""
+        """Try a PSD point of the fiber: the hermitian Y_s of every side
+        with sum_s sign_s T_s vec(Y_s) = target and tr Y_s = 1, T_s the real
+        n x 2 r_s^2 view of side s's compression table.  Its minimum-norm
+        point x is one least-squares solve (``linalg._lstsq``).  When x is
+        not PSD, a second solve gives the pseudo-inverse A+ of the system
+        A y = b, and phase I alternates at most ``_PHASE_ONE_ROUNDS`` times
+        between clipping the eigenvalues of every side at ``_PHASE_ONE_EPS``
+        (z) and projecting back onto the fiber, y = x + (I - A+ A) z, until
+        y is PSD on every side; when no round gets there, x is kept.  The
+        eigenvectors of the point become the atoms of each side and its
+        eigenvalues, clipped at 0 and scaled to unit sum, their weights.
+        When the residual of those atoms is within ``tol`` they become the
+        iterate and the residual is returned; otherwise None, and the
+        master is left as it was."""
         n, sizes = self.target.size, [2 * q.shape[1] ** 2 for q in self.bases]
         a = np.zeros((n + len(sizes), sum(sizes)))
         lo = 0
@@ -237,12 +253,25 @@ class _Master:
             # The trace: the real parts of the diagonal entries.
             a[n + s, lo:lo + size:2 * table.shape[1] + 2] = 1.0
             lo += size
-        x = _lstsq(a, np.concatenate([self.target, np.ones(len(sizes))]))
-        d, weights, atoms, lo = -self.target, [], [], 0
-        for s, (q, sign, size) in enumerate(zip(self.bases, self.signs, sizes)):
-            r = q.shape[1]
-            values, vectors = _eigh(x[lo:lo + size].view(np.complex128).reshape(r, r))
-            lo += size
+        b = np.concatenate([self.target, np.ones(len(sizes))])
+        x = _lstsq(a, b)
+        spectra = self._spectra(x)
+        if min(values[0] for values, _ in spectra) < 0.0:
+            # Phase I: alternate between {Y_s >= eps I} and the fiber x +
+            # null(A), onto which I - A+ A projects.
+            null, first = np.eye(a.shape[1]) - _lstsq(a, np.eye(len(b))) @ a, spectra
+            for _ in range(_PHASE_ONE_ROUNDS):
+                z = np.concatenate([
+                    ((vectors * np.maximum(values, _PHASE_ONE_EPS)) @ vectors.conj().T)
+                    .reshape(-1).view(np.float64) for values, vectors in spectra])
+                spectra = self._spectra(x + null @ z)
+                if min(values[0] for values, _ in spectra) >= 0.0:
+                    break
+            else:
+                # None is PSD: the minimum-norm point, clipped, replays or not.
+                spectra = first
+        d, weights, atoms = -self.target, [], []
+        for s, (q, sign, (values, vectors)) in enumerate(zip(self.bases, self.signs, spectra)):
             w = np.maximum(values, 0.0)
             total = float(w.sum())
             if not total > 0.0:
@@ -255,6 +284,16 @@ class _Master:
             return None
         self.iterate = (np.concatenate(weights), atoms)
         return d
+
+    def _spectra(self, x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The eigenpairs of the hermitian block of every side in the real
+        vector x of a fiber point."""
+        spectra, lo = [], 0
+        for q in self.bases:
+            r = q.shape[1]
+            spectra.append(_eigh(x[lo:lo + 2 * r * r].view(np.complex128).reshape(r, r)))
+            lo += 2 * r * r
+        return spectra
 
     def _border(self, lo: int) -> None:
         """Border the KKT matrix with the live atoms from position lo on."""
@@ -413,17 +452,17 @@ def _minimize(master: _Master, tol: float, max_iter: int,
     Each iteration calls the oracle of every side, reads the dual bound
     lower = -(sum_s h_s + <d, target>) / |d| off its top eigenvalues h_s,
     and stops when ``stop(f, lower)`` accepts the current iterate (objective
-    f = |d|^2).  At iteration 0 of two sides, with lower <= tol, it then
-    tries the fiber (``_Master.fiber``) and stops there when that is
-    accepted.  Otherwise
-    it adds one oracle atom per side and re-solves
-    the weights of all atoms exactly (``_Master.step``: the least-squares
-    master with one equality row per side and no penalty, one KKT solve per
-    pass).  The objective thus decreases strictly until a step no longer
-    improves it or the solve fails.  Returns the final objective, the number
-    of steps taken, the last ``lower`` and the final residual d; the oracle
-    also runs on the final iterate, so ``lower`` describes the returned
-    point unless it is within ``tol``.
+    f = |d|^2).  At iteration 0, with lower <= tol, it then tries the
+    fiber (``_Master.fiber``, the minimum-norm point and, when that is not
+    PSD, its phase I) and stops there when that is accepted.  Otherwise it
+    adds one oracle atom per side and re-solves the weights of all atoms
+    exactly (``_Master.step``: the least-squares master with one equality
+    row per side and no penalty, one KKT solve per pass).  The objective
+    thus decreases strictly until a step no longer improves it or the solve
+    fails.  Returns the final objective, the number of steps taken, the last
+    ``lower`` and the final residual d; the oracle also runs on the final
+    iterate, so ``lower`` describes the returned point unless it is within
+    ``tol``.
     """
     tol, max_iter = _real(tol, "tol", nonnegative=True), _integer(max_iter, "max_iter", 0)
     tol_sq = tol * tol
@@ -438,9 +477,9 @@ def _minimize(master: _Master, tol: float, max_iter: int,
         lower = -(sum(tops) + float(d @ target)) / math.sqrt(f)
         if stop(f, lower) or it == max_iter:
             break
-        if (not it and lower <= tol and len(master.signs) == 2
-                and (d_fiber := master.fiber(tol)) is not None):
-            # A pair's fiber: its clipped minimum-norm point replays within tol.
+        if not it and lower <= tol and (d_fiber := master.fiber(tol)) is not None:
+            # The fiber: a PSD point of it, or its clipped minimum-norm
+            # point, replays within tol.
             d, f = d_fiber, float(d_fiber @ d_fiber)
             break
         d_new = master.step(fw)
@@ -466,7 +505,9 @@ class ProjectionResult:
     max(0, <u, p> - h(u)) on the true distance, with u the unit direction
     from the witness to p and h the support function of the moment set,
     capped at ``distance``: always 0 <= lower <= distance.  ``converged``
-    holds when ``distance - lower <= tol``.
+    holds when ``distance - lower <= tol``.  A member the fiber settles
+    (``iterations = 0``) has a witness from a PSD point of its fiber, whose
+    moment point is p to roundoff.
     """
 
     distance: float
@@ -517,10 +558,10 @@ class IntersectionCertificate:
     INTERSECT carries density matrices Y (supported on V) and X (supported on
     W) whose moment coordinates agree within tolerance, and their common
     point.  When the fiber settles the pair (``iterations = 0``), Y and X
-    come from its minimum-norm point, and agree to roundoff when that point
-    is PSD.  DISJOINT carries a unit direction u and the strict support gap
-    ``margin`` by which max over m_V of <u, .> stays below min over m_W of
-    <u, .>.  ``gap`` is the diagonal-difference norm reached by the solver.
+    come from its minimum-norm point or its phase I, and agree to roundoff
+    when that point is PSD.  DISJOINT carries a unit direction u and the
+    strict support gap ``margin`` by which max over m_V of <u, .> stays
+    below min over m_W of <u, .>.  ``gap`` is the diagonal-difference norm reached by the solver.
     """
 
     status: IntersectionStatus
@@ -563,7 +604,8 @@ def moments_intersect(
     """Decide whether the moment sets of two subspaces share a point.
 
     Minimizes ||diag(Q_V M Q_V*) - diag(Q_W N Q_W*)||^2 over pairs of density
-    matrices, after one try of the fiber's minimum-norm point.  INTERSECT
+    matrices, after one try of the fiber (its minimum-norm point, and its
+    phase I when that is not PSD).  INTERSECT
     when the residual norm reaches ``tol``; DISJOINT only
     when an exact support-function separation holds with a strict margin;
     INDETERMINATE otherwise (tangent or unresolved within ``max_iter``).

@@ -25,7 +25,7 @@ import numpy as np
 
 from .linalg import (_compressed_top_eigh1, _eigvalsh, _numbers, compressed_top_eigh,
                      require_hermitian)
-from .subspace import Subspace, orthogonal_complement
+from .subspace import Subspace
 
 #: PSD slack and trace tolerance for density-matrix validation.
 PSD_TOL = 1e-10
@@ -88,14 +88,13 @@ def jnr_support(s: Subspace, c) -> JNRSupport:
     the top eigenvalue of the compression Q* diag(c) Q, floored at zero for a
     proper subspace (A(c) annihilates the orthogonal complement, so zero
     belongs to W); the maximizer is the unit vector whose pure state attains
-    it: Q u, u a top eigenvector of the compression, or a complement vector
-    where the value is floored.  Bitwise ``jnr_boundary`` of the direction
+    it: Q u, u a top eigenvector of the compression, or where the value is
+    floored the cached ``Subspace.complement_vector``.  Bitwise ``jnr_boundary`` of the direction
     alone, without its stack.
     """
     top, u = _compressed_top_eigh1(s.compression_table, np.asarray(c).reshape(-1))
     if top < 0.0 and not s.is_whole_space:
-        complement = orthogonal_complement(s).basis[:, 0]
-        return JNRSupport(value=0.0, x=np.zeros(s.n), maximizer=complement)
+        return JNRSupport(value=0.0, x=np.zeros(s.n), maximizer=s.complement_vector.copy())
     maximizer = u @ s.basis.T
     return JNRSupport(value=top, x=np.abs(maximizer) ** 2, maximizer=maximizer)
 
@@ -112,7 +111,7 @@ def jnr_boundary(s: Subspace, directions) -> list[JNRSupport]:
     vectors = vectors @ s.basis.T
     floored = (top < 0.0) & (not s.is_whole_space)
     if floored.any():
-        vectors[floored] = orthogonal_complement(s).basis[:, 0]
+        vectors[floored] = s.complement_vector
     values = np.where(floored, 0.0, top).tolist()
     points = np.where(floored[:, None], 0.0, np.abs(vectors) ** 2)
     return [JNRSupport(value=v, x=x, maximizer=u) for v, x, u in zip(values, points, vectors)]

@@ -21,8 +21,9 @@ and the eigenvector 1.  Every other eigensolve goes through one kernel,
 ``eigvalsh``, without their per-call wrapper, which costs about as much as
 the solve of a small compression itself.  Every linear solve goes through
 ``_lu_solve`` beside them, which calls the real LU gufuncs alike: bitwise
-numpy's ``linalg.solve``.  The least-squares solve of the solver's exact
-fiber, at most one per solve and so outside every loop, goes through
+numpy's ``linalg.solve``.  The least-squares solves of the solver's exact
+fiber, at most two per solve (its minimum-norm point, and the
+pseudo-inverse of its phase I) and so outside every loop, go through
 ``_lstsq``, numpy's public ``linalg.lstsq``.  Array arguments pass
 ``_numbers`` (a lone direction the same checks in Python scalars) and
 scalars ``_integer`` or ``_real``: booleans, strings, objects, complex
@@ -204,7 +205,8 @@ def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The minimum-norm least-squares solution x of a x = b for a float64
-    matrix a and a float64 vector b: ``np.linalg.lstsq(a, b, rcond=None)[0]``
+    matrix a and a float64 vector or matrix b (for b = I, the
+    pseudo-inverse of a): ``np.linalg.lstsq(a, b, rcond=None)[0]``
     (LAPACK ``gelsd``, singular values below eps * max(m, n) of the largest
     cut off).  A rank-deficient system solves like any other; an SVD that
     does not converge raises numpy's ``LinAlgError``."""

@@ -67,6 +67,20 @@ class Subspace:
         q = self.basis
         return np.multiply(q.conj()[:, :, None], q[:, None, :], order="C")
 
+    @cached_property
+    def complement_vector(self) -> np.ndarray:
+        """A unit vector orthogonal to the span, computed once, with no
+        eigensolve: (I - Q Q*) e_j normalized, for the coordinate j of the
+        smallest row norm |q_j|, where its norm^2 = 1 - |q_j|^2 is at least
+        1 - r/n.  ``ValueError`` for the whole space."""
+        if self.is_whole_space:
+            raise ValueError("the whole space has a trivial complement")
+        q = self.basis
+        j = int(np.argmin((abs(q) ** 2).sum(axis=1)))
+        v = -(q @ q[j].conj())
+        v[j] += 1.0
+        return v / np.linalg.norm(v)
+
     @property
     def n(self) -> int:
         return self.basis.shape[0]

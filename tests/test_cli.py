@@ -688,10 +688,10 @@ SCIPY_FREE = {
                     " '--out', {out!r}])",
     "hausdorff": "main(['hausdorff', '--subspace-v', {v!r}, '--subspace-w', {w!r}, '--out', {out!r}])",
     "intersect": "main(['intersect', '--subspace-v', {pv!r}, '--subspace-w', {pw!r}, '--out', {out!r}])",
-    "intersect-steps": "main(['intersect', '--subspace-v', {nv!r}, '--subspace-w', {nw!r},"
+    "intersect-steps": "main(['intersect', '--subspace-v', {bv!r}, '--subspace-w', {bw!r},"
                        " '--out', {out!r}])",
     "minimal-check": "main(['minimal-check', '--matrix', {m4!r}, '--out', {out!r}])",
-    "minimal-check-steps": "main(['minimal-check', '--matrix', {m5!r}, '--out', {out!r}])",
+    "minimal-check-steps": "main(['minimal-check', '--matrix', {mb!r}, '--out', {out!r}])",
 }
 
 
@@ -707,15 +707,30 @@ def nested_matrix(n: int) -> np.ndarray:
             + 0.5 * np.outer(frame[:, -1], frame[:, -1]))
 
 
+def boundary_matrix() -> np.ndarray:
+    """P_x - P_W + h h* / 2 for x = (1, 1, 1, 0, 0)/sqrt(3), W of rank 3
+    orthogonal to x and holding x' = (1, w, w^2, 0, 0)/sqrt(3), w = exp(2 pi
+    i / 3), and h the unit vector orthogonal to both, from a fixed seed:
+    MINIMAL, the moment sets of x and W meeting only at |x|^2 = |x'|^2, a
+    boundary point of m_W whose only preimage in W is the pure state of x'."""
+    x = np.array([1, 1, 1, 0, 0]) / np.sqrt(3.0)
+    other = np.array([1, np.exp(2j * np.pi / 3), np.exp(4j * np.pi / 3), 0, 0]) / np.sqrt(3.0)
+    g = np.random.default_rng(0).standard_normal((5, 3))
+    frame, _ = np.linalg.qr(np.column_stack([x, other, g]))
+    w, h = frame[:, 1:4], frame[:, 4]
+    m = np.outer(x, x) - w @ w.conj().T + 0.5 * np.outer(h, h.conj())
+    return 0.5 * (m + m.conj().T)
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     # No command loads scipy: not the CLI import, not the n >= 4 direction
     # schedules (here n = 8, the hausdorff command with its default
     # fibonacci:500), and not the solvers.  The intersect pair (W spanned by
     # D_k x_k for diagonal unitaries D_k) and the nested minimal-check matrix
     # in C^4 are settled by the fiber's least-squares solve.  The "-steps"
-    # cases, a line inside a space of rank 3 and the nested matrix in C^5,
-    # are declined by it and take Frank-Wolfe steps, so they reach the
-    # master solve.  One fresh child each.
+    # cases, a line and a space of rank 3 whose moment sets meet only at a
+    # boundary point, are declined by its phase I and take Frank-Wolfe
+    # steps, so they reach the master solve.  One fresh child each.
     import momentkit
 
     rng = np.random.default_rng(8)
@@ -727,12 +742,11 @@ def test_cli_import_loads_no_scipy(tmp_path):
     x = np.linalg.qr(rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)))[0].T
     spans["pv"] = write_subspace(tmp_path / "pv.json", x, 5)
     spans["pw"] = write_subspace(tmp_path / "pw.json", x * np.exp(2j * np.pi * rng.random((2, 5))), 5)
-    frame, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((5, 5)))
-    y = (frame[:, 0] + 1j * frame[:, 1]) / np.sqrt(2.0)
-    spans["nv"] = write_subspace(tmp_path / "nv.json", y[None], 5)
-    spans["nw"] = write_subspace(tmp_path / "nw.json", np.array([y.conj(), frame[:, 2], frame[:, 3]]), 5)
-    for n in (4, 5):
-        spans[f"m{n}"] = write_matrix(tmp_path / f"m{n}.json", nested_matrix(n))
+    spans["bv"] = write_subspace(tmp_path / "bv.json", [(1, 0, 1j, 0)], 4)
+    spans["bw"] = write_subspace(tmp_path / "bw.json",
+                                 [(-1j, 1j, 1j, 1), (1j, 0, -1, -1), (-1j, 0, -1j, 0)], 4)
+    spans["m4"] = write_matrix(tmp_path / "m4.json", nested_matrix(4))
+    spans["mb"] = write_matrix(tmp_path / "mb.json", boundary_matrix())
     src = str(Path(momentkit.__file__).resolve().parents[1])
     loaded = {}
     for case, run in SCIPY_FREE.items():

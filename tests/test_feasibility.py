@@ -145,11 +145,14 @@ class TestProjection:
                     assert res.iterations <= 1 and res.converged, (r, j, offset)
                     assert abs(res.distance - offset) <= feasibility.DEFAULT_TOL, (r, j, offset)
 
-    def test_exposed_point_converges(self):
+    def test_exposed_point_converges(self, monkeypatch):
         # An exposed point other than a principal vertex, approached by
         # chords of two active atoms.  With an admission threshold of 1e-13
         # the oracle atom of step 11 failed it, the weights froze, and the
-        # solve ended unconverged at distance 2.04e-7.
+        # solve ended unconverged at distance 2.04e-7.  The fiber settles
+        # the point at iteration 0, so it is disabled: this is the master's
+        # path.
+        monkeypatch.setattr(feasibility._Master, "fiber", lambda master, tol: None)
         rng = np.random.default_rng(500 * 3 + 2)
         s = random_subspace(rng, 3, 2)
         for _ in range(4):
@@ -338,9 +341,12 @@ class TestIntersection:
 
 
 class TestEngineInvariants:
-    def test_objective_monotone_with_exact_line_search(self):
+    def test_objective_monotone_with_exact_line_search(self, monkeypatch):
         # A run capped at k steps returns the k-th iterate of the uncapped
         # run, so the distances over k = 0..K trace the objective history.
+        # The fiber, which settles these members at iteration 0, is
+        # disabled: the history is the master's.
+        monkeypatch.setattr(feasibility._Master, "fiber", lambda master, tol: None)
         rng = np.random.default_rng(6)
         for _ in range(5):
             s = random_subspace(rng, 5, 3)
@@ -398,17 +404,10 @@ class TestMaster:
         assert feasibility._ratio_step([0.5, 0.5, 0.0], [1.2, -0.2, 0.0]) == [0.5, 0.5, 0.0]
         assert feasibility._ratio_step([0.5, 0.5], [1.5, -0.5]) == [1.0, 0.0]
 
-    def test_rank_one_side_nested_pair_intersects(self):
+    def test_rank_one_side_nested_pair_intersects(self, monkeypatch):
         # V = span{x} lies in W = span{conj(x), f, g}, so the moment point of
         # V is in m_W.  Every atom of the rank-1 side V has the same point, so
         # each oracle atom of V duplicates the active one and is not admitted.
-        # Here the fiber's minimum-norm point is not PSD, so the master runs.
-        v, w = nested_pair(5)
-        cert = moments_intersect(v, w)
-        assert cert.status is IntersectionStatus.INTERSECT
-        assert cert.iterations >= 1
-        gap = np.real(np.diagonal(cert.witness_y)) - np.real(np.diagonal(cert.witness_x))
-        assert np.linalg.norm(gap) <= feasibility.DEFAULT_TOL
         # With W = span{conj(x), f} in C^4 the fiber is one point, PSD: the
         # common point |x|^2, to roundoff, with no step.
         v, w = nested_pair(4)
@@ -416,6 +415,15 @@ class TestMaster:
         assert cert.status is IntersectionStatus.INTERSECT and cert.iterations == 0
         assert cert.gap <= 1e-15
         assert np.max(np.abs(cert.common - np.abs(v.basis[:, 0]) ** 2)) <= 1e-15
+        # In C^5 the fiber's phase I settles the pair (``TestFiber``), so it
+        # is disabled here and the master runs.
+        monkeypatch.setattr(feasibility._Master, "fiber", lambda master, tol: None)
+        v, w = nested_pair(5)
+        cert = moments_intersect(v, w)
+        assert cert.status is IntersectionStatus.INTERSECT
+        assert cert.iterations >= 1
+        gap = np.real(np.diagonal(cert.witness_y)) - np.real(np.diagonal(cert.witness_x))
+        assert np.linalg.norm(gap) <= feasibility.DEFAULT_TOL
 
     def test_duplicate_start_atoms(self):
         # Both coefficient unit vectors of this basis have the moment point
@@ -511,10 +519,19 @@ def nested_pair(n: int):
     return subspace_from_spanning([x]), subspace_from_spanning([np.conj(x), *frame[:, 2:n - 1].T])
 
 
+def boundary_pair():
+    """The line of (1, 0, i, 0) and a space of rank 3 in C^4 whose moment
+    sets meet only at (1/2, 0, 1/2, 0), a boundary point of m_W."""
+    return (subspace_from_spanning([(1, 0, 1j, 0)]),
+            subspace_from_spanning([(-1j, 1j, 1j, 1), (1j, 0, -1, -1), (-1j, 0, -1j, 0)]))
+
+
 class TestFiber:
-    """The exact fiber of a pair, tried once after the oracle of iteration
-    0: one least-squares solve for the minimum-norm hermitian preimage,
-    accepted only when its clipped density matrices replay within ``tol``."""
+    """The exact fiber of a pair or a point, tried once after the oracle of
+    iteration 0 when its dual bound is at most ``tol``: one least-squares
+    solve for the minimum-norm hermitian preimage and, when that is not
+    PSD, a bounded phase I of alternating projections, accepted only when
+    its clipped density matrices replay within ``tol``."""
 
     @pytest.mark.parametrize("n, r", [(5, 2), (8, 2), (8, 3), (12, 4)])
     def test_intersecting_pairs_are_settled_exactly(self, n, r):
@@ -553,32 +570,84 @@ class TestFiber:
         v, w = nested_pair(4)
         assert moments_intersect(v, w, max_iter=0).status is IntersectionStatus.INDETERMINATE
 
-    def test_projections_never_reach_the_fiber(self, monkeypatch):
-        # Members and exterior points alike take Frank-Wolfe steps: the
-        # fiber is tried for pairs only.  The two members, V's point |x|^2
-        # in m_W and a mixture of the coordinate atoms of a random space,
-        # have fibers whose minimum-norm points are PSD; the vertices e_k
-        # are exterior points.
+    def test_exterior_points_never_reach_the_fiber(self, monkeypatch):
+        # A point whose first dual bound exceeds tol is at distance above
+        # tol, so it makes no least-squares solve and takes Frank-Wolfe
+        # steps: the vertices e_k, exterior points.  With max_iter = 0 no
+        # point reaches the fiber, a member neither.
         def forbidden(a, b):
             raise AssertionError("fiber solved")
 
         monkeypatch.setattr(feasibility, "_lstsq", forbidden)
-        v, w = nested_pair(4)
-        points = [(w, np.abs(v.basis[:, 0]) ** 2)]
         s = random_subspace(np.random.default_rng(0), 6, 2)
-        points += [(s, np.abs(s.basis) ** 2 @ np.array([0.3, 0.7]))]
-        points += [(s, np.eye(6)[k]) for k in range(6)]
-        for space, p in points:
+        for k in range(6):
+            res = project_onto_moment(s, np.eye(6)[k])
+            assert res.converged and res.iterations >= 1 and res.lower > feasibility.DEFAULT_TOL
+        member = np.abs(s.basis) ** 2 @ np.array([0.3, 0.7])
+        res = project_onto_moment(s, member, max_iter=0)
+        assert res.iterations == 0 and not res.converged
+
+    def test_members_are_settled_by_the_fiber(self, monkeypatch):
+        # V's point |x|^2 in m_W and a mixture of the coordinate atoms of a
+        # random space, fibers of one point, settled by the minimum-norm
+        # point; and a mixture of four pure states of a space of rank 5 in
+        # C^16, whose fiber has dimension 9 and a minimum-norm point that
+        # is not PSD, settled by phase I.  All answer at iteration 0 with a
+        # witness that replays to roundoff.
+        solves, real_lstsq = [], feasibility._lstsq
+
+        def counted(a, b):
+            solves.append(b.ndim)
+            return real_lstsq(a, b)
+
+        monkeypatch.setattr(feasibility, "_lstsq", counted)
+        v, w = nested_pair(4)
+        s = random_subspace(np.random.default_rng(0), 6, 2)
+        rng = np.random.default_rng(1)
+        big = random_subspace(rng, 16, 5)
+        u = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        cases = [(w, np.abs(v.basis[:, 0]) ** 2, [1]),
+                 (s, np.abs(s.basis) ** 2 @ np.array([0.3, 0.7]), [1]),
+                 (big, np.array([0.4, 0.3, 0.2, 0.1]) @ np.abs(u @ big.basis.T) ** 2, [1, 2])]
+        for space, p, expected in cases:
+            solves.clear()
             res = project_onto_moment(space, p)
-            assert res.converged and res.iterations >= 1
-        assert project_onto_moment(w, points[0][1]).distance <= feasibility.DEFAULT_TOL
+            assert solves == expected
+            assert res.iterations == 0 and res.converged and res.lower == 0.0
+            assert res.distance <= 1e-15
+            assert np.max(np.abs(np.real(np.diagonal(res.witness)) - p)) <= 1e-15
+
+    def test_phase_one_settles_the_nested_pair(self, monkeypatch):
+        # The nested pair in C^5: the fiber's minimum-norm point is not PSD,
+        # so one more least-squares solve gives the pseudo-inverse, and the
+        # alternating projections reach a PSD point of the fiber.
+        solves, real_lstsq = [], feasibility._lstsq
+
+        def counted(a, b):
+            solves.append(b.shape)
+            return real_lstsq(a, b)
+
+        monkeypatch.setattr(feasibility, "_lstsq", counted)
+        v, w = nested_pair(5)
+        cert = moments_intersect(v, w)
+        assert solves == [(7,), (7, 7)]
+        assert cert.status is IntersectionStatus.INTERSECT and cert.iterations == 0
+        dy, dx = (np.real(np.diagonal(m)) for m in (cert.witness_y, cert.witness_x))
+        assert np.max(np.abs(dy - dx)) <= 1e-14 and cert.gap <= 1e-14
+        assert np.max(np.abs(cert.common - np.abs(v.basis[:, 0]) ** 2)) <= 1e-14
+        for witness in (cert.witness_y, cert.witness_x):
+            assert np.linalg.eigvalsh(witness)[0] >= -1e-15
 
     def test_declined_fiber_leaves_the_master_untouched(self, monkeypatch):
-        # The nested pair in C^5: the fiber's minimum-norm point is not PSD.
-        # The master keeps no trace of the attempt, and the answer is, in
-        # bytes, that of the solver without the fiber.
-        v, w = nested_pair(5)
-        master = feasibility._Master([v, w], np.zeros(5))
+        # The line of (1, 0, i, 0) meets m_W of a space of rank 3 only at
+        # (1/2, 0, 1/2, 0), on its boundary, where the only preimage is a
+        # pure state: the fiber has positive dimension, so no round of the
+        # phase I reaches a PSD point, and the clipped minimum-norm point
+        # does not replay.  The master keeps no trace of the attempt, and
+        # the answer is, in bytes, that of the solver without the fiber.
+        v, w = boundary_pair()
+        master = feasibility._Master([v, w], np.zeros(4))
         assert master.fiber(feasibility.DEFAULT_TOL) is None
         assert master.kkt is None and master.iterate is None
         calls, real_fiber = [], feasibility._Master.fiber
@@ -678,11 +747,13 @@ class TestFailedSolve:
 
     @pytest.mark.parametrize("exit_, which, after", FAILURES, ids=FAILURE_IDS)
     def test_intersection_is_indeterminate(self, monkeypatch, exit_, which, after):
-        # The pair intersects after 2 steps; a failed solve before then
-        # certifies neither INTERSECT nor DISJOINT.
+        # Without the fiber, which settles it at iteration 0, the pair
+        # intersects after 2 steps; a failed solve before then certifies
+        # neither INTERSECT nor DISJOINT.
         rng = np.random.default_rng(2)
         v, w = random_subspace(rng, 4, 2), random_subspace(rng, 4, 2)
         assert moments_intersect(v, w).status is IntersectionStatus.INTERSECT
+        monkeypatch.setattr(feasibility._Master, "fiber", lambda master, tol: None)
         stopped = moments_intersect(v, w, max_iter=after)
         failing = FailingSolves(monkeypatch, after, which)
         cert = moments_intersect(v, w)

@@ -228,6 +228,32 @@ def test_fiber_certificates_replay(shape, seed):
             _assert_fiber_certificate(cert, v, w, 1e-14)
 
 
+@given(shape=shapes(), seed=seeds)
+@example(shape=(1, 1), seed=0)
+@example(shape=(8, 3), seed=1)
+@example(shape=(10, 5), seed=2)
+def test_fiber_projections_replay(shape, seed):
+    # A member of m_S, a mixture of the moment points of four random unit
+    # vectors of S with weights in [1/2, 3/2] as in the benchmark: every
+    # projection the fiber settles has a witness that replays, PSD, of
+    # unit trace and supported on S, with moment point p to roundoff.
+    n, r = shape
+    rng = np.random.default_rng(seed)
+    s = random_subspace(rng, n, r)
+    weights = rng.random(4) + 0.5
+    p = weights / weights.sum() @ _moment_points(rng, s, 4)
+    res = project_onto_moment(s, p, max_iter=MAX_ITER)
+    assert res.converged
+    if res.iterations == 0:
+        witness = res.witness
+        assert np.max(np.abs(witness - witness.conj().T)) <= 1e-15
+        assert np.linalg.eigvalsh(witness)[0] >= -1e-14
+        assert abs(np.trace(witness).real - 1.0) <= 1e-14
+        assert np.max(np.abs(s.projector @ witness @ s.projector - witness)) <= 1e-14
+        assert np.linalg.norm(np.real(np.diagonal(witness)) - p) <= 1e-14
+        assert res.lower == 0.0 and res.distance <= 1e-14
+
+
 @given(n=st.integers(2, 24), seed=seeds)
 @example(n=2, seed=0)
 @example(n=4, seed=316)

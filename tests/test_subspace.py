@@ -239,6 +239,22 @@ class TestCentroidAlgebra:
     def test_whole_space_has_no_complement(self):
         with pytest.raises(ValueError, match="trivial complement"):
             orthogonal_complement(whole_space(3))
+        with pytest.raises(ValueError, match="trivial complement"):
+            whole_space(3).complement_vector
+
+    def test_complement_vector(self, monkeypatch):
+        # One unit vector of the complement, computed once and without an
+        # eigensolve: (I - Q Q*) e_j for the smallest row norm |q_j|.
+        monkeypatch.setattr(subspace, "hermitian_eig", None)
+        rng = np.random.default_rng(21)
+        for n, r in ((2, 1), (3, 2), (8, 3), (32, 4), (6, 5)):
+            s = random_subspace(rng, n, r)
+            v = s.complement_vector
+            assert v is s.complement_vector
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+            assert np.linalg.norm(s.projector @ v) <= 1e-14
+            j = int(np.argmin(np.linalg.norm(s.basis, axis=1)))
+            assert abs(v[j]) ** 2 == pytest.approx(1.0 - np.linalg.norm(s.basis[j]) ** 2, abs=1e-14)
 
     def test_nested_difference(self):
         rng = np.random.default_rng(8)
