@@ -12,13 +12,10 @@ sum_s sign_s y_s - target: y - p for a projection, y_V - y_W for an
 intersection.  A density matrix M over the coefficient space C^r maps
 linearly to the moment coordinates y = diag(Q M Q*) in R^n, and the linear
 minimization oracle over the density set is the bottom eigenvector of the
-r x r gradient compression, the top one of the negated gradient
-(``linalg.compressed_top_eigh``, which also gives the boundary sweeps of
-``jnr``), so every step costs one small eigensolve; two sides of one rank
-share one call on their stacked tables, and a lone side, or each of two of
-unequal rank, takes the one-direction form ``linalg._compressed_top_eigh1``,
-bitwise its row of a stack.  Iterates are explicit convex combinations of
-rank-one atoms |Q u|^2.  Each iteration adds the oracle atom of every
+r x r gradient compression, the top one of the negated gradient: one call
+of ``linalg._compressed_top_eigh1`` per side, so every step costs one small
+eigensolve per side.  Iterates are explicit convex combinations of rank-one
+atoms |Q u|^2.  Each iteration adds the oracle atom of every
 side and re-solves all weights exactly (``_Master``): a Lawson-Hanson
 active-set solve of the least-squares master with one equality row per
 side for its unit sum, and no penalty row, warm-started at the current
@@ -90,8 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (DEFAULT_MAX_ITER, DEFAULT_TOL, _compressed_top_eigh1, _eigh, _integer,
-                     _lstsq, _lu_solve, _numbers, _real, compressed_top_eigh,
-                     compressed_top_eigvalsh)
+                     _lstsq, _lu_solve, _numbers, _real, compressed_top_eigvalsh)
 from .subspace import Subspace
 
 #: Strict support-function margin required to certify disjointness.
@@ -137,11 +133,15 @@ class _Master:
     ``_Master(spaces, target)`` takes one subspace or two, with signs +1
     and -1.  An atom is a unit coefficient vector u of a side s, with column
     a = sign_s |Q_s u|^2 of the master problem; the iterate is A w with the
-    weights of each side on its unit simplex.  It starts at the centroid of
-    every side, weight 1/r on each coefficient unit vector, with the
-    principal vertices beside them at zero weight.  These probes make each
-    principal vertex, an extremal point of the moment set, an exact atom the
-    first step reaches, where the oracle only approaches it.
+    weights of each side on its unit simplex.  Its iterate 0 is the centroid
+    of every side, diag(P)/r for the projector P, which holds no atom.  The
+    first step adds the principal vertices |v^j|^2 of every side, v^j =
+    P e_j / |P e_j| for each nonzero row of Q, as probes at zero weight.
+    They contain iterate 0: diag(P)/r = sum_j (P_jj / r) |v^j|^2, and the
+    centroid state P/r = sum_j (P_jj / r) v^j v^j*, so the first step ends
+    no higher than the centroid.  They also make each principal vertex, an
+    extremal point of the moment set, an exact atom the first step reaches,
+    where the oracle only approaches it.
 
     ``step`` adds one oracle atom per side and solves
     min |A w - target|^2 over w >= 0 with unit sum per side exactly, by the
@@ -166,16 +166,17 @@ class _Master:
     matrix is singular, else each whose Schur complement in it (the squared
     distance from its point to the affine span of the active points of its
     side, shifted by the other sides) is not above ``_ADMIT_RTOL`` of its
-    squared norm, and a lone one whose weight solves to at most 0.  Rejected
-    start atoms with weight restart the first step from the oracle atom of
-    every side alone; a lone rejected atom reaches nothing new and is evicted
-    from the store; those of a block leave it and wait for the dual check.
+    squared norm, and a lone one whose weight solves to at most 0.  A lone
+    rejected atom reaches nothing new and is evicted from the store; those
+    of a block leave it and wait for the dual check.  No atom enters with
+    weight: in the first pass of the first step each oracle atom is the only
+    atom of its side, with weight 1 and inverse entry 0, so none is rejected.
 
     The first step allocates the store, with fixed capacity: ``kkt`` holds
     the KKT matrix of the live atoms ``atoms``, side rows first and the
     right-hand side as its last column, and ``points`` their columns a.  The
     ``q`` active atoms come first, so a pass solves a leading block.  A step
-    writes its atoms, the first its start atoms too, after the live ones and
+    writes its atoms, the first its probes too, after the live ones and
     borders the Gram matrix with them in one product; an atom leaves the
     block, or an evicted one the store, by a swap with its last atom.
     """
@@ -186,12 +187,6 @@ class _Master:
         # Python floats: the per-step products stay scalar ones.
         self.signs = [1.0, -1.0][:len(spaces)]
         self.target = target
-        # The oracle minimizes <sign * d, z>: the top eigenpair of -sign * d.
-        self.flips = -np.array(self.signs)[:, None]
-        # Two sides of one rank share one eigensolve call on their stacked
-        # tables; a lone side, or each of two of unequal rank, takes its own.
-        paired = len(self.tables) == 2 and self.tables[0].shape == self.tables[1].shape
-        self.table = np.stack(self.tables) if paired else None
         self.kkt = None
         self.iterate = None
         self.dual_tol = -_DUAL_RTOL * (1.0 + float(abs(target).max(initial=0.0)))
@@ -200,14 +195,8 @@ class _Master:
         """The top eigenvalue h of every side at -sign * d, and its oracle
         atom (u, z): z = |Q u|^2 minimizes <sign * d, z> over the side's
         moment set, where the minimum is -h."""
-        directions = self.flips * d
-        if self.table is None:
-            solved = [_compressed_top_eigh1(table, c) for table, c in zip(self.tables, directions)]
-            tops, us = [h for h, _ in solved], [u for _, u in solved]
-        else:
-            tops, us = compressed_top_eigh(self.table, directions)
-            tops = tops.tolist()
-        return tops, [(u, abs(q @ u) ** 2) for q, u in zip(self.bases, us)]
+        top = [_compressed_top_eigh1(t, -sign * d) for t, sign in zip(self.tables, self.signs)]
+        return [h for h, _ in top], [(u, abs(q @ u) ** 2) for q, (_, u) in zip(self.bases, top)]
 
     def residual(self) -> np.ndarray:
         """Residual of the starting iterate, the centroid of every side."""
@@ -341,31 +330,28 @@ class _Master:
         """Add the oracle atoms (u, z) of every side and re-solve all weights.
         Return the residual of the new weights, which become the iterate only
         on ``accept``; None when the solve fails."""
-        n_sides, n, groups = len(self.signs), self.target.size, []
+        n_sides, n, probes = len(self.signs), self.target.size, []
         if self.kkt is None:
             # Storage for every atom a solve can hold at once.  The probes:
             # coefficient rows of the principal standard vectors.
-            units = [np.eye(q.shape[1], dtype=np.complex128) for q in self.bases]
             norms = [np.linalg.norm(q, axis=1) for q in self.bases]
             probes = [q[k > 1e-12].conj() / k[k > 1e-12, None] for q, k in zip(self.bases, norms)]
-            cap = sum(len(u) + len(p) for u, p in zip(units, probes)) + n + 2 * n_sides
+            cap = sum(len(p) for p in probes) + n + 2 * n_sides
             self.points = np.zeros((cap, n))
             self.kkt = np.zeros((n_sides + cap, n_sides + cap + 1))
             self.kkt[:n_sides, -1] = 1.0
-            # By position: (side, coefficient vector) of each live atom.
-            self.atoms, self.q = [], 0
-            groups = ([(s, u, abs(q.T) ** 2) for s, (q, u) in enumerate(zip(self.bases, units))]
-                      + [(s, p, abs(p @ q.T) ** 2) for s, (q, p) in enumerate(zip(self.bases, probes))])
-            w = [0.0] * n_sides + [1.0 / len(u) for u in units for _ in u]
-        else:
-            w = self.x[n_sides:].tolist() + [0.0] * len(fw)
+            # By position: (side, coefficient vector) of each live atom;
+            # none is active yet, so the oracle atoms enter at weight 0.
+            self.atoms, self.q, self.x = [], 0, np.zeros(n_sides)
+        w = self.x[n_sides:].tolist() + [0.0] * len(fw)
         lo = len(self.atoms)
         for s, (u, z) in enumerate(fw):
             self.points[lo + s] = self.signs[s] * z
             self.atoms.append((s, u))
-        for s, atoms, points in groups:
-            self.points[len(self.atoms):len(self.atoms) + len(atoms)] = self.signs[s] * points
-            self.atoms += [(s, u) for u in atoms]
+        for s, (q, p) in enumerate(zip(self.bases, probes)):
+            i = len(self.atoms)
+            self.points[i:i + len(p)] = self.signs[s] * abs(p @ q.T) ** 2
+            self.atoms += [(s, u) for u in p]
         self._border(lo)
         if not self._solve(w):
             return None
@@ -378,9 +364,10 @@ class _Master:
         self.iterate = (self.x[len(self.signs):], self.atoms[:])
 
     def _solve(self, w: list[float]) -> bool:
-        """Lawson-Hanson from the feasible weights w of the q active atoms and
-        of the atoms entering after them.  On success the active atoms are
-        the leading positions, with KKT solution ``x`` = [nu, weights]."""
+        """Lawson-Hanson from the weights w of the q active atoms, feasible
+        when q > 0, and 0 for each atom entering after them.  On success the
+        active atoms are the leading positions, with KKT solution ``x`` =
+        [nu, weights]."""
         n_sides, k, q = len(self.signs), self.kkt, self.q
         # Every pass admits or drops an atom; the bound only ends cycling
         # in roundoff, as a failed solve.
@@ -411,11 +398,7 @@ class _Master:
                     bad = [i for i in range(e) if not abs(inv[i]) * norm[i] * _ADMIT_RTOL < 1.0
                            or e == 1 and sol[-1] <= 0.0]
             if bad:
-                if any(w[q + i] > 0.0 for i in bad):
-                    # Start atoms depend on each other: start again from the
-                    # oracle atoms, which lead the first step.
-                    w = [1.0] * n_sides
-                elif e == 1:
+                if e == 1:
                     self._evict(w)
                 else:
                     self._leave(w, [q + i for i in bad])

@@ -1,11 +1,10 @@
 """Dense complex matrix primitives: hermitian eigensolves, the batched
 top eigenpair of the compressions behind every support value, the same
 top eigenpair of one direction without the stack (``support_moment``,
-``jnr_support`` and the solver's oracle of a lone side or of two sides of
-unequal rank), the same top eigenvalue alone for callers that use no
-eigenvector (Hausdorff sweeps, separation margins), the real linear solves
-of the solver's KKT systems and its exact fibers, orthonormalization,
-projectors and spectral norms.
+``jnr_support`` and the solver's oracle of every side), the same top
+eigenvalue alone for callers that use no eigenvector (Hausdorff sweeps,
+separation margins), the real linear solves of the solver's KKT systems
+and its exact fibers, orthonormalization, projectors and spectral norms.
 
 Every routine is a pure function on small dense arrays (the intended regime is
 ambient dimension up to a few dozen).  Results are deterministic for a fixed
@@ -247,21 +246,21 @@ def hermitian_eig(a) -> EigenDecomposition:
 
 def _compressions(table: np.ndarray, directions) -> np.ndarray:
     """The (k, r, r) compressions Q* diag(c) Q of the rows c of a (k, n)
-    stack of finite real directions, each one real matmul of c against its
+    stack of finite real directions, each one real matmul of c against the
     table; a compression that overflows raises ``ValueError``.
     ``eigh`` and ``eigvalsh`` read only the lower triangle and the real part
     of the diagonal, so the compression is not symmetrized.
     """
-    n, r = table.shape[-3:-1]
-    # Every table as a (tables, n, 2 r^2) real stack: a lone table is a
-    # stack of one, which the matmul broadcasts over the directions.
-    real_table = table.reshape(-1, n, r * r).view(np.float64)
+    n, r = table.shape[:2]
+    # The table as a (1, n, 2 r^2) real stack, which the matmul broadcasts
+    # over the directions.
+    real_table = table.reshape(1, n, r * r).view(np.float64)
     # The message is built only on failure: this runs once per support value.
     try:
         d = _numbers(directions, "")
     except ValueError:
         d = None
-    if (d is None or d.ndim != 2 or d.shape[1] != n or len(real_table) not in (1, len(d))
+    if (d is None or d.ndim != 2 or d.shape[1] != n
             or not (peak := abs(d).max(initial=0.0)) <= _FLOAT_MAX):
         raise ValueError(f"directions must be finite real rows of dimension {n}")
     # Row by row (a stacked matmul, not one GEMM), so that a row's compression
@@ -284,9 +283,8 @@ def compressed_top_eigh(table: np.ndarray, directions) -> tuple[np.ndarray, np.n
 
     ``table`` is ``Subspace.compression_table``, the (n, r, r) products
     conj(q_i)^T q_i of the rows q_i of Q, so each compression is one real
-    matmul of c against it.  A (k, n, r, r) stack of tables pairs one table
-    with each direction, and a lone table is a stack of one, shared by all
-    of them; every row comes out bitwise as from its own call.
+    matmul of c against it, and every row comes out bitwise as from its
+    own call.
 
     A rank-one compression is its own eigenvalue: for r = 1 the value is the
     real part of the entry and the vector is 1, bitwise what LAPACK's n = 1

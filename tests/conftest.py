@@ -96,16 +96,18 @@ def random_generic_subspace(rng: np.random.Generator, n: int, r: int) -> Subspac
             return s
 
 
-def coordinate_half_pair(rng: np.random.Generator, n: int, r: int) -> tuple[Subspace, Subspace]:
-    """V mostly on the first half of the coordinates, W on the second half,
-    each with a small leak into the other half: disjoint moment sets."""
-    half = n // 2
+def coordinate_half_pair(rng: np.random.Generator, n: int, r: int,
+                         r_w: int | None = None) -> tuple[Subspace, Subspace]:
+    """V of rank r mostly on the first half of the coordinates, W of rank
+    r_w (default r) on the second half, each with a small leak into the
+    other half: disjoint moment sets."""
+    half, r_w = n // 2, r if r_w is None else r_w
     v = np.zeros((r, n), dtype=np.complex128)
-    w = np.zeros((r, n), dtype=np.complex128)
+    w = np.zeros((r_w, n), dtype=np.complex128)
     v[:, :half] = random_subspace(rng, half, r).basis.T
-    w[:, half:] = random_subspace(rng, n - half, r).basis.T
+    w[:, half:] = random_subspace(rng, n - half, r_w).basis.T
     v[:, half:] = 0.1 / np.sqrt(n - half) * rng.standard_normal((r, n - half))
-    w[:, :half] = 0.1 / np.sqrt(half) * rng.standard_normal((r, half))
+    w[:, :half] = 0.1 / np.sqrt(half) * rng.standard_normal((r_w, half))
     return subspace_from_spanning(v), subspace_from_spanning(w)
 
 

@@ -132,10 +132,10 @@ class TestProjection:
     @pytest.mark.parametrize("n", range(3, 17))
     def test_principal_points_resolve_in_one_step(self, n):
         # The principal vertices |v^j|^2, extremal points of the moment set,
-        # are start atoms of the master, so a point on one, or 0.05 outside
-        # it along its normal e_j, resolves in one step.  The oracle alone
-        # only approaches them: without those atoms, 1,020 of these 1,310
-        # projections took more steps and 104 ended unconverged.
+        # are probe atoms of the master's first step, so a point on one, or
+        # 0.05 outside it along its normal e_j, resolves in one step.  The
+        # oracle alone only approaches them: without those atoms, 492 of
+        # these 1,310 projections took more steps and 18 ended unconverged.
         for r in range(1, min(5, n) + 1):
             s = random_subspace(np.random.default_rng(1000 * n + r), n, r)
             for j in range(n):
@@ -256,56 +256,34 @@ class TestIntersection:
             assert fresh == pytest.approx(cert.margin, abs=1e-10)
             assert fresh >= 1e-9
 
-    def test_coordinate_half_pair_certified_at_first_iterate(self, monkeypatch):
-        # The oracle's dual bound at the starting iterate already separates a
-        # coordinate-half pair: one oracle eigensolve on the stacked tables
-        # of the two equal-rank sides, whose eigenvalues give the margin, and
-        # no corrective step.
+    @pytest.mark.parametrize("shapes, seed", [
+        (((6, 2, 2), (8, 3, 3), (10, 2, 2), (12, 4, 4)), 8),
+        (((8, 2, 3),), 29),
+    ], ids=["equal-rank", "unequal-rank"])
+    def test_pair_certified_at_first_iterate(self, monkeypatch, shapes, seed):
+        # The oracle's dual bound at the starting iterate already separates
+        # these pairs: one one-direction eigensolve per side, whose
+        # eigenvalues give the margin, and no corrective step.  No
+        # value-only solve confirms it.
         calls = []
-        for name in ("compressed_top_eigh", "_compressed_top_eigh1", "compressed_top_eigvalsh"):
+        for name in ("_compressed_top_eigh1", "compressed_top_eigvalsh"):
             def counted(*args, name=name, original=getattr(feasibility, name)):
                 calls.append(name)
                 return original(*args)
 
             monkeypatch.setattr(feasibility, name, counted)
-        rng = np.random.default_rng(8)
-        for n, r in ((6, 2), (8, 3), (10, 2), (12, 4)):
-            sv, sw = coordinate_half_pair(rng, n, r)
+        rng = np.random.default_rng(seed)
+        for n, r_v, r_w in shapes:
+            sv, sw = coordinate_half_pair(rng, n, r_v, r_w)
+            assert (sv.r, sw.r) == (r_v, r_w)
             calls.clear()
             cert = moments_intersect(sv, sw)
             assert cert.status is IntersectionStatus.DISJOINT
             assert cert.iterations == 0
-            assert calls == ["compressed_top_eigh"]
-            assert separation_margin(sv, sw, cert.direction) >= feasibility.SEPARATION_MARGIN
-
-    def test_unequal_rank_pair_certified_at_first_iterate(self, monkeypatch):
-        # Sides of different rank solve one eigenproblem each, one direction
-        # at a time, and the margin is read off those two eigenvalues: no
-        # value-only solve confirms it.
-        calls = []
-        for name in ("compressed_top_eigh", "_compressed_top_eigh1", "compressed_top_eigvalsh"):
-            def counted(*args, name=name, original=getattr(feasibility, name)):
-                calls.append(name)
-                return original(*args)
-
-            monkeypatch.setattr(feasibility, name, counted)
-        rng = np.random.default_rng(29)
-        n, r_v, r_w = 8, 2, 3
-        half = n // 2
-        v = np.zeros((r_v, n), dtype=np.complex128)
-        w = np.zeros((r_w, n), dtype=np.complex128)
-        v[:, :half] = random_subspace(rng, half, r_v).basis.T
-        w[:, half:] = random_subspace(rng, n - half, r_w).basis.T
-        v[:, half:] = 0.1 / np.sqrt(n - half) * rng.standard_normal((r_v, n - half))
-        w[:, :half] = 0.1 / np.sqrt(half) * rng.standard_normal((r_w, half))
-        sv, sw = subspace_from_spanning(v), subspace_from_spanning(w)
-        assert (sv.r, sw.r) == (r_v, r_w)
-        cert = moments_intersect(sv, sw)
-        assert cert.status is IntersectionStatus.DISJOINT
-        assert cert.iterations == 0
-        assert calls == ["_compressed_top_eigh1", "_compressed_top_eigh1"]
-        replay = separation_margin(sv, sw, cert.direction)
-        assert abs(cert.margin - replay) <= 1e-12 * (1.0 + cert.margin)
+            assert calls == ["_compressed_top_eigh1"] * 2
+            replay = separation_margin(sv, sw, cert.direction)
+            assert abs(cert.margin - replay) <= 1e-12 * (1.0 + cert.margin)
+            assert replay >= feasibility.SEPARATION_MARGIN
 
     def test_separation_margin_checks_dimensions(self, monkeypatch):
         # Rejected before any eigensolve, with moments_intersect's message.
@@ -427,9 +405,9 @@ class TestMaster:
 
     def test_duplicate_start_atoms(self):
         # Both coefficient unit vectors of this basis have the moment point
-        # (1/2, 1/2, 0, 0), so the start atoms are dependent and the master
-        # starts again from the oracle atom.  m_S is the segment from e_1 to
-        # e_2.
+        # (1/2, 1/2, 0, 0), the centroid, where the master starts with no
+        # atom.  m_S is the segment from e_1 to e_2, its principal vertices,
+        # which the probes reach.
         s = subspace_from_spanning([(1, 1, 0, 0), (1, -1, 0, 0)])
         member = project_onto_moment(s, [1.0, 0.0, 0.0, 0.0])
         assert member.distance <= 1e-7
@@ -463,8 +441,7 @@ class TestMaster:
             raise AssertionError("stacked path called")
 
         monkeypatch.setattr(linalg, "_eigh", counted)
-        for module, name in ((linalg, "_compressions"), (linalg, "compressed_top_eigh"),
-                             (feasibility, "compressed_top_eigh")):
+        for module, name in ((linalg, "_compressions"), (linalg, "compressed_top_eigh")):
             monkeypatch.setattr(module, name, forbidden)
         support_moment(example_v, [1.0, 0.5, -2.0])
         jnr_support(example_v, [1.0, -0.5, 2.0])
@@ -484,7 +461,7 @@ class TestMaster:
         rng = np.random.default_rng(3)
         s = random_subspace(rng, 3, 2)
         master = feasibility._Master([s], rng.standard_normal(3))
-        # The first coefficient unit vector, a start atom.
+        # The first coefficient unit vector, in place of the oracle atom.
         duplicate = [(np.eye(2, dtype=complex)[0], np.abs(s.basis[:, 0]) ** 2)]
         d = master.step(duplicate)
         master.accept()
@@ -670,24 +647,24 @@ class TestFiber:
 
 class FailingSolves:
     """The KKT solve kernel the master calls (``feasibility._lu_solve``)
-    made to raise ``LinAlgError``, as it does on a singular matrix, in every
-    master step after the first ``after`` for the right-hand sides ``which``
-    selects, with a log of each ``_Master._solve``: what it returned, how
-    many solves it made, and its pass bound."""
+    replaced by ``fault(solve, a, b, n_sides)`` in every master step after
+    the first ``after``, with a log of each ``_Master._solve``: what it
+    returned, how many solves it made, and its pass bound."""
 
-    def __init__(self, monkeypatch, after: int, which):
+    def __init__(self, monkeypatch, after: int, fault):
         real_solve, real_step, real_inner = (
             feasibility._lu_solve, feasibility._Master.step, feasibility._Master._solve)
         self.steps, self.solves, self.calls = 0, [], 0
 
         def solve(a, b):
             self.calls += 1
-            if self.steps > after and which(b):
-                raise np.linalg.LinAlgError("Singular matrix")
+            if self.steps > after:
+                return fault(real_solve, a, b, len(self.master.signs))
             return real_solve(a, b)
 
         def step(master, fw):
             self.steps += 1
+            self.master = master
             return real_step(master, fw)
 
         def inner(master, w):
@@ -704,20 +681,34 @@ class FailingSolves:
         ok, calls, bound = self.solves[-1]
         assert not ok
         # A singular solve of the active atoms alone fails at once; a step
-        # that restarts on every pass runs out of passes.
+        # that cycles runs out of passes.
         assert calls == bound if exit_ == "pass bound" else calls < bound
 
 
-# (exit, which right-hand sides fail, steps before the failing one).  A 1-D
-# right-hand side is the solve of the active atoms alone: an entering atom
-# adds a unit column, so only this failure reaches the exit with no
-# entering atom.  Failing every solve of the first step restarts it from the
-# oracle atoms again and again, until the pass bound; in a later step the
-# entering atoms have no weight, so they are evicted instead and the first
-# exit is reached.
-FAILURES = [("singular active atoms", lambda b: b.ndim == 1, 0),
-            ("singular active atoms", lambda b: b.ndim == 1, 1),
-            ("pass bound", lambda b: True, 0)]
+def singular_active(solve, a, b, n_sides):
+    """A 1-D right-hand side is the solve of the active atoms alone (an
+    entering atom adds a unit column): it raises, as on a singular matrix.
+    Only this failure reaches the exit with no entering atom."""
+    if b.ndim == 1:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return solve(a, b)
+
+
+def first_weight_negative(solve, a, b, n_sides):
+    """Whenever atoms enter, the first active atom solves to weight -1: the
+    ratio step drops it, the dual check brings it back, and the step cycles
+    until the pass bound.  Where the dropped atom is not needed, as when a
+    projection keeps one active atom, the step ends instead."""
+    x = solve(a, b)
+    if b.ndim == 2:
+        x[n_sides, 0] = -1.0
+    return x
+
+
+# (exit, fault, steps before the faulty one).
+FAILURES = [("singular active atoms", singular_active, 0),
+            ("singular active atoms", singular_active, 1),
+            ("pass bound", first_weight_negative, 2)]
 FAILURE_IDS = ["active-first-step", "active-second-step", "pass-bound"]
 
 
@@ -725,17 +716,18 @@ class TestFailedSolve:
     """A KKT solve that fails ends the run at the last accepted iterate:
     a projection reports it unconverged with its lower bound, and an
     intersection is INDETERMINATE.  No natural input is known to make the
-    KKT matrix singular, so the master's solve kernel is made to raise."""
+    KKT matrix singular or the master cycle, so the master's solve kernel
+    is made to raise, or to return a wrong weight."""
 
-    @pytest.mark.parametrize("exit_, which, after", FAILURES, ids=FAILURE_IDS)
-    def test_projection_is_unconverged_at_last_iterate(self, monkeypatch, exit_, which, after):
+    @pytest.mark.parametrize("exit_, fault, after", FAILURES, ids=FAILURE_IDS)
+    def test_projection_is_unconverged_at_last_iterate(self, monkeypatch, exit_, fault, after):
         s = random_subspace(np.random.default_rng(0), 6, 2)
-        p = np.eye(6)[0]
+        p = np.eye(6)[2]
         # Unfailed, this projection takes 6 steps: stopping after `after`
         # steps gives the answer a failure in the next one must keep.
         stopped = project_onto_moment(s, p, max_iter=after)
         assert not stopped.converged
-        failing = FailingSolves(monkeypatch, after, which)
+        failing = FailingSolves(monkeypatch, after, fault)
         res = project_onto_moment(s, p)
         failing.check_failed_exit(exit_)
         assert failing.steps == after + 1
@@ -745,17 +737,17 @@ class TestFailedSolve:
         assert (res.distance, res.lower) == (stopped.distance, stopped.lower)
         assert np.array_equal(res.witness, stopped.witness)
 
-    @pytest.mark.parametrize("exit_, which, after", FAILURES, ids=FAILURE_IDS)
-    def test_intersection_is_indeterminate(self, monkeypatch, exit_, which, after):
+    @pytest.mark.parametrize("exit_, fault, after", FAILURES, ids=FAILURE_IDS)
+    def test_intersection_is_indeterminate(self, monkeypatch, exit_, fault, after):
         # Without the fiber, which settles it at iteration 0, the pair
-        # intersects after 2 steps; a failed solve before then certifies
+        # intersects after 3 steps; a failed solve before then certifies
         # neither INTERSECT nor DISJOINT.
         rng = np.random.default_rng(2)
         v, w = random_subspace(rng, 4, 2), random_subspace(rng, 4, 2)
         assert moments_intersect(v, w).status is IntersectionStatus.INTERSECT
         monkeypatch.setattr(feasibility._Master, "fiber", lambda master, tol: None)
         stopped = moments_intersect(v, w, max_iter=after)
-        failing = FailingSolves(monkeypatch, after, which)
+        failing = FailingSolves(monkeypatch, after, fault)
         cert = moments_intersect(v, w)
         failing.check_failed_exit(exit_)
         assert cert.status is IntersectionStatus.INDETERMINATE

@@ -424,22 +424,6 @@ class TestCompressedEigh:
                 # Integer directions are cast to float64 on both paths.
                 assert_one_direction_is_its_row(table, rng.integers(-3, 4, (10, n)))
 
-    def test_table_stack_matches_separate_calls_bitwise(self):
-        # One table per direction, as the paired oracle of two equal-rank
-        # sides calls it: each row is bitwise the row of its own call.
-        rng = np.random.default_rng(15)
-        for n, r in [(5, 2), (8, 3), (12, 4), (1, 1)]:
-            tables = np.stack([random_subspace(rng, n, r).compression_table for _ in range(3)])
-            dirs = rng.standard_normal((3, n))
-            for solve in PRIMITIVES:
-                stacked = solve(tables, dirs)
-                for i, (table, c) in enumerate(zip(tables, dirs)):
-                    for rows, alone in zip(stacked, solve(table, c[None])):
-                        assert_bitwise(rows[i], alone[0])
-        for solve in PRIMITIVES:
-            with pytest.raises(ValueError, match="finite real rows"):
-                solve(tables, dirs[:2])
-
     def test_matches_hermitian_eig_of_explicit_compression(self):
         rng = np.random.default_rng(13)
         for n, r in [(7, 3), (5, 5), (16, 4), (4, 1)]:

@@ -396,7 +396,8 @@ def test_projection_is_frame_invariant(shape, seed, on_simplex):
 @st.composite
 def master_cases(draw):
     """(n, ranks, kind, seed) for the master: one or two sides with n <= 12.
-    ``kind`` "duplicate" feeds atoms the store already holds, and "zero"
+    ``kind`` "duplicate" feeds the first coefficient unit vector at every
+    step, an atom the store holds from the second step on, and "zero"
     gives a residual that reaches 0: a target on the moment set, or a pair
     W = span{D_k x_k} of the same rank."""
     n = draw(st.integers(1, 12))
@@ -426,17 +427,21 @@ def _master_steps(n, ranks, kind, seed, steps=4):
         target = rng.standard_normal(n)
     master = _Master(spaces, target)
     d = master.residual()
-    for _ in range(steps):
+    for i in range(steps):
         if d @ d <= DEFAULT_TOL ** 2:
             return
         _, fw = master.oracle(d)
         if kind == "duplicate":
-            # The first coefficient unit vector: a start atom, held again.
+            # The first coefficient unit vector, in place of the oracle atom;
+            # once active, it is fed again as an atom the store holds.
             fw = [(np.eye(len(u))[0].astype(complex), np.abs(space.basis[:, 0]) ** 2)
                   for space, (u, _) in zip(spaces, fw)]
         d_new = master.step(fw)
         assert d_new is not None
         assert_kkt_store(master)
+        if not i:
+            # Iterate 0, the centroid, lies in the hull of the probes.
+            assert d_new @ d_new <= (1.0 + 1e-14) * (d @ d)
         yield master, d_new
         if not d_new @ d_new < d @ d:
             return

@@ -224,6 +224,31 @@ class TestCentroid:
         other = subspace_from_spanning((s.basis @ mix).T)
         assert np.allclose(centroid(s), centroid(other), atol=1e-10)
 
+    def test_mixture_of_principal_vertices(self):
+        # diag(P)/r = sum_j (P_jj / r) |v^j|^2 and P/r = sum_j (P_jj / r)
+        # v^j v^j*: the centroid, the solver's iterate 0, lies in the hull
+        # of the principal vertices, its probes.  A zero row has P_jj = 0
+        # and no principal vector, so it adds nothing.
+        rng = np.random.default_rng(19)
+        leaky = np.zeros((2, 6), dtype=complex)
+        leaky[:, :4] = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        spaces = [random_subspace(rng, n, r) for n, r in ((1, 1), (3, 1), (5, 2), (8, 3),
+                                                           (12, 5), (16, 4))]
+        spaces += [subspace_from_spanning(leaky), subspace_from_spanning(np.eye(5)[[0, 2]]),
+                   whole_space(1), whole_space(4)]
+        for s in spaces:
+            p, zero_rows = s.projector, is_generic(s).offending
+            points, state = np.zeros(s.n), np.zeros((s.n, s.n), dtype=complex)
+            for j in range(s.n):
+                if j in zero_rows:
+                    assert p[j, j] == 0.0
+                    continue
+                weight, v = p[j, j].real / s.r, principal_vector(s, j).v
+                points += weight * np.abs(v) ** 2
+                state += weight * np.outer(v, v.conj())
+            assert np.max(np.abs(points - centroid(s))) <= 1e-15
+            assert np.max(np.abs(state - p / s.r)) <= 1e-15
+
 
 class TestCentroidAlgebra:
     def test_orthogonal_axes(self):
