@@ -34,25 +34,26 @@ hermitian r x r matrices per side (the fiber): sum_s sign_s T_s vec(Y_s) =
 target and tr Y_s = 1, T_s the real n x 2 r_s^2 view of
 ``Subspace.compression_table``.  A point lies in m_S, and two sets meet,
 exactly when the fiber holds a PSD point.  Its minimum-norm point is one
-least-squares solve (``linalg._lstsq``), hermitian because every row is.
-When that point is not PSD, a bounded phase I looks for one: at most
+least-squares solve (``linalg._lstsq``), hermitian because every row is,
+and is replayed first: its eigenvectors become the atoms of every side and
+its eigenvalues, clipped at 0 and scaled to unit trace, their weights.
+When the residual of those density matrices is within ``tol`` they are the
+answer, exact to roundoff when nothing was clipped, at ``iterations = 0``;
+a fiber of one point on the boundary is clipped at roundoff only.  Else,
+when that point is not PSD, a bounded phase I looks for one: at most
 ``_PHASE_ONE_ROUNDS`` rounds of alternating projections (Bauschke &
 Borwein, SIAM Review 38, 1996; Higham, IMA J. Numer. Anal. 22, 2002), each
 clipping the eigenvalues of every side at ``_PHASE_ONE_EPS`` and projecting
 back onto the fiber through its pseudo-inverse, one more least-squares
-solve.  It stops at the first fiber point that is PSD on every side, or
-falls back to the minimum-norm point.  The eigenvectors of that point become
-the atoms of every side and its eigenvalues, clipped at 0 and scaled to
-unit trace, their weights; when the residual of those density matrices is
-within ``tol``, they are the answer, exact to roundoff when nothing was
-clipped, at ``iterations = 0``.  Otherwise the master is left as it was
-and Frank-Wolfe runs.  The fiber is tried only when the first dual bound
-is at most ``tol`` (below, ``lower``): a larger one already puts the
-distance above ``tol``, so separated pairs and exterior points never pay
-for the solve.  Interior points and pairs meeting in their relative
-interiors are settled; a point or pair whose only PSD preimage is on the
-boundary (a face point, a tangent pair) has none for phase I to reach once
-the fiber has positive dimension, so it pays the rounds and then takes
+solve.  Its first point PSD on every side is replayed in turn; when no
+round reaches one, the fiber declines.  A decline or a failed replay leaves
+the master as it was, and Frank-Wolfe runs.  The fiber is tried only when
+the first dual bound is at most ``tol`` (below, ``lower``): a larger one
+already puts the distance above ``tol``, so separated pairs and exterior
+points never pay for the solve.  Interior points and pairs meeting in their
+relative interiors are settled; a point or pair whose only PSD preimage is
+on the boundary of a fiber of positive dimension (a face point, a tangent
+pair) has none for phase I to reach, so it pays the rounds and then takes
 Frank-Wolfe steps.  Pataki (Math. Oper. Res. 23, 1998) bounds the rank of
 the extreme points of such slices, and Ramana & Goldman (J. Global Optim.
 7, 1995) treat their geometry.
@@ -204,8 +205,8 @@ class _Master:
                    for q, sign in zip(self.bases, self.signs)) - self.target
 
     def witness(self, s: int) -> np.ndarray:
-        """The n x n density matrix Q M Q* of side s at the iterate, M the
-        r x r density matrix of the convex combination of its atoms."""
+        """The n x n density matrix Q M Q* = sum_k w_k (Q u_k)(Q u_k)* of
+        side s at the iterate, M the mixture of its atoms u_k."""
         q = self.bases[s]
         if self.iterate is None:
             r = q.shape[1]
@@ -214,26 +215,22 @@ class _Master:
             weights, live = self.iterate
             mine = [i for i, (t, _) in enumerate(live) if t == s]
             atoms, weights = np.array([live[i][1] for i in mine]), weights[mine]
-        m = (atoms.T * weights) @ atoms.conj()
-        m = 0.5 * (m + m.conj().T)
-        witness = q @ m @ q.conj().T
+        qu = q @ atoms.T
+        witness = (qu * weights) @ qu.conj().T
         return 0.5 * (witness + witness.conj().T)
 
     def fiber(self, tol: float) -> np.ndarray | None:
         """Try a PSD point of the fiber: the hermitian Y_s of every side
         with sum_s sign_s T_s vec(Y_s) = target and tr Y_s = 1, T_s the real
         n x 2 r_s^2 view of side s's compression table.  Its minimum-norm
-        point x is one least-squares solve (``linalg._lstsq``).  When x is
-        not PSD, a second solve gives the pseudo-inverse A+ of the system
-        A y = b, and phase I alternates at most ``_PHASE_ONE_ROUNDS`` times
-        between clipping the eigenvalues of every side at ``_PHASE_ONE_EPS``
-        (z) and projecting back onto the fiber, y = x + (I - A+ A) z, until
-        y is PSD on every side; when no round gets there, x is kept.  The
-        eigenvectors of the point become the atoms of each side and its
-        eigenvalues, clipped at 0 and scaled to unit sum, their weights.
-        When the residual of those atoms is within ``tol`` they become the
-        iterate and the residual is returned; otherwise None, and the
-        master is left as it was."""
+        point x is one least-squares solve (``linalg._lstsq``), replayed
+        first (``_replay``).  When that fails and x is not PSD, a second
+        solve gives the pseudo-inverse A+ of the system A y = b, and phase I
+        alternates at most ``_PHASE_ONE_ROUNDS`` times between clipping the
+        eigenvalues of every side at ``_PHASE_ONE_EPS`` (z) and projecting
+        back onto the fiber, y = x + (I - A+ A) z, until y is PSD on every
+        side, and replays that y, or declines when no round reaches one.
+        Returns the replayed residual, or None with the master untouched."""
         n, sizes = self.target.size, [2 * q.shape[1] ** 2 for q in self.bases]
         a = np.zeros((n + len(sizes), sum(sizes)))
         lo = 0
@@ -245,20 +242,26 @@ class _Master:
         b = np.concatenate([self.target, np.ones(len(sizes))])
         x = _lstsq(a, b)
         spectra = self._spectra(x)
-        if min(values[0] for values, _ in spectra) < 0.0:
-            # Phase I: alternate between {Y_s >= eps I} and the fiber x +
-            # null(A), onto which I - A+ A projects.
-            null, first = np.eye(a.shape[1]) - _lstsq(a, np.eye(len(b))) @ a, spectra
-            for _ in range(_PHASE_ONE_ROUNDS):
-                z = np.concatenate([
-                    ((vectors * np.maximum(values, _PHASE_ONE_EPS)) @ vectors.conj().T)
-                    .reshape(-1).view(np.float64) for values, vectors in spectra])
-                spectra = self._spectra(x + null @ z)
-                if min(values[0] for values, _ in spectra) >= 0.0:
-                    break
-            else:
-                # None is PSD: the minimum-norm point, clipped, replays or not.
-                spectra = first
+        d = self._replay(spectra, tol)
+        if d is not None or min(values[0] for values, _ in spectra) >= 0.0:
+            return d
+        # Phase I: alternate between {Y_s >= eps I} and the fiber x +
+        # null(A), onto which I - A+ A projects.
+        null = np.eye(a.shape[1]) - _lstsq(a, np.eye(len(b))) @ a
+        for _ in range(_PHASE_ONE_ROUNDS):
+            z = np.concatenate([
+                ((vectors * np.maximum(values, _PHASE_ONE_EPS)) @ vectors.conj().T)
+                .reshape(-1).view(np.float64) for values, vectors in spectra])
+            spectra = self._spectra(x + null @ z)
+            if min(values[0] for values, _ in spectra) >= 0.0:
+                return self._replay(spectra, tol)
+        return None
+
+    def _replay(self, spectra: list, tol: float) -> np.ndarray | None:
+        """Make the eigenvectors of a fiber point's sides the atoms and its
+        eigenvalues, clipped at 0 and scaled to unit sum, their weights; when
+        their residual is within ``tol``, they become the iterate and the
+        residual is returned, else None and the master is left as it was."""
         d, weights, atoms = -self.target, [], []
         for s, (q, sign, (values, vectors)) in enumerate(zip(self.bases, self.signs, spectra)):
             w = np.maximum(values, 0.0)
@@ -436,12 +439,12 @@ def _minimize(master: _Master, tol: float, max_iter: int,
     lower = -(sum_s h_s + <d, target>) / |d| off its top eigenvalues h_s,
     and stops when ``stop(f, lower)`` accepts the current iterate (objective
     f = |d|^2).  At iteration 0, with lower <= tol, it then tries the
-    fiber (``_Master.fiber``, the minimum-norm point and, when that is not
-    PSD, its phase I) and stops there when that is accepted.  Otherwise it
-    adds one oracle atom per side and re-solves the weights of all atoms
-    exactly (``_Master.step``: the least-squares master with one equality
-    row per side and no penalty, one KKT solve per pass).  The objective
-    thus decreases strictly until a step no longer improves it or the solve
+    fiber (``_Master.fiber``: the minimum-norm point, then phase I) and
+    stops there when that is accepted.  Otherwise it adds one oracle atom
+    per side and re-solves the weights of all atoms exactly
+    (``_Master.step``: the least-squares master with one equality row per
+    side and no penalty, one KKT solve per pass).  The objective thus
+    decreases strictly until a step no longer improves it or the solve
     fails.  Returns the final objective, the number of steps taken, the last
     ``lower`` and the final residual d; the oracle also runs on the final
     iterate, so ``lower`` describes the returned point unless it is within
@@ -461,8 +464,8 @@ def _minimize(master: _Master, tol: float, max_iter: int,
         if stop(f, lower) or it == max_iter:
             break
         if not it and lower <= tol and (d_fiber := master.fiber(tol)) is not None:
-            # The fiber: a PSD point of it, or its clipped minimum-norm
-            # point, replays within tol.
+            # The fiber: its clipped minimum-norm point, or the first PSD
+            # point of its phase I, replays within tol.
             d, f = d_fiber, float(d_fiber @ d_fiber)
             break
         d_new = master.step(fw)
@@ -588,7 +591,7 @@ def moments_intersect(
 
     Minimizes ||diag(Q_V M Q_V*) - diag(Q_W N Q_W*)||^2 over pairs of density
     matrices, after one try of the fiber (its minimum-norm point, and its
-    phase I when that is not PSD).  INTERSECT
+    phase I when that does not replay).  INTERSECT
     when the residual norm reaches ``tol``; DISJOINT only
     when an exact support-function separation holds with a strict margin;
     INDETERMINATE otherwise (tangent or unresolved within ``max_iter``).

@@ -12,9 +12,9 @@ input: eigenvalues are returned in ascending order and every eigenvector is
 phase-normalized so that its first nonzero component is real and positive.
 The one-direction eigenpair is bitwise its row of the stacked one: the
 same checks, compression, kernel and phase rule, in Python scalars where
-the stack would wrap a lone direction.  Rank-one compressions are solved
-in closed form, bitwise LAPACK's n = 1 result: the real part of the entry,
-and the eigenvector 1.  Every other eigensolve goes through one kernel,
+the stack would wrap a lone direction, and for r = 1 in closed form,
+bitwise LAPACK's n = 1 result: the real part of the entry, and the
+eigenvector 1.  Every other eigensolve goes through one kernel,
 ``_eigh`` and ``_eigvalsh``, which calls the LAPACK gufuncs of
 ``numpy.linalg._umath_linalg`` directly: bitwise ``np.linalg.eigh`` and
 ``eigvalsh``, without their per-call wrapper, which costs about as much as
@@ -255,7 +255,7 @@ def _compressions(table: np.ndarray, directions) -> np.ndarray:
     # The table as a (1, n, 2 r^2) real stack, which the matmul broadcasts
     # over the directions.
     real_table = table.reshape(1, n, r * r).view(np.float64)
-    # The message is built only on failure: this runs once per support value.
+    # The message is built only on failure; a ragged list gets it too.
     try:
         d = _numbers(directions, "")
     except ValueError:
@@ -286,14 +286,11 @@ def compressed_top_eigh(table: np.ndarray, directions) -> tuple[np.ndarray, np.n
     matmul of c against it, and every row comes out bitwise as from its
     own call.
 
-    A rank-one compression is its own eigenvalue: for r = 1 the value is the
-    real part of the entry and the vector is 1, bitwise what LAPACK's n = 1
-    path returns (``W(1) = DBLE(A(1,1))``, ``Z = CONE``), with no solve.
+    Rank-one compressions go to LAPACK too, whose n = 1 path returns the
+    real part of the entry and the vector 1 (``W(1) = DBLE(A(1,1))``,
+    ``Z = CONE``): the closed form of ``_compressed_top_eigh1``.
     """
-    m = _compressions(table, directions)
-    if m.shape[1] == 1:
-        return m[:, 0, 0].real, np.ones((len(m), 1), dtype=np.complex128)
-    w, v = _eigh(m)
+    w, v = _eigh(_compressions(table, directions))
     return w[:, -1], _fix_phases(v[:, :, -1])
 
 
@@ -308,6 +305,8 @@ def _compressed_top_eigh1(table: np.ndarray, c: np.ndarray) -> tuple[float, np.n
     one: on a lone direction the stack's wrapping costs as much as the
     eigensolve.  The compression is the stacked path's matmul, a (1, 1, n)
     direction against the (1, n, 2 r^2) real table, so its bits are too.
+    For r = 1 it makes no solve: the value is the real part of the entry
+    and the vector 1, LAPACK's n = 1 result.
     """
     n, r = table.shape[:2]
     if c.dtype.kind not in "iuf" or c.shape != (n,):
@@ -339,13 +338,9 @@ def compressed_top_eigvalsh(table: np.ndarray, directions) -> np.ndarray:
     ``compressed_top_eigh``, from the same table and directions, by a
     value-only solve (``eigvalsh``).  For callers that use no eigenvector;
     the values can differ from ``compressed_top_eigh``'s in the last bits.
-    Every row comes out bitwise as from its own call, and rank-one
-    compressions are solved in closed form as there.
+    Every row comes out bitwise as from its own call.
     """
-    m = _compressions(table, directions)
-    if m.shape[1] == 1:
-        return m[:, 0, 0].real
-    return _eigvalsh(m)[:, -1]
+    return _eigvalsh(_compressions(table, directions))[:, -1]
 
 
 def orthonormalize(vectors) -> np.ndarray:

@@ -25,6 +25,7 @@ from conftest import (
     random_density,
     random_subspace,
 )
+from test_cli import nested_matrix
 
 
 class TestProjection:
@@ -616,12 +617,49 @@ class TestFiber:
         for witness in (cert.witness_y, cert.witness_x):
             assert np.linalg.eigvalsh(witness)[0] >= -1e-15
 
+    def test_replayed_minimum_norm_point_skips_phase_one(self, monkeypatch):
+        # Two fibers of dimension 0 whose one point is a pure state on the
+        # boundary: the nested minimal matrix in C^4, whose eigenspaces at
+        # +1 and -1 meet only at the moment point of the line, and the line
+        # of (1, i, 1, i) against span{(1, -i, 1, -i), (1, 0, -1, 0)},
+        # meeting only at (1/4, 1/4, 1/4, 1/4).  Their minimum-norm points
+        # have eigenvalues negative at roundoff and, clipped, replay within
+        # tol: one least-squares solve and one eigensolve of every side
+        # settle them, with no pseudo-inverse and no round of phase I.
+        solves, points = [], []
+        real_lstsq, real_spectra = feasibility._lstsq, feasibility._Master._spectra
+
+        def counted_lstsq(a, b):
+            solves.append(b.shape)
+            return real_lstsq(a, b)
+
+        def counted_spectra(master, x):
+            spectra = real_spectra(master, x)
+            points.append(min(values[0] for values, _ in spectra))
+            return spectra
+
+        monkeypatch.setattr(feasibility, "_lstsq", counted_lstsq)
+        monkeypatch.setattr(feasibility._Master, "_spectra", counted_spectra)
+        report = check_minimal(nested_matrix(4))
+        assert report.verdict.value == "MINIMAL" and report.certificate.iterations == 0
+        # The system of two sides in C^4: 4 coordinate rows and 2 trace rows.
+        assert solves == [(6,)] and len(points) == 1 and -1e-14 <= points[0] < 0.0
+        solves.clear()
+        points.clear()
+        line = subspace_from_spanning([(1, 1j, 1, 1j)])
+        plane = subspace_from_spanning([(1, -1j, 1, -1j), (1, 0, -1, 0)])
+        cert = moments_intersect(line, plane)
+        assert solves == [(6,)] and len(points) == 1 and -1e-14 <= points[0] < 0.0
+        assert cert.status is IntersectionStatus.INTERSECT and cert.iterations == 0
+        assert cert.gap <= 1e-15
+        assert np.max(np.abs(cert.common - 0.25)) <= 1e-15
+
     def test_declined_fiber_leaves_the_master_untouched(self, monkeypatch):
         # The line of (1, 0, i, 0) meets m_W of a space of rank 3 only at
         # (1/2, 0, 1/2, 0), on its boundary, where the only preimage is a
-        # pure state: the fiber has positive dimension, so no round of the
-        # phase I reaches a PSD point, and the clipped minimum-norm point
-        # does not replay.  The master keeps no trace of the attempt, and
+        # pure state: the fiber has positive dimension, so the clipped
+        # minimum-norm point does not replay, and no round of phase I
+        # reaches a PSD point.  The master keeps no trace of the attempt, and
         # the answer is, in bytes, that of the solver without the fiber.
         v, w = boundary_pair()
         master = feasibility._Master([v, w], np.zeros(4))

@@ -502,11 +502,12 @@ class TestCompressedEigh:
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_rank_one_closed_form_is_lapack_bitwise(self, n):
-        # For r = 1 neither primitive calls LAPACK.  Its n = 1 path returns
-        # the real part of the entry and the vector 1 (W(1) = DBLE(A(1,1)),
-        # Z = CONE); the closed form must give the same bits as eigh and
-        # eigvalsh of the same 1 x 1 compressions, down to the sign of the
-        # vector's zero imaginary part.
+        # For r = 1 the stacked primitives call LAPACK, whose n = 1 path
+        # returns the real part of the entry and the vector 1 (W(1) =
+        # DBLE(A(1,1)), Z = CONE); the lone direction's closed form
+        # (``_compressed_top_eigh1``) must give the same bits as those
+        # stacks and as eigh and eigvalsh of the same 1 x 1 compressions,
+        # down to the sign of the vector's zero imaginary part.
         rng = np.random.default_rng(17)
         table = random_subspace(rng, n, 1).compression_table
         base = rng.standard_normal((200, n))
